@@ -56,5 +56,9 @@ print()
 # 5. defuzzification: centroid of the aggregate
 crisp = defuzzify(combined, config.defuzzification)
 print(f"centroid -> crisp relevance {crisp:.6f}")
-assert crisp == evaluate(config, inputs)
-print("(evaluate() runs the same five stages in one call)")
+# Under prod implication and sum aggregation the centroid is linear in the
+# strengths, so evaluate() takes it from each consequent set's grid moments
+# and never builds the aggregate; the two agree to rounding.
+assert abs(crisp - evaluate(config, inputs)) < 1e-12
+print("(evaluate() gets the same centroid from the consequent sets' grid "
+      "moments in one call)")

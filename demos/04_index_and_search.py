@@ -26,11 +26,12 @@ print(f"indexed {index.total_docs} docs, {len(index.terms)} distinct terms")
 print()
 
 query = "coffee grounds"
-features = extract_features(index, query.split(), index.ordinal_of("brew"))
+brew = index.ordinal_of("brew")
+features = extract_features(index, query.split(), [brew])
 print(f"features of doc 'brew' for query {query!r}:")
-for token, tf, idf in features.terms:
+for token, tf, idf in zip(features.terms, features.tf[:, 0], features.idf):
     print(f"  {token:<8} tf_norm {tf:.3f}  idf_norm {idf:.3f}")
-print(f"  overlap {features.overlap:.3f}")
+print(f"  overlap {features.overlap[0]:.3f}")
 print()
 
 template = default_template()

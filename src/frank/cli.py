@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 from pathlib import Path
@@ -22,7 +23,7 @@ from .errors import FrankError, QueryError, RunFormatError, UsageError
 from .evaluation import (diff_runs, evaluate_run, format_diff, format_report,
                          format_run, load_qrels, load_run, report_jsonl,
                          run_from_ranked)
-from .fis import evaluate, fuzzify, rule_strengths
+from .fis import evaluate, rule_strengths
 from .fisfile import load_fis_config, load_template
 from .index import InvertedIndex, build_index, read_corpus_jsonl
 from .ranker import DEFAULT_CUTOFF, score_baseline, score_fis
@@ -134,9 +135,12 @@ def _parse_assignments(pairs: list[str]) -> dict[str, float]:
         if not sep or not name:
             raise UsageError(f"--in takes name=value, got {pair!r}")
         try:
-            values[name] = float(raw)
+            value = float(raw)
         except ValueError:
             raise UsageError(f"--in {name}: not a number: {raw!r}")
+        if not math.isfinite(value):
+            raise UsageError(f"--in {name}: not a finite number: {raw!r}")
+        values[name] = value
     return values
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .errors import EvalError, RunFormatError
@@ -36,10 +37,15 @@ class Qrels:
         return sorted({topic for topic, _ in self.judgments})
 
     def relevant_docs(self, topic: str) -> set[str]:
-        return {
-            doc for (t, doc), judgment in self.judgments.items()
-            if t == topic and judgment >= 1
-        }
+        return set(self._relevant_by_topic.get(topic, ()))
+
+    @cached_property
+    def _relevant_by_topic(self) -> dict[str, set[str]]:
+        relevant: dict[str, set[str]] = {}
+        for (topic, doc), judgment in self.judgments.items():
+            if judgment >= 1:
+                relevant.setdefault(topic, set()).add(doc)
+        return relevant
 
 
 @dataclass(frozen=True)
@@ -120,6 +126,13 @@ def load_qrels(path: str | Path) -> Qrels:
 def parse_run(text: str) -> RunFile:
     tag: str | None = None
     topics: dict[str, list[tuple[str, int, float]]] = {}
+    # Doc ids of the current topic's lines, for the duplicate check.  Run
+    # files group lines by topic, so one set at a time suffices; a topic
+    # whose lines come back after another topic's keeps its set from then
+    # on, so each line is still added to a set at most twice.
+    current: str | None = None
+    docs: set[str] = set()
+    interleaved: dict[str, set[str]] = {}
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -152,10 +165,16 @@ def parse_run(text: str) -> RunFile:
             raise RunFormatError(
                 f"topic {topic}: score increases at rank {rank}", line=number
             )
-        if any(doc_id == existing for existing, _, _ in entries):
+        if topic != current:
+            current = topic
+            docs = interleaved.get(topic) or {doc for doc, _, _ in entries}
+            if entries:
+                interleaved[topic] = docs
+        if doc_id in docs:
             raise RunFormatError(
                 f"topic {topic}: duplicate doc {doc_id}", line=number
             )
+        docs.add(doc_id)
         entries.append((doc_id, rank, score))
     if tag is None:
         raise RunFormatError("empty run file")

@@ -13,9 +13,23 @@ Sum aggregation is deliberately NOT clipped at 1: the aggregate carries the
 total rule mass, which is what makes rule weights combine linearly.  Rule
 weights scale the firing strength before implication.
 
+``evaluate`` takes a number or a 1-D column per input variable and scores
+every row at once; a scalar call is the one-row case of the same code.
+
+Under product implication, sum aggregation and centroid defuzzification
+(the default) the aggregate is sum_j s_j * C_j, so its centroid on the grid
+is sum_j s_j * M1(C_j) / sum_j s_j * M0(C_j), where M0 and M1 are the
+zeroth and first grid moments of each consequent set, computed once per
+config.  ``evaluate`` uses that moment form there and builds no grid per
+row.  Every other operator combination runs the grid pipeline above, row
+by row; composed from ``imply``/``aggregate``/``defuzzify``, that pipeline
+is also the oracle the moment form is tested against (within 1e-12).
+
 Rule order never affects the result, bit for bit: implied sets are combined
 in a canonical order (consequent label, negation, strength) rather than rule
-order, which pins down the floating-point accumulation order.
+order, which pins down the floating-point accumulation order.  The moment
+form sums strengths per consequent set in ascending order, over sets in
+sorted order, to the same end.
 """
 
 from __future__ import annotations
@@ -191,12 +205,34 @@ class FisConfig:
             samples[(label, True)] = complement
         return samples
 
+    @property
+    def has_moment_form(self) -> bool:
+        """Whether the centroid follows from per-set grid moments: under
+        prod implication and sum aggregation the aggregate is linear in the
+        firing strengths, and so are both sums of the centroid."""
+        return (self.implication == "prod" and self.aggregation == "sum"
+                and self.defuzzification == "centroid")
 
-def fuzzify(config: FisConfig, inputs: Mapping[str, float]) -> dict[tuple[str, str], float]:
-    """Degrees of membership of each crisp input in each of its fuzzy sets.
+    @cached_property
+    def consequent_moments(self) -> dict[tuple[str, bool], tuple[float, float]]:
+        """Zeroth and first grid moments, sum(mu) and sum(x * mu), of each
+        output set, keyed like :attr:`consequent_samples`."""
+        return {
+            key: (float(np.sum(samples)),
+                  float(np.sum(self.output_grid * samples)))
+            for key, samples in self.consequent_samples.items()
+        }
 
-    Inputs outside a variable's universe are clamped to it.  The map must
-    name every input variable exactly once.
+
+def _degree_columns(config: FisConfig,
+                    inputs: Mapping[str, float | np.ndarray]
+                    ) -> tuple[dict[tuple[str, str], np.ndarray], int | None]:
+    """Membership degrees of each input's values, and the number of rows
+    (None when every input is a scalar: a one-row call).
+
+    Scalars broadcast against 1-D columns; all columns share one length.
+    A scalar input's degrees stay one-element arrays until a rule combines
+    them with a column.
     """
     names = {v.name for v in config.inputs}
     missing = sorted(names - inputs.keys())
@@ -205,23 +241,65 @@ def fuzzify(config: FisConfig, inputs: Mapping[str, float]) -> dict[tuple[str, s
     extra = sorted(inputs.keys() - names)
     if extra:
         raise ConfigError(f"unknown input variable(s): {', '.join(extra)}")
-    degrees: dict[tuple[str, str], float] = {}
-    for variable in config.inputs:
-        lo, hi = variable.universe
-        x = min(max(float(inputs[variable.name]), lo), hi)
+    values = [np.asarray(inputs[v.name], dtype=np.float64)
+              for v in config.inputs]
+    if any(value.ndim > 1 for value in values):
+        raise ConfigError("inputs must be numbers or 1-D columns")
+    try:
+        shape = np.broadcast_shapes(*(value.shape for value in values))
+    except ValueError:
+        raise ConfigError("input columns differ in length") from None
+    degrees: dict[tuple[str, str], np.ndarray] = {}
+    for variable, value in zip(config.inputs, values):
+        if not np.isfinite(value).all():
+            raise ConfigError(
+                f"input variable {variable.name!r} is not a finite number"
+            )
+        x = np.clip(np.atleast_1d(value), *variable.universe)
         for label, mf in variable.sets.items():
-            degrees[(variable.name, label)] = mf.evaluate(x)
-    return degrees
+            degrees[(variable.name, label)] = mf.sample(x)
+    return degrees, (shape[0] if shape else None)
 
 
-def fire_rule(rule: RuleAst, memberships: Mapping[tuple[str, str], float],
-              and_method: str = "prod") -> float:
+def _strength_columns(config: FisConfig,
+                      inputs: Mapping[str, float | np.ndarray]
+                      ) -> tuple[list[np.ndarray], bool]:
+    """Each rule's firing strength, one per row, and whether the call was
+    scalar."""
+    memberships, rows = _degree_columns(config, inputs)
+    strengths = [
+        np.broadcast_to(fire_rule(rule, memberships, config.and_method),
+                        (1 if rows is None else rows,))
+        for rule in config.rules
+    ]
+    return strengths, rows is None
+
+
+def fuzzify(config: FisConfig, inputs: Mapping[str, float | np.ndarray]
+            ) -> dict[tuple[str, str], float | np.ndarray]:
+    """Degrees of membership of each crisp input in each of its fuzzy sets.
+
+    Inputs outside a variable's universe are clamped to it; non-finite
+    inputs are rejected.  The map must name every input variable exactly
+    once.  Scalar inputs give float degrees, column inputs give columns.
+    """
+    degrees, rows = _degree_columns(config, inputs)
+    if rows is None:
+        return {key: float(column[0]) for key, column in degrees.items()}
+    return {key: np.broadcast_to(column, (rows,))
+            for key, column in degrees.items()}
+
+
+def fire_rule(rule: RuleAst,
+              memberships: Mapping[tuple[str, str], float | np.ndarray],
+              and_method: str = "prod") -> float | np.ndarray:
     """Firing strength: the and-fold of conjunct degrees times the weight.
 
     A negated conjunct contributes the complement degree 1 - d.  Single
-    conjuncts skip the fold.
+    conjuncts skip the fold.  Degrees may be floats or columns that
+    broadcast together.
     """
-    strength: float | None = None
+    strength = None
     for clause in rule.antecedent:
         degree = memberships[(clause.variable, clause.label)]
         if clause.negated:
@@ -231,7 +309,7 @@ def fire_rule(rule: RuleAst, memberships: Mapping[tuple[str, str], float],
         elif and_method == "prod":
             strength = strength * degree
         else:
-            strength = min(strength, degree)
+            strength = np.minimum(strength, degree)
     assert strength is not None
     return strength * rule.weight
 
@@ -303,23 +381,41 @@ def defuzzify(aggregate_set: AggregateSet, method: str = "centroid") -> float:
     raise ConfigError(f"unknown defuzzification method {method!r}")
 
 
-def rule_strengths(config: FisConfig, inputs: Mapping[str, float]) -> list[float]:
-    """Firing strength of every rule, in rule order."""
-    memberships = fuzzify(config, inputs)
-    return [fire_rule(rule, memberships, config.and_method) for rule in config.rules]
+def rule_strengths(config: FisConfig, inputs: Mapping[str, float | np.ndarray]
+                   ) -> list[float] | list[np.ndarray]:
+    """Firing strength of every rule, in rule order (columns for columns)."""
+    strengths, scalar = _strength_columns(config, inputs)
+    if scalar:
+        return [float(column[0]) for column in strengths]
+    return strengths
 
 
-def evaluate(config: FisConfig, inputs: Mapping[str, float]) -> float:
+def evaluate(config: FisConfig, inputs: Mapping[str, float | np.ndarray]
+             ) -> float | np.ndarray:
     """Run the full pipeline and return the crisp output value.
+
+    ``inputs`` maps every input variable to a number or to a 1-D column;
+    with columns, each row is one evaluation and the result is a column of
+    crisp values.  A scalar call is the one-row case of the same code, so a
+    row gives the same bits alone or inside a column.
 
     Deterministic: identical inputs yield bit-identical outputs, and any
     permutation of ``config.rules`` yields the same bits (see module notes).
     """
-    memberships = fuzzify(config, inputs)
+    strengths, scalar = _strength_columns(config, inputs)
+    if config.has_moment_form:
+        crisp = _centroid_by_moments(config, strengths)
+    else:
+        crisp = np.array([_evaluate_on_grid(config, row)
+                          for row in zip(*strengths)])
+    return float(crisp[0]) if scalar else crisp
+
+
+def _evaluate_on_grid(config: FisConfig, strengths: Sequence[float]) -> float:
+    """One row through imply, aggregate and defuzzify on the output grid."""
     jobs = sorted(
-        (rule.consequent.label, rule.consequent.negated,
-         fire_rule(rule, memberships, config.and_method))
-        for rule in config.rules
+        (rule.consequent.label, rule.consequent.negated, float(strength))
+        for rule, strength in zip(config.rules, strengths)
     )
     implied = [
         imply(config.consequent_samples[(label, negated)], strength,
@@ -328,3 +424,39 @@ def evaluate(config: FisConfig, inputs: Mapping[str, float]) -> float:
     ]
     aggregated = aggregate(implied, config.aggregation, config.output.universe)
     return defuzzify(aggregated, config.defuzzification)
+
+
+def _centroid_by_moments(config: FisConfig,
+                         strengths: Sequence[np.ndarray]) -> np.ndarray:
+    """Centroid of the prod-implied, sum-aggregated set, from the grid
+    moments of each consequent set, one value per row.
+
+    Strengths are summed per consequent set in ascending order, and sets
+    are taken in sorted (label, negated) order, so the accumulation order
+    does not depend on rule order.
+    """
+    groups: dict[tuple[str, bool], list[np.ndarray]] = {}
+    for rule, strength in zip(config.rules, strengths):
+        key = (rule.consequent.label, rule.consequent.negated)
+        groups.setdefault(key, []).append(strength)
+    numerator = denominator = 0.0
+    for key in sorted(groups):
+        ordered = np.stack(groups[key])
+        ordered.sort(axis=0)
+        mass = ordered[0]
+        for strength in ordered[1:]:
+            mass = mass + strength
+        zeroth, first = config.consequent_moments[key]
+        numerator = numerator + mass * first
+        denominator = denominator + mass * zeroth
+    lo, hi = config.output.universe
+    empty = denominator == 0.0
+    if empty.any():
+        warnings.warn(
+            "all-zero aggregate set; defuzzifying to the universe midpoint",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        crisp = np.clip(numerator / denominator, lo, hi)
+    return np.where(empty, (lo + hi) / 2.0, crisp)

@@ -17,8 +17,12 @@ import re
 import struct
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import CorpusError, IndexFormatError, QueryError
 
@@ -30,6 +34,9 @@ STOPWORDS = frozenset((
 ))
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+", re.ASCII)
+
+_ORDINAL = attrgetter("doc_ordinal")
+_FREQUENCY = attrgetter("term_frequency")
 
 _MAGIC = b"FRIX1"
 _VERSION = 1
@@ -56,15 +63,21 @@ class DocEntry:
 
 @dataclass(frozen=True)
 class QueryFeatures:
-    """Per-document ranking features for one query.
+    """Ranking features of one query's candidate documents, as columns.
 
-    ``terms`` holds one (token, tf_norm, idf_norm) triple per distinct query
-    token, in first-occurrence order; unmatched tokens carry tf_norm 0.
+    ``terms`` holds the distinct query tokens in first-occurrence order and
+    ``idf`` their idf_norm.  Row i of ``tf`` holds tf_norm of ``terms[i]``
+    for each of the ``candidates`` (doc ordinals, ascending), 0 where the
+    document lacks the token.  ``matched_count`` and ``overlap`` are the
+    number and fraction of distinct tokens each candidate contains.
     """
 
-    terms: tuple[tuple[str, float, float], ...]
-    overlap: float
-    matched_count: int
+    terms: tuple[str, ...]
+    idf: tuple[float, ...]
+    candidates: np.ndarray
+    tf: np.ndarray
+    matched_count: np.ndarray
+    overlap: np.ndarray
 
 
 def tokenize(text: str) -> list[str]:
@@ -116,8 +129,36 @@ class InvertedIndex:
         entry = self._term_table.get(token)
         return entry[1] if entry else ()
 
+    def posting_columns(self, token: str) -> tuple[np.ndarray, np.ndarray]:
+        """A token's postings as two columns: doc ordinals (ascending) and
+        term frequencies."""
+        postings = self.postings(token)
+        return (np.fromiter(map(_ORDINAL, postings), np.intp, len(postings)),
+                np.fromiter(map(_FREQUENCY, postings), np.int64,
+                            len(postings)))
+
+    @cached_property
+    def max_term_frequencies(self) -> np.ndarray:
+        """Each document's max term frequency, by ordinal."""
+        return np.fromiter((e.max_term_frequency for e in self._doc_table),
+                           np.int64, len(self._doc_table))
+
+    @cached_property
+    def token_counts(self) -> np.ndarray:
+        """Each document's token count, by ordinal."""
+        return np.fromiter((e.token_count for e in self._doc_table),
+                           np.int64, len(self._doc_table))
+
+    @cached_property
+    def doc_id_ranks(self) -> np.ndarray:
+        """Each document's position in ascending doc_id order, by ordinal."""
+        order = sorted(range(len(self._doc_table)),
+                       key=lambda ordinal: self._doc_table[ordinal].doc_id)
+        ranks = np.empty(len(order), np.intp)
+        ranks[order] = np.arange(len(order))
+        return ranks
+
     def term_frequency(self, doc_ordinal: int, token: str) -> int:
-        # postings lists are short at desk scale; linear scan is fine
         for posting in self.postings(token):
             if posting.doc_ordinal == doc_ordinal:
                 return posting.term_frequency
@@ -273,23 +314,44 @@ def tf_norm(index: InvertedIndex, doc_ordinal: int, token: str) -> float:
 
 
 def extract_features(index: InvertedIndex, query_tokens: list[str],
-                     doc_ordinal: int) -> QueryFeatures:
-    """Ranking features of one document for the given query tokens.
+                     candidates: np.ndarray) -> QueryFeatures:
+    """Ranking features of the candidate documents for the query tokens.
 
-    Distinct query tokens (first-occurrence order) set the overlap
-    denominator; duplicates are collapsed.
+    ``candidates`` are doc ordinals in ascending order.  One pass over each
+    distinct token's postings fills the tf matrix.  Distinct query tokens
+    (first-occurrence order) set the overlap denominator; duplicates are
+    collapsed.  A candidate whose term frequency exceeds its recorded
+    maximum, or whose maximum is 0, means the index is corrupt.
     """
     if not query_tokens:
         raise QueryError("no query tokens")
     distinct = list(dict.fromkeys(query_tokens))
-    terms = []
-    matched = 0
-    for token in distinct:
-        tf_value = tf_norm(index, doc_ordinal, token)
-        if tf_value > 0.0:
-            matched += 1
-        terms.append((token, tf_value, idf_norm(index, token)))
-    return QueryFeatures(tuple(terms), matched / len(distinct), matched)
+    candidates = np.asarray(candidates, dtype=np.intp)
+    counts = np.zeros((len(distinct), len(candidates)), dtype=np.int64)
+    for row, token in zip(counts, distinct):
+        ordinals, frequencies = index.posting_columns(token)
+        columns = np.searchsorted(candidates, ordinals)
+        hit = columns < len(candidates)
+        hit[hit] = candidates[columns[hit]] == ordinals[hit]
+        row[columns[hit]] = frequencies[hit]
+    max_tf = index.max_term_frequencies[candidates]
+    corrupt = (max_tf == 0) | (counts > max_tf).any(axis=0)
+    if corrupt.any():
+        entry = index.doc_entry(int(candidates[corrupt.argmax()]))
+        raise IndexFormatError(
+            f"corrupt index: document {entry.doc_id!r} has max term "
+            f"frequency {entry.max_term_frequency}, inconsistent with its "
+            f"postings"
+        )
+    matched = np.count_nonzero(counts, axis=0)
+    return QueryFeatures(
+        terms=tuple(distinct),
+        idf=tuple(idf_norm(index, token) for token in distinct),
+        candidates=candidates,
+        tf=counts / max_tf,
+        matched_count=matched,
+        overlap=matched / len(distinct),
+    )
 
 
 def read_corpus_jsonl(path: str | Path) -> Iterator[Document]:

@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError, QueryError
 from .fis import FisConfig, LinguisticVariable, default_variable, evaluate
 from .index import InvertedIndex, extract_features, idf_raw, tokenize
@@ -171,14 +173,19 @@ class BaselineParams:
 
     boost: float = 1.0
 
-    def length_norm(self, token_count: int) -> float:
-        return 1.0 / math.sqrt(token_count) if token_count > 0 else 0.0
+    def length_norm(self, token_counts: np.ndarray) -> np.ndarray:
+        """1/sqrt(token count) per document; 0 for an empty document."""
+        counts = np.asarray(token_counts, dtype=np.float64)
+        norms = np.zeros_like(counts)
+        np.divide(1.0, np.sqrt(counts), out=norms, where=counts > 0)
+        return norms
 
     def query_norm(self, idf_values: list[float]) -> float:
         norm_sq = sum(v * v for v in idf_values)
         return 1.0 / math.sqrt(norm_sq) if norm_sq > 0 else 1.0
 
-    def coord(self, matched_count: int, distinct_terms: int) -> float:
+    def coord(self, matched_count: np.ndarray,
+              distinct_terms: int) -> np.ndarray:
         return matched_count / distinct_terms
 
 
@@ -189,19 +196,23 @@ def _distinct_query_terms(index: InvertedIndex, query_text: str) -> list[str]:
     return list(dict.fromkeys(tokens))
 
 
-def _candidates(index: InvertedIndex, terms: list[str]) -> list[int]:
-    ordinals: set[int] = set()
+def _candidates(index: InvertedIndex, terms: list[str]) -> np.ndarray:
+    """Ordinals of the documents that contain any of the terms, ascending."""
+    matches = np.zeros(index.total_docs, dtype=bool)
     for term in terms:
-        ordinals.update(p.doc_ordinal for p in index.postings(term))
-    return sorted(ordinals)
+        matches[index.posting_columns(term)[0]] = True
+    return np.flatnonzero(matches)
 
 
-def _to_ranked_list(query_id: str, scored: list[tuple[str, float]],
+def _to_ranked_list(index: InvertedIndex, query_id: str,
+                    candidates: np.ndarray, scores: np.ndarray,
                     k: int) -> RankedList:
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
+    order = np.lexsort((index.doc_id_ranks[candidates], -scores))[:k]
+    doc_table = index.doc_table
     entries = tuple(
-        RankedEntry(doc_id, score, rank)
-        for rank, (doc_id, score) in enumerate(scored[:k], start=1)
+        RankedEntry(doc_table[ordinal].doc_id, score, rank)
+        for rank, (ordinal, score) in enumerate(
+            zip(candidates[order].tolist(), scores[order].tolist()), start=1)
     )
     return RankedList(query_id, entries)
 
@@ -212,21 +223,20 @@ def score_fis(index: InvertedIndex, template: FisTemplate, query_text: str,
 
     Per candidate, the inputs are tf_norm/idf_norm per distinct query term
     (tf 0 for terms the document lacks, idf 0 for terms the corpus lacks)
-    plus the overlap fraction.
+    plus the overlap fraction.  All candidates are scored in one call of
+    :func:`evaluate`, one row each.
     """
     terms = _distinct_query_terms(index, query_text)
     config = instantiate_fis(template, len(terms))
-    scored = []
-    for ordinal in _candidates(index, terms):
-        features = extract_features(index, terms, ordinal)
-        inputs: dict[str, float] = {"overlap": features.overlap}
-        for i, (_, tf_value, idf_value) in enumerate(features.terms, start=1):
-            inputs[f"tf_{i}"] = tf_value
-            inputs[f"idf_{i}"] = idf_value
-        scored.append(
-            (index.doc_entry(ordinal).doc_id, evaluate(config, inputs))
-        )
-    return _to_ranked_list(query_id, scored, k)
+    candidates = _candidates(index, terms)
+    features = extract_features(index, terms, candidates)
+    inputs: dict[str, float | np.ndarray] = {"overlap": features.overlap}
+    for i, (tf_values, idf_value) in enumerate(
+            zip(features.tf, features.idf), start=1):
+        inputs[f"tf_{i}"] = tf_values
+        inputs[f"idf_{i}"] = idf_value
+    return _to_ranked_list(index, query_id, candidates,
+                           evaluate(config, inputs), k)
 
 
 def score_baseline(index: InvertedIndex, query_text: str,
@@ -235,25 +245,19 @@ def score_baseline(index: InvertedIndex, query_text: str,
     """Rank candidate documents with the summed tf-idf vector formula.
 
     Per matched term: tf_norm * idf_raw * boost * length_norm, summed over
-    terms, then scaled by the overlap coordination factor and the query
-    norm.  Candidate set and tie-breaking match :func:`score_fis`.
+    terms in query order, then scaled by the overlap coordination factor and
+    the query norm.  Candidate set and tie-breaking match :func:`score_fis`.
     """
     terms = _distinct_query_terms(index, query_text)
     in_corpus = [t for t in terms if index.document_frequency(t) > 0]
     query_norm = params.query_norm([idf_raw(index, t) for t in in_corpus])
-    scored = []
-    for ordinal in _candidates(index, terms):
-        entry = index.doc_entry(ordinal)
-        length_norm = params.length_norm(entry.token_count)
-        total = 0.0
-        matched = 0
-        for term in in_corpus:
-            tf = index.term_frequency(ordinal, term)
-            if tf == 0:
-                continue
-            matched += 1
-            tf_value = tf / entry.max_term_frequency
-            total += tf_value * idf_raw(index, term) * params.boost * length_norm
-        score = total * params.coord(matched, len(terms)) * query_norm
-        scored.append((entry.doc_id, score))
-    return _to_ranked_list(query_id, scored, k)
+    candidates = _candidates(index, terms)
+    features = extract_features(index, terms, candidates)
+    length_norm = params.length_norm(index.token_counts[candidates])
+    total = np.zeros(len(candidates))
+    for term, tf_values in zip(terms, features.tf):
+        # an unmatched term adds 0.0, which leaves every sum's bits alone
+        total += tf_values * idf_raw(index, term) * params.boost * length_norm
+    scores = (total * params.coord(features.matched_count, len(terms))
+              * query_norm)
+    return _to_ranked_list(index, query_id, candidates, scores, k)

@@ -1,5 +1,7 @@
 """Command-line behavior: golden bytes, exit codes, determinism."""
 
+import struct
+
 import pytest
 
 from frank.cli import main
@@ -81,6 +83,32 @@ class TestSearch:
         _, first, _ = run_cli(capsys, argv)
         _, second, _ = run_cli(capsys, argv)
         assert first == second
+
+    @pytest.mark.parametrize("ranker", ["baseline", "fis"])
+    @pytest.mark.parametrize("max_tf", [0, 1])
+    def test_corrupt_max_term_frequency_exits_2(self, capsys, tmp_path,
+                                                data_dir, ranker, max_tf):
+        """d1 holds banana twice; an index that records its max term
+        frequency as 0 or 1 is corrupt, and searching it fails cleanly."""
+        path = tmp_path / "c5.idx"
+        assert main(["index", "--corpus", str(data_dir / "corpus5.jsonl"),
+                     "--out", str(path)]) == 0
+        capsys.readouterr()
+        data = bytearray(path.read_bytes())
+        # FRIX1, version, doc count, then d1: id length, id, token count, max tf
+        assert data[:16] == b"FRIX1\x01" + struct.pack("<II", 5, 2) + b"d1"
+        assert struct.unpack_from("<II", data, 16) == (3, 2)
+        struct.pack_into("<I", data, 20, max_tf)
+        path.write_bytes(bytes(data))
+        rc, out, err = run_cli(capsys, [
+            "search", "--index", str(path), "--ranker", ranker,
+            "--template", str(data_dir / "template_default.cfg"),
+            "--query", "banana"])
+        assert rc == 2
+        assert out == ""
+        assert err == ("frank: error: corrupt index: document 'd1' has max "
+                       f"term frequency {max_tf}, inconsistent with its "
+                       "postings\n")
 
     def test_k_one_yields_one_line(self, capsys, index_path, data_dir):
         rc, out, _ = run_cli(capsys, [
@@ -245,6 +273,15 @@ class TestFisEval:
             "fis-eval", "--config", str(data_dir / "fis_basic.cfg"),
             "--in", "tf:0.7", "--in", "idf=0.6"])
         assert rc == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_input_exits_1(self, capsys, data_dir, value):
+        rc, out, err = run_cli(capsys, [
+            "fis-eval", "--config", str(data_dir / "fis_basic.cfg"),
+            "--in", f"tf={value}", "--in", "idf=0.6"])
+        assert rc == 1
+        assert out == ""
+        assert err == f"frank: error: --in tf: not a finite number: {value!r}\n"
 
     def test_resolution_override_applies(self, capsys, data_dir, monkeypatch):
         argv = ["fis-eval", "--config", str(data_dir / "fis_basic.cfg"),

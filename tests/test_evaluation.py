@@ -205,6 +205,15 @@ class TestQrelsParsing:
         qrels = parse_qrels("# header\n301 0 doc-a 1\n301 Q0 doc-b 0 # tail\n")
         assert qrels.judgments == {("301", "doc-a"): 1, ("301", "doc-b"): 0}
 
+    def test_relevant_docs_per_topic(self):
+        qrels = parse_qrels("t1 0 a 1\nt2 0 a 0\nt1 0 b 2\nt1 0 c 0\n"
+                            "t2 0 d 1\n")
+        assert qrels.relevant_docs("t1") == {"a", "b"}
+        assert qrels.relevant_docs("t2") == {"d"}
+        assert qrels.relevant_docs("t3") == set()
+        qrels.relevant_docs("t1").add("z")  # callers get their own copy
+        assert qrels.relevant_docs("t1") == {"a", "b"}
+
     def test_duplicate_pair_rejected(self):
         with pytest.raises(RunFormatError, match="duplicate"):
             parse_qrels("t 0 x 1\nt 0 x 1\n")
@@ -248,6 +257,24 @@ class TestRunFileParsing:
     def test_duplicate_doc_rejected(self):
         with pytest.raises(RunFormatError, match="duplicate doc"):
             parse_run("t1 Q0 d1 1 0.9 tag\nt1 Q0 d1 2 0.8 tag\n")
+
+    def test_duplicate_doc_is_per_topic_and_names_its_line(self):
+        text = ("t1 Q0 d1 1 0.9 tag\nt2 Q0 d1 1 0.9 tag\n"
+                "t1 Q0 d2 2 0.8 tag\nt1 Q0 d1 3 0.7 tag\n")
+        with pytest.raises(RunFormatError) as caught:
+            parse_run(text)
+        assert str(caught.value) == "line 4: topic t1: duplicate doc d1"
+        assert caught.value.line == 4
+
+    def test_duplicate_doc_found_across_repeated_topic_switches(self):
+        lines = ["t1 Q0 d1 1 0.9 tag", "t2 Q0 d1 1 0.9 tag",
+                 "t1 Q0 d2 2 0.8 tag", "t2 Q0 d2 2 0.8 tag",
+                 "t1 Q0 d3 3 0.7 tag", "t2 Q0 d3 3 0.7 tag"]
+        assert parse_run("\n".join(lines)).ranked_doc_ids("t2") == [
+            "d1", "d2", "d3"]
+        with pytest.raises(RunFormatError,
+                           match="^line 7: topic t2: duplicate doc d2$"):
+            parse_run("\n".join(lines + ["t2 Q0 d2 4 0.6 tag"]))
 
     def test_conflicting_tags_rejected(self):
         with pytest.raises(RunFormatError, match="conflicting"):

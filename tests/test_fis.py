@@ -5,6 +5,7 @@ reference pipeline in oracles.py (resolution 100000) before this engine was
 written.
 """
 
+import dataclasses
 import math
 import random
 import warnings
@@ -13,13 +14,13 @@ import numpy as np
 import pytest
 
 from frank.errors import ConfigError
-from frank.fis import (AggregateSet, FisConfig, aggregate, default_variable,
-                       defuzzify, evaluate, fire_rule, fuzzify, imply,
-                       rule_strengths)
+from frank.fis import (AggregateSet, FisConfig, LinguisticVariable, aggregate,
+                       default_variable, defuzzify, evaluate, fire_rule,
+                       fuzzify, imply, rule_strengths)
 from frank.membership import MembershipFunction
 from frank.rules import parse_rule
 
-from generators import random_config, random_inputs
+from generators import random_config, random_inputs, random_mf
 from oracles import reference_rfis_score
 
 
@@ -354,3 +355,146 @@ class TestEvaluate:
         strengths = rule_strengths(config, {"tf": 0.7, "idf": 0.6})
         assert strengths[0] == 0.42
         assert strengths[1] == pytest.approx(0.3 * 0.4)
+
+
+def moment_config(rng, output_kinds=None):
+    """A random system under prod implication, sum aggregation and centroid,
+    the operators with a moment form; ``output_kinds`` fixes the curve kind
+    of each output set."""
+    config = random_config(rng)
+    output = config.output
+    if output_kinds is not None:
+        lo, hi = output.universe
+        output = LinguisticVariable(output.name, output.universe, {
+            label: random_mf(rng, lo, hi, kind)
+            for label, kind in zip(output.sets, output_kinds)
+        })
+    return dataclasses.replace(config, output=output, implication="prod",
+                               aggregation="sum", defuzzification="centroid")
+
+
+def grid_centroid(config, inputs):
+    """The grid pipeline, composed stage by stage: the moment form's oracle."""
+    degrees = fuzzify(config, inputs)
+    implied = [
+        imply(config.consequent_samples[(rule.consequent.label,
+                                         rule.consequent.negated)],
+              fire_rule(rule, degrees, config.and_method), "prod")
+        for rule in config.rules
+    ]
+    return defuzzify(aggregate(implied, "sum", config.output.universe),
+                     "centroid")
+
+
+def random_columns(rng, config, rows):
+    return {
+        v.name: rng.uniform(v.universe[0] - 0.5, v.universe[1] + 0.5, rows)
+        for v in config.inputs
+    }
+
+
+class TestColumns:
+    def test_columns_equal_row_by_row_scalar_calls(self):
+        """Every operator combination: a column of rows gives the bits of
+        one scalar call per row."""
+        rng = np.random.default_rng(31)
+        for _ in range(120):
+            config = random_config(rng)
+            columns = random_columns(rng, config, 7)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                together = evaluate(config, columns)
+                alone = [
+                    evaluate(config, {name: float(values[row])
+                                      for name, values in columns.items()})
+                    for row in range(7)
+                ]
+            assert isinstance(together, np.ndarray)
+            assert together.tolist() == alone
+
+    def test_scalars_broadcast_against_columns(self):
+        config = default_rfis_config(t=2)
+        tf = np.array([0.1, 0.5, 0.9])
+        mixed = evaluate(config, rfis_inputs([tf, 0.3], [0.6, 0.2], 0.5))
+        full = evaluate(config, rfis_inputs(
+            [tf, np.full(3, 0.3)], [np.full(3, 0.6), np.full(3, 0.2)],
+            np.full(3, 0.5)))
+        assert mixed.tolist() == full.tolist()
+
+    def test_columns_of_different_lengths_rejected(self):
+        config = two_input_config()
+        with pytest.raises(ConfigError, match="length"):
+            evaluate(config, {"tf": np.zeros(3), "idf": np.zeros(4)})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, bad):
+        config = two_input_config()
+        with pytest.raises(ConfigError, match="'tf' is not a finite number"):
+            evaluate(config, {"tf": bad, "idf": 0.5})
+        with pytest.raises(ConfigError, match="'idf' is not a finite number"):
+            evaluate(config, {"tf": np.array([0.1, 0.2]),
+                              "idf": np.array([0.5, bad])})
+
+
+class TestMomentForm:
+    def test_matches_grid_pipeline(self):
+        """Random prod/sum/centroid systems, every output curve kind
+        including gaussian and sigmoid, within 1e-12 of the grid."""
+        rng = np.random.default_rng(37)
+        kinds = ("triangular", "trapezoidal", "gaussian", "sigmoid")
+        worst = 0.0
+        for trial in range(200):
+            output_kinds = [kinds[(trial + i) % 4] for i in range(3)]
+            config = moment_config(rng, output_kinds)
+            inputs = random_inputs(rng, config)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                got = evaluate(config, inputs)
+                want = grid_centroid(config, inputs)
+            worst = max(worst, abs(got - want))
+        assert worst <= 1e-12
+
+    def test_rule_permutation_is_bit_identical(self):
+        rng = np.random.default_rng(41)
+        shuffler = random.Random(41)
+        for _ in range(300):
+            config = moment_config(rng)
+            columns = random_columns(rng, config, 5)
+            rules = list(config.rules)
+            shuffler.shuffle(rules)
+            shuffled = dataclasses.replace(config, rules=tuple(rules))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                assert (evaluate(config, columns).tolist()
+                        == evaluate(shuffled, columns).tolist())
+
+    def test_repeated_rules_sum_in_canonical_order(self):
+        """Three rules into one consequent set, in every order."""
+        import itertools
+        rules = [
+            parse_rule("if (tf is high) -> (relevance is high) weight 0.3"),
+            parse_rule("if (idf is high) -> (relevance is high) weight 0.7"),
+            parse_rule("if (tf is not high) -> (relevance is high)"),
+            parse_rule("if (idf is not high) -> (relevance is not high)"),
+        ]
+        inputs = {"tf": np.array([0.13, 0.71]), "idf": np.array([0.37, 0.93])}
+        results = {
+            tuple(evaluate(two_input_config(rules=order), inputs).tolist())
+            for order in itertools.permutations(rules)
+        }
+        assert len(results) == 1
+
+    def test_all_zero_aggregate_warns_and_returns_midpoint(self):
+        config = FisConfig(
+            inputs=(default_variable("x"),),
+            output=LinguisticVariable("y", (0.2, 0.8), {
+                "high": MembershipFunction.triangular(0.2, 0.8, 0.8)}),
+            rules=(parse_rule("if (x is high) -> (y is high)"),),
+        )
+        assert config.has_moment_form
+        with pytest.warns(RuntimeWarning, match="all-zero"):
+            assert evaluate(config, {"x": 0.0}) == 0.5
+        with pytest.warns(RuntimeWarning, match="all-zero"):
+            crisp = evaluate(config, {"x": np.array([0.0, 1.0])})
+        assert crisp[0] == 0.5
+        assert crisp[1] == evaluate(config, {"x": 1.0}) > 0.5

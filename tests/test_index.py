@@ -17,6 +17,7 @@ the raw token counts before the index code was written:
 import math
 import random
 
+import numpy as np
 import pytest
 
 from frank.errors import CorpusError, IndexFormatError, QueryError
@@ -153,51 +154,69 @@ class TestExtractFeatures:
         idf_cherry = ln(5 / 2) / ln(5)
         query = ["apple", "cherry", "grape"]
 
+        features = extract_features(index5, query,
+                                    np.arange(index5.total_docs))
+        assert features.terms == ("apple", "cherry", "grape")
+        assert features.idf == (pytest.approx(idf_apple),
+                                pytest.approx(idf_cherry), 0.0)
         by_doc = {
-            index5.doc_entry(i).doc_id: extract_features(index5, query, i)
-            for i in range(index5.total_docs)
+            index5.doc_entry(int(ordinal)).doc_id: column
+            for column, ordinal in enumerate(features.candidates)
         }
-        d3 = by_doc["d3"]
-        assert d3.terms == (
-            ("apple", 1.0, pytest.approx(idf_apple)),
-            ("cherry", 1.0, pytest.approx(idf_cherry)),
-            ("grape", 0.0, 0.0),
-        )
-        assert d3.matched_count == 2
-        assert d3.overlap == pytest.approx(2 / 3)
 
-        d1 = by_doc["d1"]
-        assert d1.terms[0] == ("apple", 0.5, pytest.approx(idf_apple))
+        def tf(doc_id):
+            return features.tf[:, by_doc[doc_id]].tolist()
+
+        def overlap(doc_id):
+            return features.overlap[by_doc[doc_id]]
+
+        def matched(doc_id):
+            return features.matched_count[by_doc[doc_id]]
+
+        assert tf("d3") == [1.0, 1.0, 0.0]
+        assert matched("d3") == 2
+        assert overlap("d3") == pytest.approx(2 / 3)
+
         # unmatched term: tf drops to 0 but the corpus idf is still reported
-        assert d1.terms[1] == ("cherry", 0.0, pytest.approx(idf_cherry))
-        assert d1.overlap == pytest.approx(1 / 3)
+        assert tf("d1") == [0.5, 0.0, 0.0]
+        assert overlap("d1") == pytest.approx(1 / 3)
 
-        d2 = by_doc["d2"]
-        assert d2.terms[1] == ("cherry", 1.0, pytest.approx(idf_cherry))
-        assert d2.overlap == pytest.approx(1 / 3)
+        assert tf("d2") == [0.0, 1.0, 0.0]
+        assert overlap("d2") == pytest.approx(1 / 3)
 
-        d4 = by_doc["d4"]
-        assert d4.terms[0] == ("apple", 0.5, pytest.approx(idf_apple))
-        assert d4.overlap == pytest.approx(1 / 3)
+        assert tf("d4") == [0.5, 0.0, 0.0]
+        assert overlap("d4") == pytest.approx(1 / 3)
 
-        d5 = by_doc["d5"]
-        assert d5.matched_count == 0
-        assert d5.overlap == 0.0
+        assert tf("d5") == [0.0, 0.0, 0.0]
+        assert matched("d5") == 0
+        assert overlap("d5") == 0.0
 
     def test_full_overlap(self, index5):
         features = extract_features(index5, ["apple", "cherry"],
-                                    index5.ordinal_of("d3"))
-        assert features.overlap == 1.0
+                                    [index5.ordinal_of("d3")])
+        assert features.overlap.tolist() == [1.0]
 
     def test_duplicate_query_tokens_collapse(self, index5):
         features = extract_features(index5, ["apple", "apple", "cherry"],
-                                    index5.ordinal_of("d3"))
+                                    [index5.ordinal_of("d3")])
         assert len(features.terms) == 2
-        assert features.overlap == 1.0
+        assert features.tf.shape == (2, 1)
+        assert features.overlap.tolist() == [1.0]
 
     def test_empty_query_rejected(self, index5):
         with pytest.raises(QueryError):
-            extract_features(index5, [], 0)
+            extract_features(index5, [], [0])
+
+    def test_subset_of_candidates_matches_per_document_tf_norm(self, index20):
+        """Each column equals tf_norm of that document, for any ascending
+        subset of ordinals, including documents matching no token."""
+        query = ["river", "flood", "ice", "nosuchterm"]
+        subset = np.arange(0, index20.total_docs, 3)
+        features = extract_features(index20, query, subset)
+        assert features.tf.any()
+        for column, ordinal in enumerate(subset.tolist()):
+            assert features.tf[:, column].tolist() == [
+                tf_norm(index20, ordinal, token) for token in query]
 
 
 class TestInvariants:

@@ -2,15 +2,17 @@
 and the independent reference pipeline."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
 from frank.errors import QueryError
 from frank.fis import evaluate
-from frank.index import Document, build_index, read_corpus_jsonl
-from frank.ranker import (FisTemplate, default_template, instantiate_fis,
-                          score_baseline, score_fis)
+from frank.index import (Document, build_index, extract_features, idf_raw,
+                         read_corpus_jsonl, tokenize)
+from frank.ranker import (BaselineParams, FisTemplate, default_template,
+                          instantiate_fis, score_baseline, score_fis)
 from frank.rules import parse_rule
 
 from oracles import (ReferenceCorpus, reference_rank_baseline,
@@ -263,3 +265,83 @@ class TestRankingProperties:
 def rule_text(rule):
     from frank.rules import print_rule
     return print_rule(rule)
+
+
+def baseline_by_document(index, query_text, params=BaselineParams()):
+    """The per-document loop the column-wise baseline replaced: the
+    reference its scores must equal bit for bit."""
+    terms = list(dict.fromkeys(tokenize(query_text)))
+    in_corpus = [t for t in terms if index.document_frequency(t) > 0]
+    norm_sq = sum(v * v for v in (idf_raw(index, t) for t in in_corpus))
+    query_norm = 1.0 / math.sqrt(norm_sq) if norm_sq > 0 else 1.0
+    candidates = sorted({p.doc_ordinal for t in terms
+                         for p in index.postings(t)})
+    scores = {}
+    for ordinal in candidates:
+        entry = index.doc_entry(ordinal)
+        length_norm = 1.0 / math.sqrt(entry.token_count)
+        total = 0.0
+        matched = 0
+        for term in in_corpus:
+            tf = index.term_frequency(ordinal, term)
+            if tf == 0:
+                continue
+            matched += 1
+            tf_value = tf / entry.max_term_frequency
+            total += (tf_value * idf_raw(index, term) * params.boost
+                      * length_norm)
+        scores[entry.doc_id] = total * (matched / len(terms)) * query_norm
+    return scores
+
+
+def random_index():
+    """300 documents of 5-60 words over a 40-word vocabulary: most
+    candidates match several query terms, at many lengths and tfs."""
+    rng = random.Random(7)
+    words = [f"w{i}" for i in range(40)]
+    return build_index([
+        Document(f"d{i:03d}", " ".join(
+            rng.choice(words) for _ in range(rng.randint(5, 60))))
+        for i in range(300)
+    ])
+
+
+class TestColumnScoring:
+    QUERIES = ("river flood levee", "banana bread flour", "ice",
+               "river flood levee ice water", "ice nosuchterm")
+    RANDOM_QUERIES = ("w1 w2 w3", "w4 w5 w6 w7 w8", "w0 w9",
+                      "w10 w11 w12 w13 nosuchterm")
+
+    def cases(self, index20):
+        yield from ((index20, query) for query in self.QUERIES)
+        index = random_index()
+        yield from ((index, query) for query in self.RANDOM_QUERIES)
+
+    def test_each_fis_score_is_evaluate_on_its_features(self, index20,
+                                                        template):
+        for index, query in self.cases(index20):
+            terms = list(dict.fromkeys(tokenize(query)))
+            config = instantiate_fis(template, len(terms))
+            ranked = score_fis(index, template, query)
+            assert ranked.entries
+            for entry in ranked.entries:
+                ordinal = index.ordinal_of(entry.doc_id)
+                features = extract_features(index, terms, [ordinal])
+                inputs = {"overlap": float(features.overlap[0])}
+                for i, term in enumerate(terms):
+                    inputs[f"tf_{i + 1}"] = float(features.tf[i, 0])
+                    inputs[f"idf_{i + 1}"] = features.idf[i]
+                assert entry.score == evaluate(config, inputs)
+
+    def test_baseline_equals_per_document_loop(self, index20):
+        for index, query in self.cases(index20):
+            want = baseline_by_document(index, query)
+            ranked = score_baseline(index, query)
+            assert {e.doc_id: e.score for e in ranked.entries} == want
+            assert [e.doc_id for e in ranked.entries] == sorted(
+                want, key=lambda doc_id: (-want[doc_id], doc_id))
+
+    def test_query_matching_no_document_ranks_nothing(self, index20,
+                                                      template):
+        assert score_fis(index20, template, "nosuchterm").entries == ()
+        assert score_baseline(index20, "nosuchterm").entries == ()
