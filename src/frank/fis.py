@@ -275,19 +275,15 @@ def _strength_columns(config: FisConfig,
     return strengths, rows is None
 
 
-def fuzzify(config: FisConfig, inputs: Mapping[str, float | np.ndarray]
-            ) -> dict[tuple[str, str], float | np.ndarray]:
+def fuzzify(config: FisConfig, inputs: Mapping[str, float]) -> dict[tuple[str, str], float]:
     """Degrees of membership of each crisp input in each of its fuzzy sets.
 
     Inputs outside a variable's universe are clamped to it; non-finite
     inputs are rejected.  The map must name every input variable exactly
-    once.  Scalar inputs give float degrees, column inputs give columns.
+    once.
     """
-    degrees, rows = _degree_columns(config, inputs)
-    if rows is None:
-        return {key: float(column[0]) for key, column in degrees.items()}
-    return {key: np.broadcast_to(column, (rows,))
-            for key, column in degrees.items()}
+    degrees, _ = _degree_columns(config, inputs)
+    return {key: float(column[0]) for key, column in degrees.items()}
 
 
 def fire_rule(rule: RuleAst,
@@ -381,13 +377,10 @@ def defuzzify(aggregate_set: AggregateSet, method: str = "centroid") -> float:
     raise ConfigError(f"unknown defuzzification method {method!r}")
 
 
-def rule_strengths(config: FisConfig, inputs: Mapping[str, float | np.ndarray]
-                   ) -> list[float] | list[np.ndarray]:
-    """Firing strength of every rule, in rule order (columns for columns)."""
-    strengths, scalar = _strength_columns(config, inputs)
-    if scalar:
-        return [float(column[0]) for column in strengths]
-    return strengths
+def rule_strengths(config: FisConfig, inputs: Mapping[str, float]) -> list[float]:
+    """Firing strength of every rule, in rule order."""
+    strengths, _ = _strength_columns(config, inputs)
+    return [float(column[0]) for column in strengths]
 
 
 def evaluate(config: FisConfig, inputs: Mapping[str, float | np.ndarray]

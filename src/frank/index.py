@@ -321,7 +321,8 @@ def extract_features(index: InvertedIndex, query_tokens: list[str],
     distinct token's postings fills the tf matrix.  Distinct query tokens
     (first-occurrence order) set the overlap denominator; duplicates are
     collapsed.  A candidate whose term frequency exceeds its recorded
-    maximum, or whose maximum is 0, means the index is corrupt.
+    maximum means the index is corrupt; a document with no tokens (maximum
+    0) has tf_norm 0 for every token.
     """
     if not query_tokens:
         raise QueryError("no query tokens")
@@ -335,7 +336,7 @@ def extract_features(index: InvertedIndex, query_tokens: list[str],
         hit[hit] = candidates[columns[hit]] == ordinals[hit]
         row[columns[hit]] = frequencies[hit]
     max_tf = index.max_term_frequencies[candidates]
-    corrupt = (max_tf == 0) | (counts > max_tf).any(axis=0)
+    corrupt = (counts > max_tf).any(axis=0)
     if corrupt.any():
         entry = index.doc_entry(int(candidates[corrupt.argmax()]))
         raise IndexFormatError(
@@ -348,7 +349,8 @@ def extract_features(index: InvertedIndex, query_tokens: list[str],
         terms=tuple(distinct),
         idf=tuple(idf_norm(index, token) for token in distinct),
         candidates=candidates,
-        tf=counts / max_tf,
+        tf=np.divide(counts, max_tf, out=np.zeros(counts.shape),
+                     where=max_tf > 0),
         matched_count=matched,
         overlap=matched / len(distinct),
     )

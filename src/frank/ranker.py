@@ -142,7 +142,7 @@ def instantiate_fis(template: FisTemplate, t: int) -> FisConfig:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankedEntry:
     doc_id: str
     score: float

@@ -207,6 +207,14 @@ class TestExtractFeatures:
         with pytest.raises(QueryError):
             extract_features(index5, [], [0])
 
+    def test_document_without_tokens_has_zero_tf(self):
+        """A document with no tokens records max term frequency 0; that is a
+        valid index, not a corrupt one."""
+        index = build_index([Document("d1", "apple"), Document("d2", "of the")])
+        features = extract_features(index, ["apple"], [0, 1])
+        assert features.tf.tolist() == [[1.0, 0.0]]
+        assert features.matched_count.tolist() == [1, 0]
+
     def test_subset_of_candidates_matches_per_document_tf_norm(self, index20):
         """Each column equals tf_norm of that document, for any ascending
         subset of ordinals, including documents matching no token."""
