@@ -17,9 +17,9 @@ from .fis import (AggregateSet, FisConfig, LinguisticVariable, aggregate,
                   imply, rule_strengths)
 from .fisfile import (format_fis_config, format_template, load_fis_config,
                       load_template, parse_fis_config, parse_template)
-from .index import (DocEntry, Document, InvertedIndex, Posting,
-                    QueryFeatures, build_index, extract_features, idf_norm,
-                    idf_raw, read_corpus_jsonl, tf_norm, tokenize)
+from .index import (DocEntry, Document, InvertedIndex, QueryFeatures,
+                    build_index, extract_features, idf_norm, idf_raw,
+                    read_corpus_jsonl, tf_norm, tokenize)
 from .membership import MembershipFunction, eval_mf
 from .ranker import (BaselineParams, FisTemplate, RankedEntry, RankedList,
                      default_template, instantiate_fis, score_baseline,

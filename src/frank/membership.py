@@ -81,21 +81,10 @@ class MembershipFunction:
 
     def evaluate(self, x: float) -> float:
         """Degree of membership of a single point; always in [0, 1]."""
-        p = self.params
-        if self.kind == "triangular":
-            return _triangular_scalar(x, *p)
-        if self.kind == "trapezoidal":
-            return _trapezoidal_scalar(x, *p)
-        if self.kind == "gaussian":
-            sigma, mean = p
-            return math.exp(-((x - mean) ** 2) / (2.0 * sigma * sigma))
-        slope, inflection = p
-        z = slope * (x - inflection)
-        z = max(-_EXP_CLAMP, min(_EXP_CLAMP, z))
-        return 1.0 / (1.0 + math.exp(-z))
+        return float(self.sample(np.array([x], dtype=np.float64))[0])
 
     def sample(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`evaluate` over a grid of points."""
+        """Degrees of membership of an array of points."""
         xs = np.asarray(xs, dtype=np.float64)
         p = self.params
         if self.kind == "triangular":
@@ -126,30 +115,6 @@ class MembershipFunction:
         slope, inflection = p
         z = np.clip(slope * (xs - inflection), -_EXP_CLAMP, _EXP_CLAMP)
         return 1.0 / (1.0 + np.exp(-z))
-
-
-def _triangular_scalar(x: float, a: float, b: float, c: float) -> float:
-    if x == b:
-        return 1.0
-    if x < b:
-        if x <= a or a == b:
-            return 0.0
-        return (x - a) / (b - a)
-    if x >= c or b == c:
-        return 0.0
-    return (c - x) / (c - b)
-
-
-def _trapezoidal_scalar(x: float, a: float, b: float, c: float, d: float) -> float:
-    if b <= x <= c:
-        return 1.0
-    if x < b:
-        if x <= a or a == b:
-            return 0.0
-        return (x - a) / (b - a)
-    if x >= d or c == d:
-        return 0.0
-    return (d - x) / (d - c)
 
 
 def eval_mf(mf: MembershipFunction, x: float) -> float:

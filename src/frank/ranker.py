@@ -200,7 +200,7 @@ def _candidates(index: InvertedIndex, terms: list[str]) -> np.ndarray:
     """Ordinals of the documents that contain any of the terms, ascending."""
     matches = np.zeros(index.total_docs, dtype=bool)
     for term in terms:
-        matches[index.posting_columns(term)[0]] = True
+        matches[index.postings(term)[0]] = True
     return np.flatnonzero(matches)
 
 
@@ -208,9 +208,9 @@ def _to_ranked_list(index: InvertedIndex, query_id: str,
                     candidates: np.ndarray, scores: np.ndarray,
                     k: int) -> RankedList:
     order = np.lexsort((index.doc_id_ranks[candidates], -scores))[:k]
-    doc_table = index.doc_table
+    doc_ids = index.doc_ids
     entries = tuple(
-        RankedEntry(doc_table[ordinal].doc_id, score, rank)
+        RankedEntry(doc_ids[ordinal], score, rank)
         for rank, (ordinal, score) in enumerate(
             zip(candidates[order].tolist(), scores[order].tolist()), start=1)
     )

@@ -5,6 +5,7 @@ import struct
 import pytest
 
 from frank.cli import main
+from frank.index import Document, build_index
 
 
 @pytest.fixture()
@@ -21,6 +22,65 @@ def run_cli(capsys, argv):
     rc = main(argv)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def frix(docs, terms):
+    """FRIX1 bytes of (doc_id, token count, max tf) documents and
+    (token, [(doc ordinal, tf), ...]) terms, written exactly as given."""
+    out = b"FRIX1\x01" + struct.pack("<I", len(docs))
+    for doc_id, token_count, max_tf in docs:
+        out += struct.pack("<I", len(doc_id)) + doc_id
+        out += struct.pack("<II", token_count, max_tf)
+    out += struct.pack("<I", len(terms))
+    for token, postings in terms:
+        out += struct.pack("<I", len(token)) + token
+        out += struct.pack("<I", len(postings))
+        for pair in postings:
+            out += struct.pack("<II", *pair)
+    return out
+
+
+# d1 "apple banana banana", d2 "banana"
+D1, D2 = (b"d1", 3, 2), (b"d2", 1, 1)
+APPLE, BANANA = (b"apple", [(0, 1)]), (b"banana", [(0, 2), (1, 1)])
+
+CORRUPT_INDEXES = {
+    "ordinal_out_of_range": (
+        [D1, D2], [APPLE, (b"banana", [(0, 2), (99, 1)])],
+        "token 'banana' has a posting for doc ordinal 99 of an index of 2 "
+        "documents"),
+    "ordinals_decreasing": (
+        [D1, D2], [APPLE, (b"banana", [(1, 1), (0, 2)])],
+        "token 'banana' has postings out of doc ordinal order"),
+    "ordinal_repeated": (
+        [D1, D2], [APPLE, (b"banana", [(0, 2), (0, 2)])],
+        "token 'banana' has postings out of doc ordinal order"),
+    "tf_zero": (
+        [D1, D2], [(b"apple", [(0, 0)]), BANANA],
+        "token 'apple' has a posting with term frequency 0"),
+    "df_zero": (
+        [D1, D2], [(b"apple", []), BANANA],
+        "token 'apple' has no postings"),
+    "duplicate_doc_id": (
+        [D1, (b"d1", 1, 1)], [APPLE, BANANA],
+        "duplicate doc id 'd1'"),
+    "duplicate_token": (
+        [D1, D2], [APPLE, APPLE, BANANA],
+        "token 'apple' is a duplicate"),
+    "tokens_out_of_order": (
+        [D1, D2], [BANANA, APPLE],
+        "token 'apple' is out of order"),
+    "doc_id_not_utf8": (
+        [(b"d\xff", 3, 2), D2], [APPLE, BANANA],
+        "doc id at byte 14 is not valid UTF-8"),
+    "token_not_utf8": (
+        [D1, D2], [(b"appl\xff", [(0, 1)]), BANANA],
+        "token at byte 46 is not valid UTF-8"),
+    "max_tf_mismatch": (
+        [D1, (b"d2", 1, 2)], [APPLE, BANANA],
+        "document 'd2' has max term frequency 2, inconsistent with its "
+        "postings"),
+}
 
 
 class TestIndex:
@@ -47,6 +107,26 @@ class TestIndex:
             "index", "--corpus", str(corpus), "--out", str(tmp_path / "o.idx")])
         assert rc == 2
         assert err.startswith("frank: error:")
+
+    def test_invalid_utf8_line_exits_2(self, capsys, tmp_path):
+        corpus = tmp_path / "bad.jsonl"
+        corpus.write_bytes(b'{"doc_id": "x", "text": "ok"}\n'
+                           b'{"doc_id": "y", "text": "\xff"}\n')
+        rc, out, err = run_cli(capsys, [
+            "index", "--corpus", str(corpus), "--out", str(tmp_path / "o.idx")])
+        assert rc == 2
+        assert out == ""
+        assert err == "frank: error: line 2: invalid UTF-8 at byte 25\n"
+
+    def test_lone_surrogate_doc_id_exits_2(self, capsys, tmp_path):
+        corpus = tmp_path / "bad.jsonl"
+        corpus.write_text('{"doc_id": "\\ud800", "text": "apple"}\n')
+        rc, out, err = run_cli(capsys, [
+            "index", "--corpus", str(corpus), "--out", str(tmp_path / "o.idx")])
+        assert rc == 2
+        assert out == ""
+        assert err == ("frank: error: doc_id '\\ud800' is not valid "
+                       "Unicode\n")
 
     def test_malformed_line_reports_number(self, capsys, tmp_path):
         corpus = tmp_path / "bad.jsonl"
@@ -109,6 +189,24 @@ class TestSearch:
         assert err == ("frank: error: corrupt index: document 'd1' has max "
                        f"term frequency {max_tf}, inconsistent with its "
                        "postings\n")
+
+    def test_frix_helper_writes_what_build_index_writes(self):
+        built = build_index([Document("d1", "apple banana banana"),
+                             Document("d2", "banana")])
+        assert frix([D1, D2], [APPLE, BANANA]) == built.to_bytes()
+
+    @pytest.mark.parametrize("case", sorted(CORRUPT_INDEXES))
+    def test_corrupt_index_exits_2(self, capsys, tmp_path, case):
+        """Loading checks the index's meaning, not only its framing."""
+        docs, terms, problem = CORRUPT_INDEXES[case]
+        path = tmp_path / "corrupt.idx"
+        path.write_bytes(frix(docs, terms))
+        rc, out, err = run_cli(capsys, [
+            "search", "--index", str(path), "--ranker", "baseline",
+            "--query", "apple banana"])
+        assert rc == 2
+        assert out == ""
+        assert err == f"frank: error: corrupt index: {problem}\n"
 
     def test_k_one_yields_one_line(self, capsys, index_path, data_dir):
         rc, out, _ = run_cli(capsys, [

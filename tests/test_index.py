@@ -16,9 +16,12 @@ the raw token counts before the index code was written:
 
 import math
 import random
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frank.errors import CorpusError, IndexFormatError, QueryError
 from frank.index import (Document, InvertedIndex, build_index,
@@ -87,10 +90,10 @@ class TestBuildIndex:
 
     def test_postings_sorted_without_duplicates(self, index5):
         for token in index5.terms:
-            ordinals = [p.doc_ordinal for p in index5.postings(token)]
+            ordinals = index5.postings(token)[0].tolist()
             assert ordinals == sorted(set(ordinals))
             n, postings = index5.document_frequency(token), index5.postings(token)
-            assert n == len(postings)
+            assert n == len(postings[0]) == len(postings[1])
 
 
 class TestNormalizedFeatures:
@@ -304,6 +307,54 @@ class TestSerialization:
     def test_trailing_bytes_rejected(self, index5):
         with pytest.raises(IndexFormatError, match="trailing"):
             InvertedIndex.from_bytes(index5.to_bytes() + b"\x00")
+
+    def test_magic_alone_is_truncated(self):
+        with pytest.raises(IndexFormatError, match="truncated"):
+            InvertedIndex.from_bytes(b"FRIX1")
+
+
+FIXTURE_BYTES = build_index(read_corpus_jsonl(
+    Path(__file__).parent / "data" / "corpus5.jsonl")).to_bytes()
+
+
+def assert_loads_or_rejects(data: bytes) -> None:
+    """Loading either raises IndexFormatError, allocating no more than a
+    small multiple of the input, or yields an index every read works on."""
+    tracemalloc.start()
+    try:
+        index = InvertedIndex.from_bytes(data)
+    except IndexFormatError:
+        return
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 1 << 20
+    assert index.to_bytes() == data
+    if not index.terms:
+        return
+    features = extract_features(index, index.terms,
+                                np.arange(index.total_docs))
+    matched = features.matched_count > 0
+    # every matched document reaches its recorded max term frequency
+    assert (features.tf.max(axis=0)[matched] == 1.0).all()
+    assert (features.tf >= 0).all()
+
+
+class TestMutatedBytes:
+    """Every truncated or byte-flipped FRIX1 string loads or raises
+    IndexFormatError, and nothing else."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(0, len(FIXTURE_BYTES) - 1))
+    def test_truncated(self, length):
+        assert_loads_or_rejects(FIXTURE_BYTES[:length])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(0, len(FIXTURE_BYTES) - 1), st.integers(1, 255))
+    def test_byte_flipped(self, position, mask):
+        data = bytearray(FIXTURE_BYTES)
+        data[position] ^= mask
+        assert_loads_or_rejects(bytes(data))
 
 
 class TestCorpusReading:

@@ -274,8 +274,8 @@ def baseline_by_document(index, query_text, params=BaselineParams()):
     in_corpus = [t for t in terms if index.document_frequency(t) > 0]
     norm_sq = sum(v * v for v in (idf_raw(index, t) for t in in_corpus))
     query_norm = 1.0 / math.sqrt(norm_sq) if norm_sq > 0 else 1.0
-    candidates = sorted({p.doc_ordinal for t in terms
-                         for p in index.postings(t)})
+    candidates = sorted({ordinal for t in terms
+                         for ordinal in index.postings(t)[0].tolist()})
     scores = {}
     for ordinal in candidates:
         entry = index.doc_entry(ordinal)
