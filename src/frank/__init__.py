@@ -21,9 +21,8 @@ from .index import (DocEntry, Document, InvertedIndex, QueryFeatures,
                     build_index, extract_features, idf_norm, idf_raw,
                     read_corpus_jsonl, tf_norm, tokenize)
 from .membership import MembershipFunction, eval_mf
-from .ranker import (BaselineParams, FisTemplate, RankedEntry, RankedList,
-                     default_template, instantiate_fis, score_baseline,
-                     score_fis)
+from .ranker import (FisTemplate, RankedEntry, RankedList, default_template,
+                     instantiate_fis, score_baseline, score_fis)
 from .rules import (ParseError, RuleAst, RuleClause, RuleToken, parse_rule,
                     parse_rules_block, print_rule)
 

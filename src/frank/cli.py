@@ -5,7 +5,8 @@ byte-identical output.  Errors print one greppable ``frank: error:`` line
 to stderr; usage errors exit 1, data/format errors exit 2.
 
 The environment variable ``FRANK_RESOLUTION`` overrides the inference
-resolution of loaded configs and templates, for experimentation.
+resolution of loaded configs and templates, for experimentation; like a
+config's ``resolution`` it lies between 2 and ``MAX_RESOLUTION``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import FrankError, QueryError, RunFormatError, UsageError
 from .evaluation import (diff_runs, evaluate_run, format_diff, format_report,
                          format_run, load_qrels, load_run, report_jsonl,
                          run_from_ranked)
-from .fis import evaluate, rule_strengths
+from .fis import MAX_RESOLUTION, FisConfig, evaluate, rule_strengths
 from .fisfile import load_fis_config, load_template
 from .index import InvertedIndex, build_index, read_corpus_jsonl
 from .ranker import DEFAULT_CUTOFF, score_baseline, score_fis
@@ -38,17 +39,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _resolution_override() -> int | None:
+def _resolution_override(config: FisConfig) -> FisConfig:
+    """``config`` at the resolution ``FRANK_RESOLUTION`` sets, if set."""
     raw = os.environ.get("FRANK_RESOLUTION")
     if raw is None:
-        return None
+        return config
     try:
         value = int(raw)
     except ValueError:
         raise UsageError(f"FRANK_RESOLUTION must be an integer, got {raw!r}")
     if value < 2:
         raise UsageError(f"FRANK_RESOLUTION must be >= 2, got {value}")
-    return value
+    if value > MAX_RESOLUTION:
+        raise UsageError(
+            f"FRANK_RESOLUTION must be <= {MAX_RESOLUTION}, got {value}")
+    return dataclasses.replace(config, resolution=value)
 
 
 def cmd_index(args) -> int:
@@ -86,8 +91,8 @@ def cmd_search(args) -> int:
         if args.template is None:
             raise UsageError("--template is required with --ranker fis")
         template = load_template(args.template)
-        if (resolution := _resolution_override()) is not None:
-            template = dataclasses.replace(template, resolution=resolution)
+        template = dataclasses.replace(
+            template, config=_resolution_override(template.config))
 
         def rank(topic, text):
             return score_fis(index, template, text, k=args.k, query_id=topic)
@@ -145,9 +150,7 @@ def _parse_assignments(pairs: list[str]) -> dict[str, float]:
 
 
 def cmd_fis_eval(args) -> int:
-    config = load_fis_config(args.config)
-    if (resolution := _resolution_override()) is not None:
-        config = dataclasses.replace(config, resolution=resolution)
+    config = _resolution_override(load_fis_config(args.config))
     inputs = _parse_assignments(args.inputs or [])
     names = {variable.name for variable in config.inputs}
     unknown = sorted(inputs.keys() - names)

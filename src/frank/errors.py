@@ -9,7 +9,17 @@ from __future__ import annotations
 
 
 class FrankError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    ``line``, when given, is the 1-based input line the error refers to;
+    the message is then prefixed with ``line N: ``.
+    """
+
+    def __init__(self, message: str, line: int | None = None):
+        self.line = line
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
 
 
 class UsageError(FrankError):
@@ -23,21 +33,9 @@ class QueryError(UsageError):
 class ConfigError(FrankError):
     """Invalid inference-system definition, at construction or load time."""
 
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-
 
 class CorpusError(FrankError):
     """Malformed corpus input (bad JSON line, duplicate doc_id, empty corpus)."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
 
 class IndexFormatError(FrankError):
@@ -46,12 +44,6 @@ class IndexFormatError(FrankError):
 
 class RunFormatError(FrankError):
     """Malformed run file or qrels file."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
 
 class EvalError(FrankError):

@@ -51,6 +51,9 @@ AGGREGATIONS = ("sum", "max", "probor")
 DEFUZZIFICATIONS = ("centroid", "bisector", "mom", "lom", "som")
 
 DEFAULT_RESOLUTION = 1001
+# Upper bound on ``resolution``: each consequent set is sampled on a grid of
+# that many float64 points, so an unbounded value allocates without limit.
+MAX_RESOLUTION = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -145,6 +148,9 @@ class FisConfig:
             )
         if self.resolution < 2:
             raise ConfigError(f"resolution must be >= 2, got {self.resolution}")
+        if self.resolution > MAX_RESOLUTION:
+            raise ConfigError(f"resolution must be <= {MAX_RESOLUTION}, "
+                              f"got {self.resolution}")
         names = [v.name for v in self.inputs]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate input variable names in {names}")
@@ -180,10 +186,6 @@ class FisConfig:
                 )
             if not 0.0 < rule.weight <= 1.0:
                 raise ConfigError(f"rule weight {rule.weight} outside (0, 1]")
-
-    @cached_property
-    def input_by_name(self) -> dict[str, LinguisticVariable]:
-        return {v.name: v for v in self.inputs}
 
     @cached_property
     def output_grid(self) -> np.ndarray:

@@ -13,7 +13,7 @@ A config file is a sequence of sections::
 lines and ``#`` comments are ignored.  Unknown sections or keys fail with
 the offending line number.
 
-A template file uses the same format with input variables named exactly
+A template file is a config file over input variables named exactly
 ``tf``, ``idf`` and ``overlap`` (which must share one prototype definition)
 plus an optional ``[system]`` key ``overlap_weight_ratio``.
 """
@@ -23,11 +23,10 @@ from __future__ import annotations
 from pathlib import Path
 
 from .errors import ConfigError
-from .fis import (AGGREGATIONS, AND_METHODS, DEFAULT_RESOLUTION,
-                  DEFUZZIFICATIONS, IMPLICATIONS, FisConfig,
-                  LinguisticVariable)
+from .fis import (AGGREGATIONS, AND_METHODS, DEFUZZIFICATIONS, IMPLICATIONS,
+                  MAX_RESOLUTION, FisConfig, LinguisticVariable)
 from .membership import MembershipFunction
-from .ranker import DEFAULT_OVERLAP_WEIGHT_RATIO, FisTemplate
+from .ranker import FisTemplate, _check_placeholder_names
 from .rules import RuleAst, parse_rule, print_rule
 
 _KIND_BY_KEYWORD = {
@@ -38,11 +37,12 @@ _KIND_BY_KEYWORD = {
 }
 _KEYWORD_BY_KIND = {v: k for k, v in _KIND_BY_KEYWORD.items()}
 
+# [system] key -> (FisConfig field, allowed values)
 _SYSTEM_CHOICES = {
-    "and": AND_METHODS,
-    "implication": IMPLICATIONS,
-    "aggregation": AGGREGATIONS,
-    "defuzzification": DEFUZZIFICATIONS,
+    "and": ("and_method", AND_METHODS),
+    "implication": ("implication", IMPLICATIONS),
+    "aggregation": ("aggregation", AGGREGATIONS),
+    "defuzzification": ("defuzzification", DEFUZZIFICATIONS),
 }
 
 
@@ -72,10 +72,18 @@ def _parse_floats(values: list[str], line: int) -> list[float]:
         raise ConfigError(str(exc), line=line)
 
 
-def _parse_sections(text: str, allow_ratio: bool):
+def _parse(text: str, template: bool) -> tuple[FisConfig, dict[str, float]]:
+    """The config a config or template file defines, and the template-only
+    ``[system]`` settings it gives (``overlap_weight_ratio``).
+
+    With ``template``, the ratio key is accepted and the input names are
+    checked before the config is built, so a missing placeholder is
+    reported as such rather than as a rule naming an unknown variable.
+    """
     inputs: list[_VariableDraft] = []
     output: _VariableDraft | None = None
     system: dict[str, object] = {}
+    template_fields: dict[str, float] = {}
     rules: list[RuleAst] = []
     current: _VariableDraft | None = None
     section: str | None = None
@@ -155,101 +163,58 @@ def _parse_sections(text: str, allow_ratio: bool):
                 raise ConfigError(f"unknown key {key!r}", line=number)
         elif section == "system":
             if key in _SYSTEM_CHOICES:
-                if len(values) != 1 or values[0] not in _SYSTEM_CHOICES[key]:
+                field, choices = _SYSTEM_CHOICES[key]
+                if len(values) != 1 or values[0] not in choices:
                     raise ConfigError(
-                        f"{key} must be one of "
-                        f"{', '.join(_SYSTEM_CHOICES[key])}", line=number
+                        f"{key} must be one of {', '.join(choices)}",
+                        line=number
                     )
-                system[key] = values[0]
+                system[field] = values[0]
             elif key == "resolution":
-                if len(values) != 1 or not values[0].isdigit():
+                if len(values) != 1 or not values[0].isdecimal():
                     raise ConfigError("resolution takes a positive integer",
                                       line=number)
-                system[key] = int(values[0])
-            elif key == "overlap_weight_ratio" and allow_ratio:
+                try:
+                    system[key] = int(values[0])
+                except ValueError:  # more digits than int() converts
+                    raise ConfigError(
+                        f"resolution must be <= {MAX_RESOLUTION}", line=number
+                    ) from None
+            elif key == "overlap_weight_ratio" and template:
                 if len(values) != 1:
                     raise ConfigError("overlap_weight_ratio takes one number",
                                       line=number)
-                (ratio,) = _parse_floats(values, number)
-                if ratio <= 0:
-                    raise ConfigError("overlap_weight_ratio must be positive",
-                                      line=number)
-                system[key] = ratio
+                (template_fields[key],) = _parse_floats(values, number)
             else:
                 raise ConfigError(f"unknown key {key!r}", line=number)
 
     if output is None:
         raise ConfigError("missing [output] section")
-    return inputs, output, system, rules
+    if template:
+        _check_placeholder_names(draft.name for draft in inputs)
+    config = FisConfig(inputs=tuple(draft.build() for draft in inputs),
+                       output=output.build(), rules=tuple(rules), **system)
+    return config, template_fields
 
 
 def parse_fis_config(text: str) -> FisConfig:
-    """Parse a full inference-system definition from config text."""
-    inputs, output, system, rules = _parse_sections(text, allow_ratio=False)
-    return FisConfig(
-        inputs=tuple(draft.build() for draft in inputs),
-        output=output.build(),
-        rules=tuple(rules),
-        and_method=system.get("and", "prod"),
-        implication=system.get("implication", "prod"),
-        aggregation=system.get("aggregation", "sum"),
-        defuzzification=system.get("defuzzification", "centroid"),
-        resolution=system.get("resolution", DEFAULT_RESOLUTION),
-    )
+    """Parse a full inference-system definition from config text.
+
+    Operators left out of ``[system]`` take the :class:`FisConfig`
+    defaults.
+    """
+    return _parse(text, template=False)[0]
 
 
 def parse_template(text: str) -> FisTemplate:
     """Parse a ranking template from config text.
 
-    The placeholder variables ``tf``, ``idf`` and ``overlap`` must all be
-    declared and must share one prototype (same universe, same sets):
-    every instantiated input variable is a copy of that prototype.
+    The text is a config over ``tf``, ``idf`` and ``overlap``; ``[system]``
+    may also set ``overlap_weight_ratio``.  :class:`FisTemplate` checks the
+    rest of what makes a valid template.
     """
-    inputs, output, system, rules = _parse_sections(text, allow_ratio=True)
-    by_name = {draft.name: draft for draft in inputs}
-    expected = {"tf", "idf", "overlap"}
-    if set(by_name) != expected:
-        raise ConfigError(
-            "template requires input variables named exactly tf, idf, "
-            f"overlap; got {sorted(by_name) or 'none'}"
-        )
-    variables = {name: draft.build() for name, draft in by_name.items()}
-    prototype = variables["tf"]
-    for name in ("idf", "overlap"):
-        other = variables[name]
-        if (other.universe != prototype.universe
-                or other.sets != prototype.sets):
-            raise ConfigError(
-                f"placeholder variable {name!r} differs from 'tf'; all "
-                "placeholders must share one prototype definition"
-            )
-    per_term: list[RuleAst] = []
-    global_rules: list[RuleAst] = []
-    for rule in rules:
-        mentioned = {clause.variable for clause in rule.antecedent}
-        if mentioned <= {"tf", "idf"}:
-            per_term.append(rule)
-        elif mentioned == {"overlap"}:
-            global_rules.append(rule)
-        else:
-            raise ConfigError(
-                f"template rule mixes placeholders {sorted(mentioned)}; "
-                "a rule may use tf/idf or overlap, not both"
-            )
-    return FisTemplate(
-        per_term_rules=tuple(per_term),
-        global_rules=tuple(global_rules),
-        variable_prototype=prototype,
-        output=output.build(),
-        and_method=system.get("and", "prod"),
-        implication=system.get("implication", "prod"),
-        aggregation=system.get("aggregation", "sum"),
-        defuzzification=system.get("defuzzification", "centroid"),
-        resolution=system.get("resolution", DEFAULT_RESOLUTION),
-        overlap_weight_ratio=system.get(
-            "overlap_weight_ratio", DEFAULT_OVERLAP_WEIGHT_RATIO
-        ),
-    )
+    config, template_fields = _parse(text, template=True)
+    return FisTemplate(config, **template_fields)
 
 
 def load_fis_config(path: str | Path) -> FisConfig:
@@ -269,8 +234,8 @@ def _format_variable(header: str, variable: LinguisticVariable) -> list[str]:
     return lines
 
 
-def format_fis_config(config: FisConfig) -> str:
-    """Canonical config text; ``parse_fis_config`` round-trips it."""
+def _format(config: FisConfig, system: tuple[str, ...] = ()) -> str:
+    """Config text, with ``system`` lines added at the end of [system]."""
     lines: list[str] = []
     for variable in config.inputs:
         lines.extend(_format_variable("variable", variable))
@@ -282,30 +247,19 @@ def format_fis_config(config: FisConfig) -> str:
         f"aggregation {config.aggregation}",
         f"defuzzification {config.defuzzification}",
         f"resolution {config.resolution}",
+        *system,
         "[rules]",
     ]
     lines.extend(print_rule(rule) for rule in config.rules)
     return "\n".join(lines) + "\n"
 
 
+def format_fis_config(config: FisConfig) -> str:
+    """Canonical config text; ``parse_fis_config`` round-trips it."""
+    return _format(config)
+
+
 def format_template(template: FisTemplate) -> str:
     """Canonical template text; ``parse_template`` round-trips it."""
-    lines: list[str] = []
-    for name in ("tf", "idf", "overlap"):
-        lines.extend(
-            _format_variable("variable", template.variable_prototype.renamed(name))
-        )
-    lines.extend(_format_variable("output", template.output))
-    lines += [
-        "[system]",
-        f"and {template.and_method}",
-        f"implication {template.implication}",
-        f"aggregation {template.aggregation}",
-        f"defuzzification {template.defuzzification}",
-        f"resolution {template.resolution}",
-        f"overlap_weight_ratio {template.overlap_weight_ratio!r}",
-        "[rules]",
-    ]
-    lines.extend(print_rule(rule) for rule in template.per_term_rules)
-    lines.extend(print_rule(rule) for rule in template.global_rules)
-    return "\n".join(lines) + "\n"
+    return _format(template.config, (
+        f"overlap_weight_ratio {template.overlap_weight_ratio!r}",))

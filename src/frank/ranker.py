@@ -1,10 +1,13 @@
 """Document scoring: the fuzzy-rule ranker and the tf-idf vector baseline.
 
-The fuzzy ranker is built per query from a :class:`FisTemplate`: the
-template's ``tf``/``idf`` placeholder rules are cloned once per distinct
-query term (weighted 1/t for t terms) and its ``overlap`` rules are weighted
-a further ``overlap_weight_ratio`` (default 1/6) below that, because overlap
-evidence is already partly carried by every per-term rule.
+The fuzzy ranker is built per query from a :class:`FisTemplate`: a
+:class:`FisConfig` over the placeholder inputs ``tf``, ``idf`` and
+``overlap``, plus ``overlap_weight_ratio``.  The template's ``tf``/``idf``
+rules are cloned once per distinct query term (weighted 1/t for t terms)
+and its ``overlap`` rules are weighted a further ``overlap_weight_ratio``
+(default 1/6) below that, because overlap evidence is already partly
+carried by every per-term rule.  The operators and resolution carry over
+from the template's config unchanged.
 
 Both scorers share candidate generation (the union of the query terms'
 postings: documents matching no term are never scored) and the ranking
@@ -13,85 +16,111 @@ order: descending score, ties broken by ascending doc_id.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
 from .errors import ConfigError, QueryError
-from .fis import FisConfig, LinguisticVariable, default_variable, evaluate
+from .fis import (DEFAULT_RESOLUTION, FisConfig, LinguisticVariable,
+                  default_variable, evaluate)
 from .index import InvertedIndex, extract_features, idf_raw, tokenize
 from .rules import RuleAst, RuleClause, parse_rule
 
 DEFAULT_OVERLAP_WEIGHT_RATIO = 1.0 / 6.0
 DEFAULT_CUTOFF = 1000
+_PLACEHOLDERS = ("tf", "idf", "overlap")
+_PER_TERM = frozenset({"tf", "idf"})
+
+
+def _mentioned(rule: RuleAst) -> set[str]:
+    return {clause.variable for clause in rule.antecedent}
+
+
+def _check_placeholder_names(names: Iterable[str]) -> None:
+    names = sorted(names)
+    if names != sorted(_PLACEHOLDERS):
+        raise ConfigError(
+            "template requires input variables named exactly tf, idf, "
+            f"overlap; got {names or 'none'}"
+        )
 
 
 @dataclass(frozen=True)
 class FisTemplate:
     """Per-query blueprint for the fuzzy ranker.
 
-    ``per_term_rules`` may reference only the placeholder variables ``tf``
-    and ``idf``; ``global_rules`` only ``overlap``.  Every instantiated
-    input variable is a copy of ``variable_prototype``.
+    ``config`` is a fuzzy system over the inputs ``tf``, ``idf`` and
+    ``overlap``, which share one prototype definition (same universe, same
+    sets): every instantiated input variable is a copy of it.  A rule may
+    reference tf/idf (a per-term rule) or overlap (a global rule), not both.
     """
 
-    per_term_rules: tuple[RuleAst, ...]
-    global_rules: tuple[RuleAst, ...]
-    variable_prototype: LinguisticVariable
-    output: LinguisticVariable
-    and_method: str = "prod"
-    implication: str = "prod"
-    aggregation: str = "sum"
-    defuzzification: str = "centroid"
-    resolution: int = 1001
+    config: FisConfig
     overlap_weight_ratio: float = DEFAULT_OVERLAP_WEIGHT_RATIO
 
     def __post_init__(self):
-        for rule in self.per_term_rules:
-            mentioned = {clause.variable for clause in rule.antecedent}
-            if not mentioned <= {"tf", "idf"}:
+        _check_placeholder_names(v.name for v in self.config.inputs)
+        prototype = self.variable_prototype
+        for other in self.config.inputs:
+            if (other.universe != prototype.universe
+                    or other.sets != prototype.sets):
                 raise ConfigError(
-                    f"per-term rule may reference only tf/idf, got "
-                    f"{sorted(mentioned)}"
+                    f"placeholder variable {other.name!r} differs from 'tf'; "
+                    "all placeholders must share one prototype definition"
                 )
-        for rule in self.global_rules:
-            mentioned = {clause.variable for clause in rule.antecedent}
-            if mentioned != {"overlap"}:
+        for rule in self.config.rules:
+            mentioned = _mentioned(rule)
+            if not (mentioned <= _PER_TERM or mentioned == {"overlap"}):
                 raise ConfigError(
-                    f"global rule may reference only overlap, got "
-                    f"{sorted(mentioned)}"
+                    f"template rule mixes placeholders {sorted(mentioned)}; "
+                    "a rule may use tf/idf or overlap, not both"
                 )
-        if not self.per_term_rules and not self.global_rules:
-            raise ConfigError("template has no rules")
-        if self.overlap_weight_ratio <= 0:
+        if not self.overlap_weight_ratio > 0:
             raise ConfigError("overlap_weight_ratio must be positive")
 
+    @cached_property
+    def per_term_rules(self) -> tuple[RuleAst, ...]:
+        """The rules over ``tf``/``idf``, in config order."""
+        return tuple(rule for rule in self.config.rules
+                     if _mentioned(rule) <= _PER_TERM)
 
-def default_template(resolution: int = 1001) -> FisTemplate:
+    @cached_property
+    def global_rules(self) -> tuple[RuleAst, ...]:
+        """The rules over ``overlap``, in config order."""
+        return tuple(rule for rule in self.config.rules
+                     if not _mentioned(rule) <= _PER_TERM)
+
+    @cached_property
+    def variable_prototype(self) -> LinguisticVariable:
+        return next(v for v in self.config.inputs if v.name == "tf")
+
+    @property
+    def output(self) -> LinguisticVariable:
+        return self.config.output
+
+
+def default_template(resolution: int = DEFAULT_RESOLUTION) -> FisTemplate:
     """The bundled relevance template.
 
     Per term: reward high tf combined with high idf, penalize the opposite.
     Globally: reward high overlap, penalize low overlap.
     """
-    per_term = (
-        parse_rule("if (tf is high) and (idf is high) -> (relevance is high)"),
-        parse_rule(
-            "if (tf is not high) and (idf is not high) "
-            "-> (relevance is not high)"
-        ),
+    rules = (
+        "if (tf is high) and (idf is high) -> (relevance is high)",
+        "if (tf is not high) and (idf is not high) -> (relevance is not high)",
+        "if (overlap is high) -> (relevance is high)",
+        "if (overlap is not high) -> (relevance is not high)",
     )
-    global_rules = (
-        parse_rule("if (overlap is high) -> (relevance is high)"),
-        parse_rule("if (overlap is not high) -> (relevance is not high)"),
-    )
-    return FisTemplate(
-        per_term_rules=per_term,
-        global_rules=global_rules,
-        variable_prototype=default_variable("tf"),
+    return FisTemplate(FisConfig(
+        inputs=tuple(default_variable(name) for name in _PLACEHOLDERS),
         output=default_variable("relevance"),
+        rules=tuple(parse_rule(rule) for rule in rules),
         resolution=resolution,
-    )
+    ))
 
 
 def _rewrite_clause(clause: RuleClause, mapping: dict[str, str]) -> RuleClause:
@@ -130,16 +159,8 @@ def instantiate_fis(template: FisTemplate, t: int) -> FisConfig:
             rule.consequent,
             rule.weight * term_weight * template.overlap_weight_ratio,
         ))
-    return FisConfig(
-        inputs=tuple(inputs),
-        output=template.output,
-        rules=tuple(rules),
-        and_method=template.and_method,
-        implication=template.implication,
-        aggregation=template.aggregation,
-        defuzzification=template.defuzzification,
-        resolution=template.resolution,
-    )
+    return dataclasses.replace(template.config, inputs=tuple(inputs),
+                               rules=tuple(rules))
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,35 +182,7 @@ class RankedList:
     entries: tuple[RankedEntry, ...]
 
 
-@dataclass(frozen=True)
-class BaselineParams:
-    """Factor definitions for the vector-formula scorer.
-
-    The conventional choices, isolated here so they can be varied: a fixed
-    field boost, document length normalization 1/sqrt(token count), query
-    normalization 1/sqrt(sum of squared idf), and the matched-fraction
-    coordination factor.
-    """
-
-    boost: float = 1.0
-
-    def length_norm(self, token_counts: np.ndarray) -> np.ndarray:
-        """1/sqrt(token count) per document; 0 for an empty document."""
-        counts = np.asarray(token_counts, dtype=np.float64)
-        norms = np.zeros_like(counts)
-        np.divide(1.0, np.sqrt(counts), out=norms, where=counts > 0)
-        return norms
-
-    def query_norm(self, idf_values: list[float]) -> float:
-        norm_sq = sum(v * v for v in idf_values)
-        return 1.0 / math.sqrt(norm_sq) if norm_sq > 0 else 1.0
-
-    def coord(self, matched_count: np.ndarray,
-              distinct_terms: int) -> np.ndarray:
-        return matched_count / distinct_terms
-
-
-def _distinct_query_terms(index: InvertedIndex, query_text: str) -> list[str]:
+def _distinct_query_terms(query_text: str) -> list[str]:
     tokens = tokenize(query_text)
     if not tokens:
         raise QueryError("query is empty after tokenization")
@@ -226,7 +219,7 @@ def score_fis(index: InvertedIndex, template: FisTemplate, query_text: str,
     plus the overlap fraction.  All candidates are scored in one call of
     :func:`evaluate`, one row each.
     """
-    terms = _distinct_query_terms(index, query_text)
+    terms = _distinct_query_terms(query_text)
     config = instantiate_fis(template, len(terms))
     candidates = _candidates(index, terms)
     features = extract_features(index, terms, candidates)
@@ -240,24 +233,29 @@ def score_fis(index: InvertedIndex, template: FisTemplate, query_text: str,
 
 
 def score_baseline(index: InvertedIndex, query_text: str,
-                   k: int = DEFAULT_CUTOFF, query_id: str = "1",
-                   params: BaselineParams = BaselineParams()) -> RankedList:
+                   k: int = DEFAULT_CUTOFF, query_id: str = "1") -> RankedList:
     """Rank candidate documents with the summed tf-idf vector formula.
 
-    Per matched term: tf_norm * idf_raw * boost * length_norm, summed over
-    terms in query order, then scaled by the overlap coordination factor and
-    the query norm.  Candidate set and tie-breaking match :func:`score_fis`.
+    Per matched term: tf_norm * idf_raw * length_norm, summed over terms in
+    query order, then scaled by the coordination factor (matched fraction
+    of distinct query terms) and the query norm.  length_norm is
+    1/sqrt(token count), 0 for an empty document; the query norm is
+    1/sqrt(sum of squared idf_raw), 1 when that sum is 0.  Candidate set
+    and tie-breaking match :func:`score_fis`.
     """
-    terms = _distinct_query_terms(index, query_text)
-    in_corpus = [t for t in terms if index.document_frequency(t) > 0]
-    query_norm = params.query_norm([idf_raw(index, t) for t in in_corpus])
+    terms = _distinct_query_terms(query_text)
+    idf_values = [idf_raw(index, t) for t in terms]
+    norm_sq = sum(v * v for v in idf_values)
+    query_norm = 1.0 / math.sqrt(norm_sq) if norm_sq > 0 else 1.0
     candidates = _candidates(index, terms)
     features = extract_features(index, terms, candidates)
-    length_norm = params.length_norm(index.token_counts[candidates])
+    counts = index.token_counts[candidates].astype(np.float64)
+    length_norm = np.zeros_like(counts)
+    np.divide(1.0, np.sqrt(counts), out=length_norm, where=counts > 0)
     total = np.zeros(len(candidates))
-    for term, tf_values in zip(terms, features.tf):
-        # an unmatched term adds 0.0, which leaves every sum's bits alone
-        total += tf_values * idf_raw(index, term) * params.boost * length_norm
-    scores = (total * params.coord(features.matched_count, len(terms))
-              * query_norm)
+    # a term the corpus lacks (idf 0.0) or a document lacks (tf 0.0) adds
+    # 0.0, which leaves every sum's bits alone
+    for tf_values, idf_value in zip(features.tf, idf_values):
+        total += tf_values * idf_value * length_norm
+    scores = total * (features.matched_count / len(terms)) * query_norm
     return _to_ranked_list(index, query_id, candidates, scores, k)

@@ -67,6 +67,7 @@ class ParseError(FrankError):
         self.position = (line, column)
         self.expected = expected
         super().__init__(f"line {line}, column {column}: {message}")
+        self.line = line
 
 
 def _lex(source: str, line: int) -> list[RuleToken]:

@@ -5,6 +5,7 @@ import struct
 import pytest
 
 from frank.cli import main
+from frank.fis import MAX_RESOLUTION
 from frank.index import Document, build_index
 
 
@@ -268,6 +269,19 @@ class TestSearch:
         assert rc == 1
         assert "FRANK_RESOLUTION" in err
 
+    def test_template_error_exits_2_before_searching(self, capsys, index_path,
+                                                      data_dir, tmp_path):
+        template = tmp_path / "template.cfg"
+        template.write_text(
+            (data_dir / "template_default.cfg").read_text()
+            + "if (tf is low) -> (relevance is high)\n")
+        rc, out, err = run_cli(capsys, [
+            "search", "--index", str(index_path), "--ranker", "fis",
+            "--template", str(template), "--query", "river"])
+        assert rc == 2
+        assert out == ""
+        assert err == "frank: error: variable 'tf' has no set 'low'\n"
+
 
 class TestEvalAndDiff:
     def test_eval_fis_matches_golden(self, capsys, data_dir, golden_dir):
@@ -388,6 +402,17 @@ class TestFisEval:
         _, fine, _ = run_cli(capsys, argv)
         # converges toward the continuous centroid 0.592593
         assert fine == "crisp 0.592594\n"
+
+    def test_resolution_override_above_bound_exits_1(self, capsys, data_dir,
+                                                      monkeypatch):
+        monkeypatch.setenv("FRANK_RESOLUTION", str(MAX_RESOLUTION + 1))
+        rc, out, err = run_cli(capsys, [
+            "fis-eval", "--config", str(data_dir / "fis_basic.cfg"),
+            "--in", "tf=0.7", "--in", "idf=0.6"])
+        assert rc == 1
+        assert out == ""
+        assert err == (f"frank: error: FRANK_RESOLUTION must be <= "
+                       f"{MAX_RESOLUTION}, got {MAX_RESOLUTION + 1}\n")
 
 
 class TestMfData:

@@ -3,7 +3,8 @@
 import pytest
 
 from frank.errors import ConfigError
-from frank.fis import FisConfig, LinguisticVariable, default_variable
+from frank.fis import (MAX_RESOLUTION, FisConfig, LinguisticVariable,
+                       default_variable)
 from frank.fisfile import (format_fis_config, format_template, load_template,
                            parse_fis_config, parse_template)
 from frank.membership import MembershipFunction
@@ -78,6 +79,8 @@ if (x is bell) -> (y is high)
         (["[system]", "resolution -5"], "positive integer"),
         (["[system]", "and neither"], "one of"),
         (["[system]", "overlap_weight_ratio 0.2"], "unknown key"),
+        (["[system]", "resolution \u00b2"], "positive integer"),
+        (["[system]", "resolution " + "1" * 5000], "<= "),
     ])
     def test_bad_lines_report_line_numbers(self, appended, needle):
         text = BASIC + "\n".join(appended) + "\n"
@@ -85,6 +88,15 @@ if (x is bell) -> (y is high)
             parse_fis_config(text)
         expected_line = BASIC.count("\n") + len(appended)
         assert f"line {expected_line}" in str(excinfo.value)
+
+    def test_resolution_bound(self):
+        """Checked at construction; no grid is sampled for either value."""
+        config = parse_fis_config(
+            BASIC.replace("resolution 1001", f"resolution {MAX_RESOLUTION}"))
+        assert config.resolution == MAX_RESOLUTION
+        with pytest.raises(ConfigError, match=f"<= {MAX_RESOLUTION}"):
+            parse_fis_config(BASIC.replace(
+                "resolution 1001", f"resolution {MAX_RESOLUTION + 1}"))
 
     def test_missing_output_section(self):
         with pytest.raises(ConfigError, match="output"):
@@ -182,6 +194,20 @@ class TestTemplates:
         text = text.replace("[variable idf]\nuniverse 0 1",
                             "[variable idf]\nuniverse 0 2")
         with pytest.raises(ConfigError, match="prototype"):
+            parse_template(text)
+
+    @pytest.mark.parametrize("ratio", ["0", "-0.5", "nan"])
+    def test_non_positive_ratio_rejected(self, data_dir, ratio):
+        text = (data_dir / "template_default.cfg").read_text()
+        text = text.replace("overlap_weight_ratio 0.16666666666666666",
+                            f"overlap_weight_ratio {ratio}")
+        with pytest.raises(ConfigError, match="must be positive"):
+            parse_template(text)
+
+    def test_unknown_set_rejected_at_load(self, data_dir):
+        text = (data_dir / "template_default.cfg").read_text()
+        text += "if (tf is low) -> (relevance is high)\n"
+        with pytest.raises(ConfigError, match="'tf' has no set 'low'"):
             parse_template(text)
 
     def test_mixed_placeholder_rule_rejected(self, data_dir):

@@ -1,6 +1,7 @@
 """Template instantiation and both scorers, checked against hand arithmetic
 and the independent reference pipeline."""
 
+import dataclasses
 import math
 import random
 
@@ -11,8 +12,8 @@ from frank.errors import QueryError
 from frank.fis import evaluate
 from frank.index import (Document, build_index, extract_features, idf_raw,
                          read_corpus_jsonl, tokenize)
-from frank.ranker import (BaselineParams, FisTemplate, default_template,
-                          instantiate_fis, score_baseline, score_fis)
+from frank.ranker import (FisTemplate, default_template, instantiate_fis,
+                          score_baseline, score_fis)
 from frank.rules import parse_rule
 
 from oracles import (ReferenceCorpus, reference_rank_baseline,
@@ -56,14 +57,14 @@ class TestInstantiate:
             instantiate_fis(template, 0)
 
     def test_template_weights_multiply_through(self):
-        template = FisTemplate(
-            per_term_rules=(parse_rule(
-                "if (tf is high) -> (relevance is high) weight 0.5"),),
-            global_rules=(parse_rule(
-                "if (overlap is high) -> (relevance is high) weight 0.5"),),
-            variable_prototype=default_template().variable_prototype,
-            output=default_template().output,
-        )
+        template = FisTemplate(dataclasses.replace(
+            default_template().config,
+            rules=(
+                parse_rule("if (tf is high) -> (relevance is high) weight 0.5"),
+                parse_rule(
+                    "if (overlap is high) -> (relevance is high) weight 0.5"),
+            ),
+        ))
         config = instantiate_fis(template, 2)
         weights = sorted(r.weight for r in config.rules)
         assert weights == [0.5 * 0.5 * (1 / 6), 0.25, 0.25]
@@ -240,20 +241,14 @@ class TestRankingProperties:
         """Splitting every rule into two half-weight copies is a no-op:
         weights enter linearly through strength and sum aggregation."""
         base = default_template()
-        halved = FisTemplate(
-            per_term_rules=tuple(
+        halved = FisTemplate(dataclasses.replace(
+            base.config,
+            rules=tuple(
                 parse_rule(f"{text} weight 0.5")
-                for rule in base.per_term_rules
+                for rule in base.config.rules
                 for text in [rule_text(rule)] * 2
             ),
-            global_rules=tuple(
-                parse_rule(f"{text} weight 0.5")
-                for rule in base.global_rules
-                for text in [rule_text(rule)] * 2
-            ),
-            variable_prototype=base.variable_prototype,
-            output=base.output,
-        )
+        ))
         original = score_fis(index20, base, "river flood levee")
         doubled = score_fis(index20, halved, "river flood levee")
         assert [e.doc_id for e in original.entries] == \
@@ -267,7 +262,7 @@ def rule_text(rule):
     return print_rule(rule)
 
 
-def baseline_by_document(index, query_text, params=BaselineParams()):
+def baseline_by_document(index, query_text):
     """The per-document loop the column-wise baseline replaced: the
     reference its scores must equal bit for bit."""
     terms = list(dict.fromkeys(tokenize(query_text)))
@@ -288,8 +283,7 @@ def baseline_by_document(index, query_text, params=BaselineParams()):
                 continue
             matched += 1
             tf_value = tf / entry.max_term_frequency
-            total += (tf_value * idf_raw(index, term) * params.boost
-                      * length_norm)
+            total += tf_value * idf_raw(index, term) * length_norm
         scores[entry.doc_id] = total * (matched / len(terms)) * query_norm
     return scores
 

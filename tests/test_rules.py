@@ -113,6 +113,7 @@ class TestParseBlock:
         with pytest.raises(ParseError) as excinfo:
             parse_rules_block(block)
         assert excinfo.value.position[0] == 3
+        assert excinfo.value.line == 3
 
     def test_all_or_nothing(self):
         block = "if broken\nif (a is b) -> (y is z)\n"
