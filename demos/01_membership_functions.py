@@ -5,7 +5,7 @@ Run:  python3 demos/01_membership_functions.py
 
 import numpy as np
 
-from frank import MembershipFunction, eval_mf
+from frank import MembershipFunction
 
 # The default ranking variables use two complementary triangular ramps on
 # [0, 1]: "high" rises from 0 to 1, "not_high" is its mirror image.
@@ -13,8 +13,8 @@ high = MembershipFunction.triangular(0.0, 1.0, 1.0)
 not_high = MembershipFunction.triangular(0.0, 0.0, 1.0)
 
 print("degrees of membership for a normalized term frequency of 0.7:")
-print(f"  high     -> {eval_mf(high, 0.7):.3f}")
-print(f"  not_high -> {eval_mf(not_high, 0.7):.3f}")
+print(f"  high     -> {high.evaluate(0.7):.3f}")
+print(f"  not_high -> {not_high.evaluate(0.7):.3f}")
 print()
 
 # The other supported families, evaluated over a coarse grid.
@@ -29,7 +29,7 @@ grid = np.linspace(0.0, 1.0, 11)
 header = "x      " + "  ".join(f"{name:>28}" for name in curves)
 print(header)
 for x in grid:
-    row = "  ".join(f"{eval_mf(mf, float(x)):>28.4f}" for mf in curves.values())
+    row = "  ".join(f"{mf.evaluate(float(x)):>28.4f}" for mf in curves.values())
     print(f"{x:<5.2f}  {row}")
 
 print()

@@ -17,10 +17,10 @@ from .fis import (AggregateSet, FisConfig, LinguisticVariable, aggregate,
                   imply, rule_strengths)
 from .fisfile import (format_fis_config, format_template, load_fis_config,
                       load_template, parse_fis_config, parse_template)
-from .index import (DocEntry, Document, InvertedIndex, QueryFeatures,
-                    build_index, extract_features, idf_norm, idf_raw,
-                    read_corpus_jsonl, tf_norm, tokenize)
-from .membership import MembershipFunction, eval_mf
+from .index import (Document, InvertedIndex, QueryFeatures, build_index,
+                    extract_features, idf_norm, idf_raw, read_corpus_jsonl,
+                    tf_norm, tokenize)
+from .membership import MembershipFunction
 from .ranker import (FisTemplate, RankedEntry, RankedList, default_template,
                      instantiate_fis, score_baseline, score_fis)
 from .rules import (ParseError, RuleAst, RuleClause, RuleToken, parse_rule,

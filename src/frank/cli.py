@@ -71,11 +71,14 @@ def _read_queries_tsv(path: str) -> list[tuple[str, str]]:
         if not raw.strip():
             continue
         topic, sep, text = raw.partition("\t")
-        if not sep or not topic.strip() or not text.strip():
+        topic = topic.strip()
+        if not sep or not topic or not text.strip():
             raise RunFormatError(
                 "expected 'topic<TAB>query text'", line=number
             )
-        queries.append((topic.strip(), text.strip()))
+        if any(map(str.isspace, topic)):  # parse_run splits fields on it
+            raise RunFormatError(f"whitespace in topic {topic!r}", line=number)
+        queries.append((topic, text.strip()))
     if not queries:
         raise RunFormatError("no queries in batch file")
     return queries
@@ -86,6 +89,9 @@ def cmd_search(args) -> int:
         raise UsageError(f"--k must be >= 1, got {args.k}")
     if (args.query is None) == (args.queries is None):
         raise UsageError("exactly one of --query or --queries is required")
+    for flag, value in (("--topic", args.topic), ("--tag", args.tag)):
+        if not value or any(map(str.isspace, value)):
+            raise UsageError(f"{flag} must be one word, got {value!r}")
     index = InvertedIndex.load(args.index)
     if args.ranker == "fis":
         if args.template is None:

@@ -293,32 +293,30 @@ def diff_runs(report_a: MetricsReport, report_b: MetricsReport) -> MetricsDiff:
 _HEADER = f"{'Tag':<16} {'Topic Set':<10} {'MAP':>8} {'P10':>8} {'%no':>8}"
 
 
-def format_report(report: MetricsReport, tag: str,
-                  topic_set: str = "all") -> str:
+def format_report(report: MetricsReport, tag: str) -> str:
     """Aligned plain-text table with one aggregate row."""
     row = (
-        f"{tag:<16} {topic_set:<10} {report.mean_ap:>8.4f} "
+        f"{tag:<16} {'all':<10} {report.mean_ap:>8.4f} "
         f"{report.mean_p10:>8.4f} {report.pct_no * 100:>7.2f}%"
     )
     return f"{_HEADER}\n{row}\n"
 
 
 def format_diff(report_a: MetricsReport, diff: MetricsDiff, tag_a: str,
-                tag_b: str, topic_set: str = "all") -> str:
+                tag_b: str) -> str:
     """Baseline row in absolute terms, second row as signed deltas."""
     base = (
-        f"{tag_a:<16} {topic_set:<10} {report_a.mean_ap:>8.4f} "
+        f"{tag_a:<16} {'all':<10} {report_a.mean_ap:>8.4f} "
         f"{report_a.mean_p10:>8.4f} {report_a.pct_no * 100:>7.2f}%"
     )
     delta = (
-        f"{tag_b:<16} {topic_set:<10} {diff.delta_map:>+8.4f} "
+        f"{tag_b:<16} {'all':<10} {diff.delta_map:>+8.4f} "
         f"{diff.delta_p10:>+8.4f} {diff.delta_pct_no * 100:>+7.2f}%"
     )
     return f"{_HEADER}\n{base}\n{delta}\n"
 
 
-def report_jsonl(report: MetricsReport, tag: str,
-                 topic_set: str = "all") -> str:
+def report_jsonl(report: MetricsReport, tag: str) -> str:
     """Machine-readable report: one line per topic plus an aggregate line."""
     lines = []
     for topic in sorted(report.per_topic):
@@ -331,7 +329,7 @@ def report_jsonl(report: MetricsReport, tag: str,
         }))
     lines.append(json.dumps({
         "tag": tag,
-        "topic_set": topic_set,
+        "topic_set": "all",
         "topics": report.topic_count,
         "map": report.mean_ap,
         "p10": report.mean_p10,

@@ -60,28 +60,20 @@ class Document:
 
 
 @dataclass(frozen=True)
-class DocEntry:
-    doc_id: str
-    token_count: int
-    max_term_frequency: int
-
-
-@dataclass(frozen=True)
 class QueryFeatures:
     """Ranking features of one query's candidate documents, as columns.
 
     ``terms`` holds the distinct query tokens in first-occurrence order and
     ``idf`` their idf_norm.  Row i of ``tf`` holds tf_norm of ``terms[i]``
     for each of the ``candidates`` (doc ordinals, ascending), 0 where the
-    document lacks the token.  ``matched_count`` and ``overlap`` are the
-    number and fraction of distinct tokens each candidate contains.
+    document lacks the token.  ``overlap`` holds, per candidate, the number
+    of distinct tokens it contains divided by ``len(terms)``.
     """
 
     terms: tuple[str, ...]
     idf: tuple[float, ...]
     candidates: np.ndarray
     tf: np.ndarray
-    matched_count: np.ndarray
     overlap: np.ndarray
 
 
@@ -119,12 +111,14 @@ class InvertedIndex:
     """Immutable token -> postings map with per-document statistics.
 
     Built by :func:`build_index` or loaded from FRIX1 bytes, then a pure
-    read structure, safe for concurrent readers.  Construction raises
-    :class:`IndexFormatError` unless every count and length fits the bytes
-    with none left over, doc ids and tokens are UTF-8, doc ids unique,
-    tokens strictly ascending, each df and tf >= 1, each token's doc
-    ordinals < N and strictly ascending, and each document's max term
-    frequency the maximum over its postings.
+    read structure, safe for concurrent readers.  Per-document statistics
+    are ``doc_ids`` and the read-only arrays ``token_counts``,
+    ``max_term_frequencies`` and ``doc_id_ranks``, by doc ordinal.
+    Construction raises :class:`IndexFormatError` unless every count and
+    length fits the bytes with none left over, doc ids and tokens are
+    UTF-8, doc ids unique, tokens strictly ascending, each df and tf >= 1,
+    each token's doc ordinals < N and strictly ascending, and each
+    document's max term frequency the maximum over its postings.
     """
 
     def __init__(self, data: bytes):
@@ -219,21 +213,12 @@ class InvertedIndex:
         return len(self.doc_ids)
 
     @property
-    def doc_table(self) -> tuple[DocEntry, ...]:
-        return tuple(map(self.doc_entry, range(self.total_docs)))
-
-    @property
     def terms(self) -> list[str]:
         return list(self._terms)
 
     @property
     def total_tokens(self) -> int:
         return int(self.token_counts.sum())
-
-    def doc_entry(self, doc_ordinal: int) -> DocEntry:
-        return DocEntry(self.doc_ids[doc_ordinal],
-                        int(self.token_counts[doc_ordinal]),
-                        int(self.max_term_frequencies[doc_ordinal]))
 
     def ordinal_of(self, doc_id: str) -> int:
         return self._ordinals[doc_id]
@@ -285,15 +270,18 @@ class InvertedIndex:
 def build_index(corpus: Iterable[Document]) -> InvertedIndex:
     """Build an index from a document stream.
 
-    Deterministic given input order.  Documents whose tokenization is empty
-    stay in the document table and count toward the corpus size.
+    Deterministic given input order.  Doc ids are unique, non-empty and
+    free of whitespace (run files split their fields on it).  Documents
+    whose tokenization is empty stay in the document table and count
+    toward the corpus size.
     """
     docs: list[bytes] = []
     seen: set[str] = set()
     occurrences: dict[str, list[int]] = defaultdict(list)  # ordinal, tf, ...
     for document in corpus:
-        if not document.doc_id:
-            raise CorpusError("empty doc_id")
+        if not document.doc_id or any(map(str.isspace, document.doc_id)):
+            raise CorpusError(f"doc_id {document.doc_id!r} is empty or "
+                              "contains whitespace")
         if document.doc_id in seen:
             raise CorpusError(f"duplicate doc_id {document.doc_id!r}")
         seen.add(document.doc_id)
@@ -347,7 +335,7 @@ def tf_norm(index: InvertedIndex, doc_ordinal: int, token: str) -> float:
     tf = index.term_frequency(doc_ordinal, token)
     if tf == 0:
         return 0.0
-    return tf / index.doc_entry(doc_ordinal).max_term_frequency
+    return tf / int(index.max_term_frequencies[doc_ordinal])
 
 
 def extract_features(index: InvertedIndex, query_tokens: list[str],
@@ -372,15 +360,13 @@ def extract_features(index: InvertedIndex, query_tokens: list[str],
         hit[hit] = candidates[columns[hit]] == ordinals[hit]
         row[columns[hit]] = frequencies[hit]
     max_tf = index.max_term_frequencies[candidates]
-    matched = np.count_nonzero(counts, axis=0)
     return QueryFeatures(
         terms=tuple(distinct),
         idf=tuple(idf_norm(index, token) for token in distinct),
         candidates=candidates,
         tf=np.divide(counts, max_tf, out=np.zeros(counts.shape),
                      where=max_tf > 0),
-        matched_count=matched,
-        overlap=matched / len(distinct),
+        overlap=np.count_nonzero(counts, axis=0) / len(distinct),
     )
 
 

@@ -115,8 +115,3 @@ class MembershipFunction:
         slope, inflection = p
         z = np.clip(slope * (xs - inflection), -_EXP_CLAMP, _EXP_CLAMP)
         return 1.0 / (1.0 + np.exp(-z))
-
-
-def eval_mf(mf: MembershipFunction, x: float) -> float:
-    """Degree of membership of point ``x`` under ``mf``."""
-    return mf.evaluate(x)

@@ -20,13 +20,12 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, QueryError
-from .fis import (DEFAULT_RESOLUTION, FisConfig, LinguisticVariable,
-                  default_variable, evaluate)
+from .fis import FisConfig, LinguisticVariable, default_variable, evaluate
 from .index import InvertedIndex, extract_features, idf_raw, tokenize
 from .rules import RuleAst, RuleClause, parse_rule
 
@@ -81,6 +80,10 @@ class FisTemplate:
                 )
         if not self.overlap_weight_ratio > 0:
             raise ConfigError("overlap_weight_ratio must be positive")
+        for rule in self.global_rules:  # its weight at t = 1, the largest
+            if not 0.0 < rule.weight * self.overlap_weight_ratio <= 1.0:
+                raise ConfigError(f"overlap rule weight {rule.weight} * "
+                                  "overlap_weight_ratio outside (0, 1]")
 
     @cached_property
     def per_term_rules(self) -> tuple[RuleAst, ...]:
@@ -103,7 +106,7 @@ class FisTemplate:
         return self.config.output
 
 
-def default_template(resolution: int = DEFAULT_RESOLUTION) -> FisTemplate:
+def default_template() -> FisTemplate:
     """The bundled relevance template.
 
     Per term: reward high tf combined with high idf, penalize the opposite.
@@ -119,7 +122,6 @@ def default_template(resolution: int = DEFAULT_RESOLUTION) -> FisTemplate:
         inputs=tuple(default_variable(name) for name in _PLACEHOLDERS),
         output=default_variable("relevance"),
         rules=tuple(parse_rule(rule) for rule in rules),
-        resolution=resolution,
     ))
 
 
@@ -163,8 +165,7 @@ def instantiate_fis(template: FisTemplate, t: int) -> FisConfig:
                                rules=tuple(rules))
 
 
-@dataclass(frozen=True, slots=True)
-class RankedEntry:
+class RankedEntry(NamedTuple):
     doc_id: str
     score: float
     rank: int
@@ -201,13 +202,11 @@ def _to_ranked_list(index: InvertedIndex, query_id: str,
                     candidates: np.ndarray, scores: np.ndarray,
                     k: int) -> RankedList:
     order = np.lexsort((index.doc_id_ranks[candidates], -scores))[:k]
-    doc_ids = index.doc_ids
-    entries = tuple(
-        RankedEntry(doc_ids[ordinal], score, rank)
-        for rank, (ordinal, score) in enumerate(
-            zip(candidates[order].tolist(), scores[order].tolist()), start=1)
-    )
-    return RankedList(query_id, entries)
+    rows = zip(map(index.doc_ids.__getitem__, candidates[order].tolist()),
+               scores[order].tolist(), range(1, len(order) + 1))
+    # what RankedEntry._make does, minus a Python-level call per entry
+    return RankedList(query_id, tuple(
+        map(tuple.__new__, [RankedEntry] * len(order), rows)))
 
 
 def score_fis(index: InvertedIndex, template: FisTemplate, query_text: str,
@@ -237,9 +236,9 @@ def score_baseline(index: InvertedIndex, query_text: str,
     """Rank candidate documents with the summed tf-idf vector formula.
 
     Per matched term: tf_norm * idf_raw * length_norm, summed over terms in
-    query order, then scaled by the coordination factor (matched fraction
-    of distinct query terms) and the query norm.  length_norm is
-    1/sqrt(token count), 0 for an empty document; the query norm is
+    query order, then scaled by the overlap (matched fraction of distinct
+    query terms, the coordination factor) and the query norm.  length_norm
+    is 1/sqrt(token count), 0 for an empty document; the query norm is
     1/sqrt(sum of squared idf_raw), 1 when that sum is 0.  Candidate set
     and tie-breaking match :func:`score_fis`.
     """
@@ -257,5 +256,5 @@ def score_baseline(index: InvertedIndex, query_text: str,
     # 0.0, which leaves every sum's bits alone
     for tf_values, idf_value in zip(features.tf, idf_values):
         total += tf_values * idf_value * length_norm
-    scores = total * (features.matched_count / len(terms)) * query_norm
+    scores = total * features.overlap * query_norm
     return _to_ranked_list(index, query_id, candidates, scores, k)

@@ -1,5 +1,6 @@
 """Command-line behavior: golden bytes, exit codes, determinism."""
 
+import json
 import struct
 
 import pytest
@@ -129,6 +130,18 @@ class TestIndex:
         assert err == ("frank: error: doc_id '\\ud800' is not valid "
                        "Unicode\n")
 
+    @pytest.mark.parametrize("doc_id", ["a b", "a\tb", " ", ""])
+    def test_doc_id_not_one_run_field_exits_2(self, capsys, tmp_path,
+                                              doc_id):
+        corpus = tmp_path / "bad.jsonl"
+        corpus.write_text(json.dumps({"doc_id": doc_id, "text": "ice"}) + "\n")
+        rc, out, err = run_cli(capsys, [
+            "index", "--corpus", str(corpus), "--out", str(tmp_path / "o.idx")])
+        assert rc == 2
+        assert out == ""
+        assert err == (f"frank: error: doc_id {doc_id!r} is empty or "
+                       "contains whitespace\n")
+
     def test_malformed_line_reports_number(self, capsys, tmp_path):
         corpus = tmp_path / "bad.jsonl"
         corpus.write_text('{"doc_id": "x", "text": "ok"}\nnot json\n')
@@ -246,6 +259,29 @@ class TestSearch:
         assert rc == 2
         assert "line 1" in err
 
+    def test_topic_with_whitespace_exits_2(self, capsys, index_path, tmp_path):
+        batch = tmp_path / "queries.tsv"
+        batch.write_text("101\triver\n1 02\tflood\n")
+        rc, out, err = run_cli(capsys, [
+            "search", "--index", str(index_path), "--ranker", "baseline",
+            "--queries", str(batch)])
+        assert rc == 2
+        assert out == ""
+        assert err == "frank: error: line 2: whitespace in topic '1 02'\n"
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--topic", "my topic"), ("--topic", ""),
+        ("--tag", "my run"), ("--tag", ""), ("--tag", "run\u2028b"),
+    ])
+    def test_topic_or_tag_not_one_word_exits_1(self, capsys, index_path,
+                                               flag, value):
+        rc, out, err = run_cli(capsys, [
+            "search", "--index", str(index_path), "--ranker", "baseline",
+            "--query", "river", flag, value])
+        assert rc == 1
+        assert out == ""
+        assert err == f"frank: error: {flag} must be one word, got {value!r}\n"
+
     def test_resolution_override_changes_scores(self, capsys, index_path,
                                                 data_dir, monkeypatch):
         argv = ["search", "--index", str(index_path), "--ranker", "fis",
@@ -281,6 +317,23 @@ class TestSearch:
         assert rc == 2
         assert out == ""
         assert err == "frank: error: variable 'tf' has no set 'low'\n"
+
+    def test_overweighted_overlap_template_exits_2(self, capsys, index_path,
+                                                   data_dir, tmp_path):
+        """Rejected at load, so a two-term query (overlap weight 2 / 2 = 1,
+        which instantiates) does not run either."""
+        template = tmp_path / "template.cfg"
+        template.write_text(
+            (data_dir / "template_default.cfg").read_text().replace(
+                "overlap_weight_ratio 0.16666666666666666",
+                "overlap_weight_ratio 2.0"))
+        rc, out, err = run_cli(capsys, [
+            "search", "--index", str(index_path), "--ranker", "fis",
+            "--template", str(template), "--query", "ice core"])
+        assert rc == 2
+        assert out == ""
+        assert err == ("frank: error: overlap rule weight 1.0 * "
+                       "overlap_weight_ratio outside (0, 1]\n")
 
 
 class TestEvalAndDiff:

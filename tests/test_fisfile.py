@@ -204,6 +204,19 @@ class TestTemplates:
         with pytest.raises(ConfigError, match="must be positive"):
             parse_template(text)
 
+    def test_ratio_overweighting_a_one_term_query_rejected(self, data_dir):
+        """The default overlap rules weigh 1, so for a one-term query they
+        get weight 1 * ratio: ratio 1 is the largest the template admits."""
+        text = (data_dir / "template_default.cfg").read_text()
+
+        def with_ratio(ratio):
+            return text.replace("overlap_weight_ratio 0.16666666666666666",
+                                f"overlap_weight_ratio {ratio}")
+
+        assert parse_template(with_ratio("1.0")).overlap_weight_ratio == 1.0
+        with pytest.raises(ConfigError, match="overlap_weight_ratio"):
+            parse_template(with_ratio("2.0"))
+
     def test_unknown_set_rejected_at_load(self, data_dir):
         text = (data_dir / "template_default.cfg").read_text()
         text += "if (tf is low) -> (relevance is high)\n"

@@ -85,8 +85,8 @@ class TestBuildIndex:
     def test_empty_tokenization_doc_still_counts(self):
         index = build_index([Document("d1", "apple"), Document("d2", "of the")])
         assert index.total_docs == 2
-        assert index.doc_entry(1).token_count == 0
-        assert index.doc_entry(1).max_term_frequency == 0
+        assert index.token_counts[1] == 0
+        assert index.max_term_frequencies[1] == 0
 
     def test_postings_sorted_without_duplicates(self, index5):
         for token in index5.terms:
@@ -139,8 +139,8 @@ class TestNormalizedFeatures:
         assert tf_norm(index5, 0, "fig") == 0.0
 
     def test_every_nonempty_doc_has_a_unit_tf(self, index20):
-        for ordinal, entry in enumerate(index20.doc_table):
-            if entry.token_count == 0:
+        for ordinal, token_count in enumerate(index20.token_counts):
+            if token_count == 0:
                 continue
             best = max(
                 tf_norm(index20, ordinal, token) for token in index20.terms
@@ -163,7 +163,7 @@ class TestExtractFeatures:
         assert features.idf == (pytest.approx(idf_apple),
                                 pytest.approx(idf_cherry), 0.0)
         by_doc = {
-            index5.doc_entry(int(ordinal)).doc_id: column
+            index5.doc_ids[ordinal]: column
             for column, ordinal in enumerate(features.candidates)
         }
 
@@ -173,12 +173,8 @@ class TestExtractFeatures:
         def overlap(doc_id):
             return features.overlap[by_doc[doc_id]]
 
-        def matched(doc_id):
-            return features.matched_count[by_doc[doc_id]]
-
         assert tf("d3") == [1.0, 1.0, 0.0]
-        assert matched("d3") == 2
-        assert overlap("d3") == pytest.approx(2 / 3)
+        assert overlap("d3") == 2 / 3
 
         # unmatched term: tf drops to 0 but the corpus idf is still reported
         assert tf("d1") == [0.5, 0.0, 0.0]
@@ -191,7 +187,6 @@ class TestExtractFeatures:
         assert overlap("d4") == pytest.approx(1 / 3)
 
         assert tf("d5") == [0.0, 0.0, 0.0]
-        assert matched("d5") == 0
         assert overlap("d5") == 0.0
 
     def test_full_overlap(self, index5):
@@ -216,7 +211,7 @@ class TestExtractFeatures:
         index = build_index([Document("d1", "apple"), Document("d2", "of the")])
         features = extract_features(index, ["apple"], [0, 1])
         assert features.tf.tolist() == [[1.0, 0.0]]
-        assert features.matched_count.tolist() == [1, 0]
+        assert features.overlap.tolist() == [1.0, 0.0]
 
     def test_subset_of_candidates_matches_per_document_tf_norm(self, index20):
         """Each column equals tf_norm of that document, for any ascending
@@ -245,8 +240,9 @@ class TestInvariants:
         docs = list(read_corpus_jsonl(data_dir / "corpus20.jsonl"))
         for document in docs[::3]:  # spot-check a sample
             counts = Counter(tokenize(document.text))
-            entry = index20.doc_entry(index20.ordinal_of(document.doc_id))
-            assert entry.max_term_frequency == (max(counts.values()) if counts else 0)
+            ordinal = index20.ordinal_of(document.doc_id)
+            assert index20.max_term_frequencies[ordinal] == (
+                max(counts.values()) if counts else 0)
 
     def test_shuffled_rebuild_keeps_statistics(self, data_dir):
         docs = list(read_corpus_jsonl(data_dir / "corpus20.jsonl"))
@@ -334,7 +330,7 @@ def assert_loads_or_rejects(data: bytes) -> None:
         return
     features = extract_features(index, index.terms,
                                 np.arange(index.total_docs))
-    matched = features.matched_count > 0
+    matched = features.overlap > 0
     # every matched document reaches its recorded max term frequency
     assert (features.tf.max(axis=0)[matched] == 1.0).all()
     assert (features.tf >= 0).all()

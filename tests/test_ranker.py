@@ -12,8 +12,9 @@ from frank.errors import QueryError
 from frank.fis import evaluate
 from frank.index import (Document, build_index, extract_features, idf_raw,
                          read_corpus_jsonl, tokenize)
-from frank.ranker import (FisTemplate, default_template, instantiate_fis,
-                          score_baseline, score_fis)
+from frank.ranker import (FisTemplate, RankedEntry, RankedList,
+                          default_template, instantiate_fis, score_baseline,
+                          score_fis)
 from frank.rules import parse_rule
 
 from oracles import (ReferenceCorpus, reference_rank_baseline,
@@ -273,8 +274,7 @@ def baseline_by_document(index, query_text):
                          for ordinal in index.postings(t)[0].tolist()})
     scores = {}
     for ordinal in candidates:
-        entry = index.doc_entry(ordinal)
-        length_norm = 1.0 / math.sqrt(entry.token_count)
+        length_norm = 1.0 / math.sqrt(int(index.token_counts[ordinal]))
         total = 0.0
         matched = 0
         for term in in_corpus:
@@ -282,9 +282,9 @@ def baseline_by_document(index, query_text):
             if tf == 0:
                 continue
             matched += 1
-            tf_value = tf / entry.max_term_frequency
+            tf_value = tf / int(index.max_term_frequencies[ordinal])
             total += tf_value * idf_raw(index, term) * length_norm
-        scores[entry.doc_id] = total * (matched / len(terms)) * query_norm
+        scores[index.doc_ids[ordinal]] = total * (matched / len(terms)) * query_norm
     return scores
 
 
@@ -339,3 +339,31 @@ class TestColumnScoring:
                                                       template):
         assert score_fis(index20, template, "nosuchterm").entries == ()
         assert score_baseline(index20, "nosuchterm").entries == ()
+
+
+class TestRankedListContract:
+    """What code outside the package builds on: an entry is constructed
+    positionally as (doc_id, score, rank), read by field name and never
+    mutated, and ``dataclasses.replace`` swaps a ranked list's entries."""
+
+    def test_entry_fields_by_position_and_name(self):
+        entry = RankedEntry("d7", 0.25, 3)
+        assert (entry.doc_id, entry.score, entry.rank) == ("d7", 0.25, 3)
+        assert entry == RankedEntry(doc_id="d7", score=0.25, rank=3)
+        for field in ("doc_id", "score", "rank"):
+            with pytest.raises(AttributeError):
+                setattr(entry, field, None)
+        assert (entry.doc_id, entry.score, entry.rank) == ("d7", 0.25, 3)
+
+    def test_scored_entries_and_replace(self, index20):
+        ranked = score_baseline(index20, "river flood", query_id="q9")
+        assert len(ranked.entries) > 1
+        for rank, entry in enumerate(ranked.entries, start=1):
+            assert type(entry) is RankedEntry
+            assert entry == RankedEntry(entry.doc_id, entry.score, rank)
+        reversed_entries = ranked.entries[::-1]
+        swapped = dataclasses.replace(ranked, entries=reversed_entries)
+        assert swapped == RankedList("q9", reversed_entries)
+        assert ranked.entries[0] == reversed_entries[-1]
+        with pytest.raises(AttributeError):
+            ranked.entries = ()
