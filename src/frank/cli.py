@@ -2,20 +2,17 @@
 
 Every subcommand is deterministic: the same files and flags produce
 byte-identical output.  Errors print one greppable ``frank: error:`` line
-to stderr; usage errors exit 1, data/format errors exit 2.
-
-The environment variable ``FRANK_RESOLUTION`` overrides the inference
-resolution of loaded configs and templates, for experimentation; like a
-config's ``resolution`` it lies between 2 and ``MAX_RESOLUTION``.
+to stderr; usage errors exit 1, data/format errors exit 2.  A warning prints
+one ``frank: warning:`` line to stderr and leaves stdout and the exit code
+alone.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
-import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +21,7 @@ from .errors import FrankError, QueryError, RunFormatError, UsageError
 from .evaluation import (diff_runs, evaluate_run, format_diff, format_report,
                          format_run, load_qrels, load_run, report_jsonl,
                          run_from_ranked)
-from .fis import MAX_RESOLUTION, FisConfig, evaluate, rule_strengths
+from .fis import MAX_RESOLUTION, evaluate, rule_strengths
 from .fisfile import load_fis_config, load_template
 from .index import InvertedIndex, build_index, read_corpus_jsonl
 from .ranker import DEFAULT_CUTOFF, score_baseline, score_fis
@@ -37,23 +34,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         print(f"frank: error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-def _resolution_override(config: FisConfig) -> FisConfig:
-    """``config`` at the resolution ``FRANK_RESOLUTION`` sets, if set."""
-    raw = os.environ.get("FRANK_RESOLUTION")
-    if raw is None:
-        return config
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"FRANK_RESOLUTION must be an integer, got {raw!r}")
-    if value < 2:
-        raise UsageError(f"FRANK_RESOLUTION must be >= 2, got {value}")
-    if value > MAX_RESOLUTION:
-        raise UsageError(
-            f"FRANK_RESOLUTION must be <= {MAX_RESOLUTION}, got {value}")
-    return dataclasses.replace(config, resolution=value)
 
 
 def cmd_index(args) -> int:
@@ -97,8 +77,6 @@ def cmd_search(args) -> int:
         if args.template is None:
             raise UsageError("--template is required with --ranker fis")
         template = load_template(args.template)
-        template = dataclasses.replace(
-            template, config=_resolution_override(template.config))
 
         def rank(topic, text):
             return score_fis(index, template, text, k=args.k, query_id=topic)
@@ -156,7 +134,7 @@ def _parse_assignments(pairs: list[str]) -> dict[str, float]:
 
 
 def cmd_fis_eval(args) -> int:
-    config = _resolution_override(load_fis_config(args.config))
+    config = load_fis_config(args.config)
     inputs = _parse_assignments(args.inputs or [])
     names = {variable.name for variable in config.inputs}
     unknown = sorted(inputs.keys() - names)
@@ -174,8 +152,9 @@ def cmd_fis_eval(args) -> int:
 
 
 def cmd_mf_data(args) -> int:
-    if args.samples < 2:
-        raise UsageError(f"--samples must be >= 2, got {args.samples}")
+    if not 2 <= args.samples <= MAX_RESOLUTION:
+        raise UsageError(f"--samples must lie between 2 and {MAX_RESOLUTION}, "
+                         f"got {args.samples}")
     config = load_fis_config(args.config)
     variables = {v.name: v for v in config.inputs}
     variables[config.output.name] = config.output
@@ -250,17 +229,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"frank: error: {exc}", file=sys.stderr)
-        return 1
-    except FrankError as exc:
-        print(f"frank: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"frank: error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(
+            f"frank: warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except UsageError as exc:
+            print(f"frank: error: {exc}", file=sys.stderr)
+            return 1
+        except FrankError as exc:
+            print(f"frank: error: {exc}", file=sys.stderr)
+            return 2
+        except OSError as exc:
+            print(f"frank: error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -15,6 +15,8 @@ weights scale the firing strength before implication.
 
 ``evaluate`` takes a number or a 1-D column per input variable and scores
 every row at once; a scalar call is the one-row case of the same code.
+Combining reads implied sets, not rules: one rule's strengths may be a
+block of them, as when the ranker fires a template rule for every term.
 
 Under product implication, sum aggregation and centroid defuzzification
 (the default) the aggregate is sum_j s_j * C_j, so its centroid on the grid
@@ -65,14 +67,14 @@ class LinguisticVariable:
     sets: dict[str, MembershipFunction]
 
     def __post_init__(self):
-        lo, hi = self.universe
-        object.__setattr__(self, "universe", (float(lo), float(hi)))
+        lo, hi = map(float, self.universe)
+        object.__setattr__(self, "universe", (lo, hi))
         if not self.name:
             raise ConfigError("variable name must be nonempty")
-        if not self.universe[0] < self.universe[1]:
+        if not (lo < hi and np.isfinite(hi - lo)):  # so lo and hi are too
             raise ConfigError(
-                f"variable {self.name!r}: universe requires lo < hi, "
-                f"got {self.universe}"
+                f"variable {self.name!r}: universe requires lo < hi and a "
+                f"finite hi - lo, got {self.universe}"
             )
         if not self.sets:
             raise ConfigError(f"variable {self.name!r} has no fuzzy sets")
@@ -226,6 +228,15 @@ class FisConfig:
         }
 
 
+def _memberships(variable: LinguisticVariable, values: np.ndarray
+                 ) -> dict[tuple[str, str], np.ndarray]:
+    """Degrees of ``values``, clamped to the variable's universe, in each of
+    its sets, keyed (variable name, label) and shaped like ``values``."""
+    x = np.clip(values, *variable.universe)
+    return {(variable.name, label): mf.sample(x)
+            for label, mf in variable.sets.items()}
+
+
 def _degree_columns(config: FisConfig,
                     inputs: Mapping[str, float | np.ndarray]
                     ) -> tuple[dict[tuple[str, str], np.ndarray], int | None]:
@@ -257,24 +268,8 @@ def _degree_columns(config: FisConfig,
             raise ConfigError(
                 f"input variable {variable.name!r} is not a finite number"
             )
-        x = np.clip(np.atleast_1d(value), *variable.universe)
-        for label, mf in variable.sets.items():
-            degrees[(variable.name, label)] = mf.sample(x)
+        degrees.update(_memberships(variable, np.atleast_1d(value)))
     return degrees, (shape[0] if shape else None)
-
-
-def _strength_columns(config: FisConfig,
-                      inputs: Mapping[str, float | np.ndarray]
-                      ) -> tuple[list[np.ndarray], bool]:
-    """Each rule's firing strength, one per row, and whether the call was
-    scalar."""
-    memberships, rows = _degree_columns(config, inputs)
-    strengths = [
-        np.broadcast_to(fire_rule(rule, memberships, config.and_method),
-                        (1 if rows is None else rows,))
-        for rule in config.rules
-    ]
-    return strengths, rows is None
 
 
 def fuzzify(config: FisConfig, inputs: Mapping[str, float]) -> dict[tuple[str, str], float]:
@@ -381,8 +376,9 @@ def defuzzify(aggregate_set: AggregateSet, method: str = "centroid") -> float:
 
 def rule_strengths(config: FisConfig, inputs: Mapping[str, float]) -> list[float]:
     """Firing strength of every rule, in rule order."""
-    strengths, _ = _strength_columns(config, inputs)
-    return [float(column[0]) for column in strengths]
+    memberships, _ = _degree_columns(config, inputs)
+    return [float(fire_rule(rule, memberships, config.and_method)[0])
+            for rule in config.rules]
 
 
 def evaluate(config: FisConfig, inputs: Mapping[str, float | np.ndarray]
@@ -397,49 +393,59 @@ def evaluate(config: FisConfig, inputs: Mapping[str, float | np.ndarray]
     Deterministic: identical inputs yield bit-identical outputs, and any
     permutation of ``config.rules`` yields the same bits (see module notes).
     """
-    strengths, scalar = _strength_columns(config, inputs)
+    memberships, rows = _degree_columns(config, inputs)
+    strengths = [fire_rule(rule, memberships, config.and_method)
+                 for rule in config.rules]
+    crisp = _combine(config, config.rules, strengths,
+                     1 if rows is None else rows)
+    return float(crisp[0]) if rows is None else crisp
+
+
+def _combine(config: FisConfig, rules: Sequence[RuleAst],
+             strengths: Sequence[np.ndarray], rows: int) -> np.ndarray:
+    """The crisp output of each of ``rows`` rows under ``config``'s
+    operators, from each rule's strengths: a 1-D column (one implied set per
+    row) or a 2-D block (one implied set per block row), broadcast to
+    ``rows``.
+
+    Implied sets are put in canonical order once, for either path: sets
+    sorted by (label, negated), strengths ascending within a set, per row.
+    """
+    groups: dict[tuple[str, bool], list[np.ndarray]] = {}
+    for rule, strength in zip(rules, strengths):
+        block = np.atleast_2d(strength)
+        groups.setdefault((rule.consequent.label, rule.consequent.negated),
+                          []).append(np.broadcast_to(block, (len(block), rows)))
+    keys = sorted(groups)
+    ordered = [np.sort(np.concatenate(groups[key]), axis=0) for key in keys]
     if config.has_moment_form:
-        crisp = _centroid_by_moments(config, strengths)
-    else:
-        crisp = np.array([_evaluate_on_grid(config, row)
-                          for row in zip(*strengths)])
-    return float(crisp[0]) if scalar else crisp
+        return _centroid_by_moments(config, keys, ordered)
+    set_keys = [key for key, block in zip(keys, ordered) for _ in block]
+    return np.array([_evaluate_on_grid(config, set_keys, column)
+                     for column in np.concatenate(ordered).T])
 
 
-def _evaluate_on_grid(config: FisConfig, strengths: Sequence[float]) -> float:
-    """One row through imply, aggregate and defuzzify on the output grid."""
-    jobs = sorted(
-        (rule.consequent.label, rule.consequent.negated, float(strength))
-        for rule, strength in zip(config.rules, strengths)
-    )
-    implied = [
-        imply(config.consequent_samples[(label, negated)], strength,
-              config.implication)
-        for label, negated, strength in jobs
-    ]
+def _evaluate_on_grid(config: FisConfig, keys: Sequence[tuple[str, bool]],
+                      strengths: np.ndarray) -> float:
+    """One row through imply, aggregate and defuzzify on the output grid:
+    ``strengths[i]`` fires the consequent set ``keys[i]``."""
+    implied = [imply(config.consequent_samples[key], float(strength),
+                     config.implication)
+               for key, strength in zip(keys, strengths)]
     aggregated = aggregate(implied, config.aggregation, config.output.universe)
     return defuzzify(aggregated, config.defuzzification)
 
 
-def _centroid_by_moments(config: FisConfig,
-                         strengths: Sequence[np.ndarray]) -> np.ndarray:
+def _centroid_by_moments(config: FisConfig, keys: Sequence[tuple[str, bool]],
+                         ordered: Sequence[np.ndarray]) -> np.ndarray:
     """Centroid of the prod-implied, sum-aggregated set, from the grid
-    moments of each consequent set, one value per row.
-
-    Strengths are summed per consequent set in ascending order, and sets
-    are taken in sorted (label, negated) order, so the accumulation order
-    does not depend on rule order.
+    moments of each consequent set ``keys[i]``, whose strengths, ascending,
+    are the rows of ``ordered[i]``; one value per column.
     """
-    groups: dict[tuple[str, bool], list[np.ndarray]] = {}
-    for rule, strength in zip(config.rules, strengths):
-        key = (rule.consequent.label, rule.consequent.negated)
-        groups.setdefault(key, []).append(strength)
     numerator = denominator = 0.0
-    for key in sorted(groups):
-        ordered = np.stack(groups[key])
-        ordered.sort(axis=0)
-        mass = ordered[0]
-        for strength in ordered[1:]:
+    for key, block in zip(keys, ordered):
+        mass = block[0]
+        for strength in block[1:]:
             mass = mass + strength
         zeroth, first = config.consequent_moments[key]
         numerator = numerator + mass * first
@@ -450,7 +456,7 @@ def _centroid_by_moments(config: FisConfig,
         warnings.warn(
             "all-zero aggregate set; defuzzifying to the universe midpoint",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
     with np.errstate(divide="ignore", invalid="ignore"):
         crisp = np.clip(numerator / denominator, lo, hi)

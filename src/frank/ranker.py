@@ -1,13 +1,15 @@
 """Document scoring: the fuzzy-rule ranker and the tf-idf vector baseline.
 
-The fuzzy ranker is built per query from a :class:`FisTemplate`: a
-:class:`FisConfig` over the placeholder inputs ``tf``, ``idf`` and
-``overlap``, plus ``overlap_weight_ratio``.  The template's ``tf``/``idf``
-rules are cloned once per distinct query term (weighted 1/t for t terms)
-and its ``overlap`` rules are weighted a further ``overlap_weight_ratio``
-(default 1/6) below that, because overlap evidence is already partly
-carried by every per-term rule.  The operators and resolution carry over
-from the template's config unchanged.
+The fuzzy ranker reads a :class:`FisTemplate`: a :class:`FisConfig` over
+the placeholder inputs ``tf``, ``idf`` and ``overlap``, plus
+``overlap_weight_ratio``.  The paper expands it per query
+(:func:`instantiate_fis`): the ``tf``/``idf`` rules are cloned once per
+distinct query term (weighted 1/t for t terms) and the ``overlap`` rules
+are weighted a further ``overlap_weight_ratio`` (default 1/6) below that,
+because overlap evidence is already partly carried by every per-term rule.
+:func:`score_fis` instead fires the template's own rules once on the
+query's t x n feature block, so a rule's t clones are t rows of its
+strengths; it equals ``evaluate(instantiate_fis(...), ...)`` bit for bit.
 
 Both scorers share candidate generation (the union of the query terms'
 postings: documents matching no term are never scored) and the ranking
@@ -25,7 +27,9 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, QueryError
-from .fis import FisConfig, LinguisticVariable, default_variable, evaluate
+# ``evaluate`` is unused here; perfbench's traced run patches it by this name
+from .fis import (FisConfig, LinguisticVariable, _combine, _memberships,
+                  default_variable, evaluate, fire_rule)  # noqa: F401
 from .index import InvertedIndex, extract_features, idf_raw, tokenize
 from .rules import RuleAst, RuleClause, parse_rule
 
@@ -80,8 +84,10 @@ class FisTemplate:
                 )
         if not self.overlap_weight_ratio > 0:
             raise ConfigError("overlap_weight_ratio must be positive")
-        for rule in self.global_rules:  # its weight at t = 1, the largest
-            if not 0.0 < rule.weight * self.overlap_weight_ratio <= 1.0:
+        # weights at t = 1 are the largest; per-term ones equal the config's
+        at_one_term = self.query_rules(1)[len(self.per_term_rules):]
+        for rule, weighted in zip(self.global_rules, at_one_term):
+            if not 0.0 < weighted.weight <= 1.0:
                 raise ConfigError(f"overlap rule weight {rule.weight} * "
                                   "overlap_weight_ratio outside (0, 1]")
 
@@ -105,6 +111,23 @@ class FisTemplate:
     def output(self) -> LinguisticVariable:
         return self.config.output
 
+    def query_rules(self, t: int) -> tuple[RuleAst, ...]:
+        """The per-term rules, then the overlap rules, at their weights for
+        a query of ``t`` distinct terms: (rule weight) * 1/t, and a further
+        * overlap_weight_ratio for overlap rules."""
+        if t < 1:
+            raise QueryError("query has no terms to rank on")
+        term_weight = 1.0 / t
+        return tuple(
+            RuleAst(rule.antecedent, rule.consequent,
+                    rule.weight * term_weight)
+            for rule in self.per_term_rules
+        ) + tuple(
+            RuleAst(rule.antecedent, rule.consequent,
+                    rule.weight * term_weight * self.overlap_weight_ratio)
+            for rule in self.global_rules
+        )
+
 
 def default_template() -> FisTemplate:
     """The bundled relevance template.
@@ -125,44 +148,27 @@ def default_template() -> FisTemplate:
     ))
 
 
-def _rewrite_clause(clause: RuleClause, mapping: dict[str, str]) -> RuleClause:
-    new_name = mapping.get(clause.variable)
-    if new_name is None:
-        return clause
-    return RuleClause(new_name, clause.label, clause.negated)
-
-
 def instantiate_fis(template: FisTemplate, t: int) -> FisConfig:
-    """Expand a template for a query with ``t`` distinct terms.
+    """Expand a template for a query with ``t`` distinct terms, as the paper
+    does.
 
     Inputs become tf_1..tf_t, idf_1..idf_t and overlap.  Per-term rules are
     cloned per term at weight (rule weight) * 1/t; global rules get a
-    further * overlap_weight_ratio.
+    further * overlap_weight_ratio (see :meth:`FisTemplate.query_rules`).
+    :func:`score_fis` gives the same bits without building this config.
     """
-    if t < 1:
-        raise QueryError("query has no terms to rank on")
+    rules = template.query_rules(t)
+    split = len(template.per_term_rules)
     prototype = template.variable_prototype
-    inputs = [prototype.renamed(f"tf_{i}") for i in range(1, t + 1)]
-    inputs += [prototype.renamed(f"idf_{i}") for i in range(1, t + 1)]
-    inputs.append(prototype.renamed("overlap"))
-    term_weight = 1.0 / t
-    rules: list[RuleAst] = []
-    for i in range(1, t + 1):
-        mapping = {"tf": f"tf_{i}", "idf": f"idf_{i}"}
-        for rule in template.per_term_rules:
-            rules.append(RuleAst(
-                tuple(_rewrite_clause(c, mapping) for c in rule.antecedent),
-                rule.consequent,
-                rule.weight * term_weight,
-            ))
-    for rule in template.global_rules:
-        rules.append(RuleAst(
-            rule.antecedent,
-            rule.consequent,
-            rule.weight * term_weight * template.overlap_weight_ratio,
-        ))
+    inputs = [prototype.renamed(f"{name}_{i}") for name in ("tf", "idf")
+              for i in range(1, t + 1)] + [prototype.renamed("overlap")]
+    # a per-term rule mentions only tf and idf, each renamed to term i's
+    expanded = [RuleAst(tuple(RuleClause(f"{c.variable}_{i}", c.label,
+                                         c.negated) for c in rule.antecedent),
+                        rule.consequent, rule.weight)
+                for i in range(1, t + 1) for rule in rules[:split]]
     return dataclasses.replace(template.config, inputs=tuple(inputs),
-                               rules=tuple(rules))
+                               rules=tuple(expanded) + rules[split:])
 
 
 class RankedEntry(NamedTuple):
@@ -211,24 +217,29 @@ def _to_ranked_list(index: InvertedIndex, query_id: str,
 
 def score_fis(index: InvertedIndex, template: FisTemplate, query_text: str,
               k: int = DEFAULT_CUTOFF, query_id: str = "1") -> RankedList:
-    """Rank candidate documents with the instantiated fuzzy system.
+    """Rank candidate documents with the template's fuzzy rules.
 
     Per candidate, the inputs are tf_norm/idf_norm per distinct query term
     (tf 0 for terms the document lacks, idf 0 for terms the corpus lacks)
-    plus the overlap fraction.  All candidates are scored in one call of
-    :func:`evaluate`, one row each.
+    plus the overlap fraction.  The template's rules, at their per-query
+    weights, fire once on tf as a terms x candidates matrix, idf as a terms
+    x 1 column and overlap as one row; each score equals
+    ``evaluate(instantiate_fis(template, t), ...)`` bit for bit.
     """
     terms = _distinct_query_terms(query_text)
-    config = instantiate_fis(template, len(terms))
+    rules = template.query_rules(len(terms))
     candidates = _candidates(index, terms)
     features = extract_features(index, terms, candidates)
-    inputs: dict[str, float | np.ndarray] = {"overlap": features.overlap}
-    for i, (tf_values, idf_value) in enumerate(
-            zip(features.tf, features.idf), start=1):
-        inputs[f"tf_{i}"] = tf_values
-        inputs[f"idf_{i}"] = idf_value
-    return _to_ranked_list(index, query_id, candidates,
-                           evaluate(config, inputs), k)
+    block = {"tf": features.tf, "idf": np.array(features.idf)[:, None],
+             "overlap": features.overlap}
+    config = template.config
+    memberships = {}
+    for variable in config.inputs:
+        memberships.update(_memberships(variable, block[variable.name]))
+    strengths = [fire_rule(rule, memberships, config.and_method)
+                 for rule in rules]
+    scores = _combine(config, rules, strengths, len(candidates))
+    return _to_ranked_list(index, query_id, candidates, scores, k)
 
 
 def score_baseline(index: InvertedIndex, query_text: str,

@@ -6,6 +6,7 @@ import struct
 import pytest
 
 from frank.cli import main
+from frank.evaluation import evaluate_run, format_report, load_qrels, load_run
 from frank.fis import MAX_RESOLUTION
 from frank.index import Document, build_index
 
@@ -282,28 +283,38 @@ class TestSearch:
         assert out == ""
         assert err == f"frank: error: {flag} must be one word, got {value!r}\n"
 
-    def test_resolution_override_changes_scores(self, capsys, index_path,
-                                                data_dir, monkeypatch):
+    def test_template_resolution_changes_scores(self, capsys, index_path,
+                                                data_dir, tmp_path):
+        template = data_dir / "template_default.cfg"
+        coarse = tmp_path / "coarse.cfg"
+        coarse.write_text(template.read_text().replace(
+            "resolution 1001", "resolution 51"))
         argv = ["search", "--index", str(index_path), "--ranker", "fis",
-                "--template", str(data_dir / "template_default.cfg"),
-                "--query", "banana bread flour", "--topic", "102"]
-        _, default_out, _ = run_cli(capsys, argv)
-        monkeypatch.setenv("FRANK_RESOLUTION", "51")
-        _, coarse_out, _ = run_cli(capsys, argv)
+                "--query", "banana bread flour", "--topic", "102",
+                "--template"]
+        _, default_out, _ = run_cli(capsys, argv + [str(template)])
+        _, coarse_out, _ = run_cli(capsys, argv + [str(coarse)])
         assert default_out != coarse_out
         # same candidates and ordering, different decimals
         assert [l.split()[2] for l in default_out.splitlines()] == \
             [l.split()[2] for l in coarse_out.splitlines()]
 
-    def test_bad_resolution_override_exits_1(self, capsys, index_path,
-                                             data_dir, monkeypatch):
-        monkeypatch.setenv("FRANK_RESOLUTION", "banana")
-        rc, _, err = run_cli(capsys, [
-            "search", "--index", str(index_path), "--ranker", "fis",
-            "--template", str(data_dir / "template_default.cfg"),
-            "--query", "river"])
-        assert rc == 1
-        assert "FRANK_RESOLUTION" in err
+    def test_resolution_environment_variable_is_ignored(
+            self, capsys, index_path, data_dir, monkeypatch):
+        commands = (
+            ["search", "--index", str(index_path), "--ranker", "fis",
+             "--template", str(data_dir / "template_default.cfg"),
+             "--query", "banana bread flour"],
+            ["fis-eval", "--config", str(data_dir / "fis_basic.cfg"),
+             "--in", "tf=0.7", "--in", "idf=0.6"],
+        )
+        for argv in commands:
+            monkeypatch.delenv("FRANK_RESOLUTION", raising=False)
+            plain = run_cli(capsys, argv)
+            assert plain[0] == 0
+            for value in ("banana", str(MAX_RESOLUTION + 1)):
+                monkeypatch.setenv("FRANK_RESOLUTION", value)
+                assert run_cli(capsys, argv) == plain
 
     def test_template_error_exits_2_before_searching(self, capsys, index_path,
                                                       data_dir, tmp_path):
@@ -368,6 +379,21 @@ class TestEvalAndDiff:
             "--qrels", str(data_dir / "qrels20.txt")])
         assert rc == 0
         assert out == (golden_dir / "report_diff.txt").read_text()
+
+    def test_topic_without_relevant_documents_warns_on_one_line(
+            self, capsys, tmp_path, data_dir, golden_dir):
+        qrels = tmp_path / "qrels.txt"
+        qrels.write_text((data_dir / "qrels20.txt").read_text().replace(
+            "102 0 d03 1", "102 0 d03 0"))
+        run = golden_dir / "run_fis.txt"
+        with pytest.warns(UserWarning):
+            report = evaluate_run(load_run(run), load_qrels(qrels))
+        rc, out, err = run_cli(capsys, [
+            "eval", "--run", str(run), "--qrels", str(qrels)])
+        assert rc == 0
+        assert out == format_report(report, "rfis")
+        assert err == ("frank: warning: topic(s) with no relevant documents "
+                       "excluded from averages: 102\n")
 
     def test_diff_with_itself_is_all_zero(self, capsys, data_dir, golden_dir):
         rc, out, _ = run_cli(capsys, [
@@ -448,24 +474,43 @@ class TestFisEval:
         assert out == ""
         assert err == f"frank: error: --in tf: not a finite number: {value!r}\n"
 
-    def test_resolution_override_applies(self, capsys, data_dir, monkeypatch):
-        argv = ["fis-eval", "--config", str(data_dir / "fis_basic.cfg"),
-                "--in", "tf=0.7", "--in", "idf=0.6"]
-        monkeypatch.setenv("FRANK_RESOLUTION", "100001")
-        _, fine, _ = run_cli(capsys, argv)
+    def test_config_resolution_applies(self, capsys, data_dir, tmp_path):
+        config = tmp_path / "fine.cfg"
+        config.write_text((data_dir / "fis_basic.cfg").read_text().replace(
+            "resolution 1001", "resolution 100001"))
+        _, fine, _ = run_cli(capsys, [
+            "fis-eval", "--config", str(config),
+            "--in", "tf=0.7", "--in", "idf=0.6"])
         # converges toward the continuous centroid 0.592593
         assert fine == "crisp 0.592594\n"
 
-    def test_resolution_override_above_bound_exits_1(self, capsys, data_dir,
-                                                      monkeypatch):
-        monkeypatch.setenv("FRANK_RESOLUTION", str(MAX_RESOLUTION + 1))
+    def test_all_zero_aggregate_warns_on_one_line(self, capsys, data_dir):
         rc, out, err = run_cli(capsys, [
             "fis-eval", "--config", str(data_dir / "fis_basic.cfg"),
-            "--in", "tf=0.7", "--in", "idf=0.6"])
-        assert rc == 1
+            "--in", "tf=1", "--in", "idf=0"])
+        assert rc == 0
+        assert out == "crisp 0.500000\n"
+        assert err == ("frank: warning: all-zero aggregate set; "
+                       "defuzzifying to the universe midpoint\n")
+
+    @pytest.mark.parametrize("section, universe", [
+        ("[output relevance]", "0 inf"),
+        ("[output relevance]", "-1e308 1e308"),
+        ("[variable tf]", "0 inf"),
+    ])
+    def test_non_finite_universe_exits_2(self, capsys, data_dir, tmp_path,
+                                         section, universe):
+        config = tmp_path / "system.cfg"
+        config.write_text((data_dir / "fis_basic.cfg").read_text().replace(
+            f"{section}\nuniverse 0 1", f"{section}\nuniverse {universe}"))
+        rc, out, err = run_cli(capsys, [
+            "fis-eval", "--config", str(config),
+            "--in", "tf=0.5", "--in", "idf=0.5"])
+        assert rc == 2
         assert out == ""
-        assert err == (f"frank: error: FRANK_RESOLUTION must be <= "
-                       f"{MAX_RESOLUTION}, got {MAX_RESOLUTION + 1}\n")
+        assert err.startswith("frank: error: ")
+        assert "finite hi - lo" in err
+        assert err.count("\n") == 1
 
 
 class TestMfData:
@@ -501,6 +546,15 @@ class TestMfData:
             "--var", "nothere", "--samples", "3"])
         assert rc == 1
         assert "nothere" in err
+
+    def test_samples_above_bound_exits_1(self, capsys, data_dir):
+        rc, out, err = run_cli(capsys, [
+            "mf-data", "--config", str(data_dir / "fis_basic.cfg"),
+            "--var", "tf", "--samples", str(MAX_RESOLUTION + 1)])
+        assert rc == 1
+        assert out == ""
+        assert err == (f"frank: error: --samples must lie between 2 and "
+                       f"{MAX_RESOLUTION}, got {MAX_RESOLUTION + 1}\n")
 
 
 class TestUsage:

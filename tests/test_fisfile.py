@@ -89,6 +89,18 @@ if (x is bell) -> (y is high)
         expected_line = BASIC.count("\n") + len(appended)
         assert f"line {expected_line}" in str(excinfo.value)
 
+    @pytest.mark.parametrize("section, universe", [
+        ("[output relevance]", "0 inf"),
+        ("[output relevance]", "-1e308 1e308"),  # finite bounds, width inf
+        ("[variable tf]", "0 inf"),
+    ])
+    def test_universe_must_be_finite(self, section, universe):
+        text = BASIC.replace(f"{section}\nuniverse 0 1",
+                             f"{section}\nuniverse {universe}")
+        assert text != BASIC
+        with pytest.raises(ConfigError, match="finite hi - lo"):
+            parse_fis_config(text)
+
     def test_resolution_bound(self):
         """Checked at construction; no grid is sampled for either value."""
         config = parse_fis_config(

@@ -8,8 +8,10 @@ import random
 import numpy as np
 import pytest
 
+import frank.ranker
 from frank.errors import QueryError
-from frank.fis import evaluate
+from frank.evaluation import format_run, run_from_ranked
+from frank.fis import FisConfig, LinguisticVariable, evaluate
 from frank.index import (Document, build_index, extract_features, idf_raw,
                          read_corpus_jsonl, tokenize)
 from frank.ranker import (FisTemplate, RankedEntry, RankedList,
@@ -300,6 +302,36 @@ def random_index():
     ])
 
 
+def template_variant(rules=None, ratio=None, **operators):
+    """The default template with other operators, rules or overlap ratio."""
+    base = default_template()
+    config = dataclasses.replace(
+        base.config, **operators,
+        rules=base.config.rules if rules is None else
+        tuple(parse_rule(rule) for rule in rules))
+    return FisTemplate(config, base.overlap_weight_ratio
+                       if ratio is None else ratio)
+
+
+# the moment path, the grid path under non-default operators, and weights
+# that are not 1, on rules over tf alone and idf alone too
+TEMPLATES = {
+    "default": default_template(),
+    "min_max": template_variant(implication="min", aggregation="max"),
+    "bisector": template_variant(defuzzification="bisector"),
+    "and_min": template_variant(and_method="min"),
+    "weighted": template_variant(ratio=0.37, rules=(
+        "if (tf is high) and (idf is high) -> (relevance is high) weight 0.3",
+        "if (tf is not high) and (idf is not high) -> (relevance is not high)"
+        " weight 0.7",
+        "if (tf is high) -> (relevance is high) weight 0.7",
+        "if (idf is not high) -> (relevance is not high) weight 0.3",
+        "if (overlap is high) -> (relevance is high) weight 0.7",
+        "if (overlap is not high) -> (relevance is not high) weight 0.3",
+    )),
+}
+
+
 class TestColumnScoring:
     QUERIES = ("river flood levee", "banana bread flour", "ice",
                "river flood levee ice water", "ice nosuchterm")
@@ -311,21 +343,60 @@ class TestColumnScoring:
         index = random_index()
         yield from ((index, query) for query in self.RANDOM_QUERIES)
 
-    def test_each_fis_score_is_evaluate_on_its_features(self, index20,
-                                                        template):
-        for index, query in self.cases(index20):
-            terms = list(dict.fromkeys(tokenize(query)))
-            config = instantiate_fis(template, len(terms))
-            ranked = score_fis(index, template, query)
-            assert ranked.entries
-            for entry in ranked.entries:
-                ordinal = index.ordinal_of(entry.doc_id)
-                features = extract_features(index, terms, [ordinal])
-                inputs = {"overlap": float(features.overlap[0])}
-                for i, term in enumerate(terms):
-                    inputs[f"tf_{i + 1}"] = float(features.tf[i, 0])
-                    inputs[f"idf_{i + 1}"] = features.idf[i]
-                assert entry.score == evaluate(config, inputs)
+    def test_each_fis_score_is_evaluate_on_its_features(self, index20):
+        """score_fis equals the paper's per-query expansion, one candidate
+        at a time, bit for bit, under every template."""
+        for name, template in TEMPLATES.items():
+            for index, query in self.cases(index20):
+                terms = list(dict.fromkeys(tokenize(query)))
+                config = instantiate_fis(template, len(terms))
+                ranked = score_fis(index, template, query)
+                assert ranked.entries
+                for entry in ranked.entries:
+                    ordinal = index.ordinal_of(entry.doc_id)
+                    features = extract_features(index, terms, [ordinal])
+                    inputs = {"overlap": float(features.overlap[0])}
+                    for i, term in enumerate(terms):
+                        inputs[f"tf_{i + 1}"] = float(features.tf[i, 0])
+                        inputs[f"idf_{i + 1}"] = features.idf[i]
+                    assert entry.score == evaluate(config, inputs), \
+                        (name, query, entry.doc_id)
+
+    def test_scores_without_building_a_config(self, index20, monkeypatch):
+        template = TEMPLATES["weighted"]
+        query = "river flood levee ice water"
+        want = score_fis(index20, template, query)
+
+        def refuse(*args):
+            raise AssertionError("instantiate_fis called")
+
+        built = []
+
+        def counting(cls):
+            original = cls.__post_init__
+
+            def post_init(self):
+                built.append(self)
+                original(self)
+            return post_init
+
+        monkeypatch.setattr(frank.ranker, "instantiate_fis", refuse)
+        for cls in (FisConfig, LinguisticVariable):
+            monkeypatch.setattr(cls, "__post_init__", counting(cls))
+        assert score_fis(index20, template, query) == want
+        assert built == []
+
+    def test_rule_order_leaves_run_bytes_alone(self, index20):
+        for template in TEMPLATES.values():
+            reversed_rules = FisTemplate(
+                dataclasses.replace(template.config,
+                                    rules=template.config.rules[::-1]),
+                template.overlap_weight_ratio)
+            runs = [format_run(run_from_ranked(
+                [score_fis(index20, t, query, query_id=str(number))
+                 for number, query in enumerate(self.QUERIES)], "t"))
+                for t in (template, reversed_rules)]
+            assert runs[0] == runs[1]
 
     def test_baseline_equals_per_document_loop(self, index20):
         for index, query in self.cases(index20):
@@ -338,6 +409,8 @@ class TestColumnScoring:
     def test_query_matching_no_document_ranks_nothing(self, index20,
                                                       template):
         assert score_fis(index20, template, "nosuchterm").entries == ()
+        assert score_fis(index20, TEMPLATES["min_max"],
+                         "nosuchterm").entries == ()
         assert score_baseline(index20, "nosuchterm").entries == ()
 
 
