@@ -283,7 +283,7 @@ class TestSearch:
         assert out == ""
         assert err == f"frank: error: {flag} must be one word, got {value!r}\n"
 
-    def test_template_resolution_changes_scores(self, capsys, index_path,
+    def test_resolution_override_changes_scores(self, capsys, index_path,
                                                 data_dir, tmp_path):
         template = data_dir / "template_default.cfg"
         coarse = tmp_path / "coarse.cfg"
@@ -474,7 +474,7 @@ class TestFisEval:
         assert out == ""
         assert err == f"frank: error: --in tf: not a finite number: {value!r}\n"
 
-    def test_config_resolution_applies(self, capsys, data_dir, tmp_path):
+    def test_resolution_override_applies(self, capsys, data_dir, tmp_path):
         config = tmp_path / "fine.cfg"
         config.write_text((data_dir / "fis_basic.cfg").read_text().replace(
             "resolution 1001", "resolution 100001"))
