@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FrankError, QueryError, RunFormatError, UsageError
+from .errors import (FrankError, QueryError, RunFormatError, UsageError,
+                     read_text)
 from .evaluation import (diff_runs, evaluate_run, format_diff, format_report,
                          format_run, load_qrels, load_run, report_jsonl,
                          run_from_ranked)
@@ -47,7 +48,7 @@ def cmd_index(args) -> int:
 def _read_queries_tsv(path: str) -> list[tuple[str, str]]:
     queries = []
     for number, raw in enumerate(
-            Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+            read_text(path, RunFormatError).splitlines(), start=1):
         if not raw.strip():
             continue
         topic, sep, text = raw.partition("\t")

@@ -1,4 +1,5 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package, and the one reader of
+text input files.
 
 ``UsageError`` (and its subclasses) marks bad invocations: the CLI maps it
 to exit code 1.  Every other ``FrankError`` is a data or format problem and
@@ -6,6 +7,8 @@ maps to exit code 2.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 
 class FrankError(Exception):
@@ -48,3 +51,25 @@ class RunFormatError(FrankError):
 
 class EvalError(FrankError):
     """Evaluation cannot proceed: topic mismatch, no relevant documents."""
+
+
+def read_text(path: str | Path, error: type[FrankError]) -> str:
+    """A UTF-8 text file's contents, with ``\\r\\n`` and ``\\r`` read as
+    ``\\n``, as ``Path.read_text(encoding="utf-8")`` reads them.
+
+    Invalid UTF-8 raises ``error`` with the line, as ``str.splitlines``
+    numbers the text before it, and the byte within that line.
+    """
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = _universal_newlines(data[:exc.start].decode("utf-8"))
+        lines = (head + "?").splitlines()
+        raise error(f"invalid UTF-8 at byte {len(lines[-1].encode()) - 1}",
+                    line=len(lines)) from None
+    return _universal_newlines(text)
+
+
+def _universal_newlines(text: str) -> str:
+    return text.replace("\r\n", "\n").replace("\r", "\n")

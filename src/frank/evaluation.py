@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .errors import EvalError, RunFormatError
+from .errors import EvalError, RunFormatError, read_text
 from .ranker import RankedList
 
 
@@ -120,7 +120,7 @@ def parse_qrels(text: str) -> Qrels:
 
 
 def load_qrels(path: str | Path) -> Qrels:
-    return parse_qrels(Path(path).read_text(encoding="utf-8"))
+    return parse_qrels(read_text(path, RunFormatError))
 
 
 def parse_run(text: str) -> RunFile:
@@ -182,7 +182,7 @@ def parse_run(text: str) -> RunFile:
 
 
 def load_run(path: str | Path) -> RunFile:
-    return parse_run(Path(path).read_text(encoding="utf-8"))
+    return parse_run(read_text(path, RunFormatError))
 
 
 def format_run(run: RunFile) -> str:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, read_text
 from .fis import (AGGREGATIONS, AND_METHODS, DEFUZZIFICATIONS, IMPLICATIONS,
                   MAX_RESOLUTION, FisConfig, LinguisticVariable)
 from .membership import MembershipFunction
@@ -62,7 +62,10 @@ class _VariableDraft:
             raise ConfigError(
                 f"variable {self.name!r} has no sets", line=self.line
             )
-        return LinguisticVariable(self.name, self.universe, self.sets)
+        try:
+            return LinguisticVariable(self.name, self.universe, self.sets)
+        except ConfigError as exc:
+            raise ConfigError(str(exc), line=self.line) from None
 
 
 def _parse_floats(values: list[str], line: int) -> list[float]:
@@ -218,11 +221,11 @@ def parse_template(text: str) -> FisTemplate:
 
 
 def load_fis_config(path: str | Path) -> FisConfig:
-    return parse_fis_config(Path(path).read_text(encoding="utf-8"))
+    return parse_fis_config(read_text(path, ConfigError))
 
 
 def load_template(path: str | Path) -> FisTemplate:
-    return parse_template(Path(path).read_text(encoding="utf-8"))
+    return parse_template(read_text(path, ConfigError))
 
 
 def _format_variable(header: str, variable: LinguisticVariable) -> list[str]:

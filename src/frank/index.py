@@ -14,24 +14,33 @@ uint32 and strings length-prefixed UTF-8::
     b"FRIX1" 1 N (doc_id token_count max_tf)*N T (token df (ordinal tf)*df)*T
 
 Tokens ascend, and so do each token's doc ordinals: the bytes are a
-canonical function of the contents.  The one constructor checks the bytes
-once (see :class:`InvertedIndex`) and decodes their headers into a token ->
-(df, offset) table, the doc ids and per-document arrays; a token's postings
-are read-only ``np.frombuffer`` views of the bytes, never copies.
+canonical function of the contents.  :func:`build_index` writes them by
+sorting every (token, document) occurrence at once, not by growing a list
+per token.  The one constructor checks the bytes once (see
+:class:`InvertedIndex`): one sequential pass over the length prefixes
+finds every doc id and token, which are then decoded and checked in bulk,
+into a token -> (df, offset) table, the doc ids and per-document arrays
+gathered from the bytes in one step.  A token's postings are read-only
+``np.frombuffer`` views of the bytes, never copies.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import operator
 import re
 import struct
-from collections import Counter, defaultdict
-from dataclasses import dataclass
+from array import array
+from collections import defaultdict
+from dataclasses import dataclass, field
+from itertools import compress, count
 from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CorpusError, IndexFormatError, QueryError
 
@@ -42,7 +51,7 @@ STOPWORDS = frozenset((
     "on", "or", "that", "the", "this", "to", "was", "were", "will", "with",
 ))
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+", re.ASCII)
+_TOKEN_RE = re.compile(r"[a-z0-9]{2,}", re.ASCII)
 
 _MAGIC = b"FRIX1"
 _VERSION = 1
@@ -57,6 +66,8 @@ _TRUNCATED = "truncated index file"
 class Document:
     doc_id: str
     text: str
+    #: the corpus line the document came from, for error messages
+    line: int | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -79,8 +90,7 @@ class QueryFeatures:
 
 def tokenize(text: str) -> list[str]:
     """Split text into index tokens under the fixed policy above."""
-    words = _TOKEN_RE.findall(text.lower())
-    return [w for w in words if len(w) >= 2 and w not in STOPWORDS]
+    return [w for w in _TOKEN_RE.findall(text.lower()) if w not in STOPWORDS]
 
 
 def _u32(data: bytes, offset: int) -> tuple[int, int]:
@@ -90,21 +100,69 @@ def _u32(data: bytes, offset: int) -> tuple[int, int]:
     return _UINT.unpack_from(data, offset)[0], offset + 4
 
 
-def _string(data: bytes, offset: int, what: str,
-            trailer: int) -> tuple[bytes, str, int]:
-    """The length-prefixed string at ``offset``, raw and decoded, and the
-    offset after it; ``trailer`` more bytes must follow it."""
-    length, start = _u32(data, offset)
-    stop = start + length
-    if stop + trailer > len(data):
-        raise IndexFormatError(_TRUNCATED)
-    raw = data[start:stop]
-    try:
-        return raw, raw.decode("utf-8"), stop
-    except UnicodeDecodeError:
+def _scan(data: bytes, offset: int, records: int,
+          postings: bool) -> tuple[np.ndarray, np.ndarray, int, bool]:
+    """One pass over ``records`` records from ``offset`` on, each a
+    length-prefixed string followed by a document's 8 bytes of statistics
+    or, with ``postings``, by a token's df and its df postings of 8 bytes.
+
+    Returns where each record's string starts and stops, the offset after
+    the last record and whether the bytes ran out first.  A token whose
+    postings run out is still returned, so that its own checks come
+    before the truncation, as they do in byte order.
+    """
+    unpack = _UINT.unpack_from
+    size = len(data)
+    trailer = 4 if postings else 8
+    starts = array("q")
+    truncated = True
+    for _ in range(records):
+        start = offset + 4
+        if start > size:
+            break
+        offset = start + unpack(data, offset)[0] + trailer
+        if offset > size:
+            break
+        starts.append(start)
+        if postings:
+            offset += 8 * unpack(data, offset - 4)[0]
+            if offset > size:
+                break
+    else:
+        truncated = False
+    begin = np.frombuffer(starts, np.int64)
+    return begin, begin + _gather(data, begin - 4, 4)[:, 0], offset, truncated
+
+
+def _gather(data: bytes, positions: np.ndarray, width: int) -> np.ndarray:
+    """The ``width`` bytes at each of ``positions``, as rows of uint32."""
+    return sliding_window_view(np.frombuffer(data, np.uint8), width)[
+        positions].view(_U32)
+
+
+def _decode(data: bytes, starts: np.ndarray,
+            stops: np.ndarray) -> list[str]:
+    """The UTF-8 strings from ``starts`` to ``stops``, up to the first
+    that is not UTF-8."""
+    decoded: list[str] = []
+    for start, stop in zip(starts.tolist(), stops.tolist()):
+        try:
+            decoded.append(data[start:stop].decode("utf-8"))
+        except UnicodeDecodeError:
+            break
+    return decoded
+
+
+def _check_complete(starts: np.ndarray, decoded: list[str], truncated: bool,
+                    what: str) -> None:
+    """Raise for the first string that is not UTF-8, else for bytes that
+    ran out before the last record."""
+    if len(decoded) < len(starts):
         raise IndexFormatError(
-            f"corrupt index: {what} at byte {start} is not valid UTF-8"
-        ) from None
+            f"corrupt index: {what} at byte {starts[len(decoded)]} is not "
+            f"valid UTF-8")
+    if truncated:
+        raise IndexFormatError(_TRUNCATED)
 
 
 class InvertedIndex:
@@ -118,7 +176,9 @@ class InvertedIndex:
     length fits the bytes with none left over, doc ids and tokens are
     UTF-8, doc ids unique, tokens strictly ascending, each df and tf >= 1,
     each token's doc ordinals < N and strictly ascending, and each
-    document's max term frequency the maximum over its postings.
+    document's max term frequency the maximum over its postings.  Where
+    the bytes break several of these, the first break in byte order is
+    the one reported.
     """
 
     def __init__(self, data: bytes):
@@ -131,43 +191,48 @@ class InvertedIndex:
         # that passes these checks can size a large allocation
         if n_docs > (len(data) - offset) // 12:
             raise IndexFormatError(_TRUNCATED)
-        ordinals: dict[str, int] = {}
-        stats = bytearray()
-        for ordinal in range(n_docs):
-            _, doc_id, offset = _string(data, offset, "doc id", 8)
-            if ordinals.setdefault(doc_id, ordinal) != ordinal:
-                raise IndexFormatError(
-                    f"corrupt index: duplicate doc id {doc_id!r}")
-            stats += data[offset:offset + 8]
-            offset += 8
+        starts, stops, offset, truncated = _scan(data, offset, n_docs, False)
+        doc_ids = _decode(data, starts, stops)
+        ordinals = dict(zip(doc_ids, range(n_docs)))
+        if len(ordinals) < len(doc_ids):
+            seen: set[str] = set()
+            duplicate = next(doc_id for doc_id in doc_ids
+                             if doc_id in seen or seen.add(doc_id))
+            raise IndexFormatError(
+                f"corrupt index: duplicate doc id {duplicate!r}")
+        _check_complete(starts, doc_ids, truncated, "doc id")
+        per_doc = _gather(data, stops, 8)
+
         n_terms, offset = _u32(data, offset)
         if n_terms > (len(data) - offset) // 8:
             raise IndexFormatError(_TRUNCATED)
-        terms: dict[str, tuple[int, int]] = {}
-        previous = None
-        for _ in range(n_terms):
-            raw, token, offset = _string(data, offset, "token", 4)
-            if previous is not None and raw <= previous:
+        starts, stops, offset, truncated = _scan(data, offset, n_terms, True)
+        tokens = _decode(data, starts, stops)
+        dfs = _gather(data, stops, 4)[:, 0]
+        # UTF-8 keeps code point order, so the strings compare as the bytes
+        unordered = next(compress(count(1), map(
+            operator.ge, tokens, tokens[1:])), len(tokens))
+        empty = np.flatnonzero(dfs == 0)
+        first = min(unordered, empty[0] if empty.size else len(tokens))
+        if first < len(tokens):
+            token = tokens[first]
+            if first == unordered:
+                problem = ("a duplicate" if token == tokens[first - 1]
+                           else "out of order")
                 raise IndexFormatError(
-                    f"corrupt index: token {token!r} is "
-                    f"{'a duplicate' if raw == previous else 'out of order'}")
-            previous = raw
-            df, offset = _u32(data, offset)
-            if df == 0:
-                raise IndexFormatError(
-                    f"corrupt index: token {token!r} has no postings")
-            if offset + 8 * df > len(data):
-                raise IndexFormatError(_TRUNCATED)
-            terms[token] = (df, offset)
-            offset += 8 * df
+                    f"corrupt index: token {token!r} is {problem}")
+            raise IndexFormatError(
+                f"corrupt index: token {token!r} has no postings")
+        _check_complete(starts, tokens, truncated, "token")
         if offset != len(data):
             raise IndexFormatError("trailing bytes after index data")
 
-        per_doc = np.frombuffer(bytes(stats), _U32).reshape(n_docs, 2)
+        per_doc.flags.writeable = False
         self._data = data
-        self._terms = terms
+        self._terms: dict[str, tuple[int, int]] = dict(zip(
+            tokens, zip(dfs.tolist(), (stops + 4).tolist())))
         self._ordinals = ordinals
-        self.doc_ids: tuple[str, ...] = tuple(ordinals)
+        self.doc_ids: tuple[str, ...] = tuple(doc_ids)
         #: Each document's token count and max term frequency, by ordinal.
         self.token_counts = per_doc[:, 0]
         self.max_term_frequencies = per_doc[:, 1]
@@ -184,7 +249,7 @@ class InvertedIndex:
         data = self._data
         ordinal, tf = np.frombuffer(
             b"".join(data[at:at + 8 * df] for df, at in self._terms.values()),
-            _U32).reshape(-1, 2).astype(np.int64).T
+            _U32).reshape(-1, 2).T
         ends = np.cumsum([df for df, _ in self._terms.values()], dtype=np.intp)
 
         def fail(position: int, problem: str):
@@ -196,11 +261,11 @@ class InvertedIndex:
                          f"of an index of {self.total_docs} documents")
         if (bad := np.flatnonzero(tf == 0)).size:
             fail(bad[0], "has a posting with term frequency 0")
-        steps = np.diff(ordinal)
-        steps[ends[:-1] - 1] = 1  # a token's first posting may go anywhere
-        if (bad := np.flatnonzero(steps <= 0)).size:
+        unordered = ordinal[1:] <= ordinal[:-1]
+        unordered[ends[:-1] - 1] = False  # a token's first posting is free
+        if (bad := np.flatnonzero(unordered)).size:
             fail(bad[0] + 1, "has postings out of doc ordinal order")
-        observed = np.zeros(self.total_docs, np.int64)
+        observed = np.zeros(self.total_docs, _U32)
         np.maximum.at(observed, ordinal, tf)
         if (bad := np.flatnonzero(observed != self.max_term_frequencies)).size:
             raise IndexFormatError(
@@ -267,45 +332,109 @@ class InvertedIndex:
         return cls.from_bytes(Path(path).read_bytes())
 
 
+def _doc_id_bytes(document: Document, seen: set[str]) -> bytes:
+    """The next document's doc id as UTF-8, checked: non-empty, free of
+    whitespace (run files split their fields on it) and unique."""
+    doc_id = document.doc_id
+    if not doc_id or any(map(str.isspace, doc_id)):
+        raise CorpusError(f"doc_id {doc_id!r} is empty or contains "
+                          "whitespace", line=document.line)
+    if doc_id in seen:
+        raise CorpusError(f"duplicate doc_id {doc_id!r}", line=document.line)
+    seen.add(doc_id)
+    try:
+        return doc_id.encode("utf-8")
+    except UnicodeEncodeError:
+        raise CorpusError(f"doc_id {doc_id!r} is not valid Unicode",
+                          line=document.line) from None
+
+
 def build_index(corpus: Iterable[Document]) -> InvertedIndex:
     """Build an index from a document stream.
 
     Deterministic given input order.  Doc ids are unique, non-empty and
-    free of whitespace (run files split their fields on it).  Documents
-    whose tokenization is empty stay in the document table and count
-    toward the corpus size.
+    free of whitespace; a document read by :func:`read_corpus_jsonl` that
+    breaks this fails with its line.  Documents whose tokenization is
+    empty stay in the document table and count toward the corpus size.
+
+    The inversion sorts instead of merging per-token lists (Witten, Moffat
+    & Bell, *Managing Gigabytes*, ch. 5): every token of every document
+    becomes an id of one vocabulary in one int32 column, and one
+    ``np.unique`` over term rank * N + doc ordinal yields each posting, in
+    FRIX1 order, with its term frequency.  ``np.bincount`` gives the dfs
+    and ``np.maximum.at`` each document's max term frequency.
     """
-    docs: list[bytes] = []
+    return InvertedIndex(_invert(corpus))
+
+
+def _invert(corpus: Iterable[Document]) -> bytes:
+    """The FRIX1 bytes of a document stream, for :func:`build_index`, whose
+    constructor then runs after every column here has been freed."""
+    # ids 0 .. len(STOPWORDS) - 1 are the stopwords', dropped below
+    next_id = count()
+    vocabulary = defaultdict(next_id.__next__, zip(STOPWORDS, next_id))
+    find = _TOKEN_RE.findall
+    words = array("i")  # every document's token ids, one after another
+    lengths = array("i")  # how many of them each document has
+    doc_ids: list[bytes] = []
     seen: set[str] = set()
-    occurrences: dict[str, list[int]] = defaultdict(list)  # ordinal, tf, ...
     for document in corpus:
-        if not document.doc_id or any(map(str.isspace, document.doc_id)):
-            raise CorpusError(f"doc_id {document.doc_id!r} is empty or "
-                              "contains whitespace")
-        if document.doc_id in seen:
-            raise CorpusError(f"duplicate doc_id {document.doc_id!r}")
-        seen.add(document.doc_id)
-        ordinal = len(docs)
-        counts = Counter(tokenize(document.text))
-        try:
-            raw = document.doc_id.encode("utf-8")
-        except UnicodeEncodeError:
-            raise CorpusError(
-                f"doc_id {document.doc_id!r} is not valid Unicode") from None
-        docs.append(_UINT.pack(len(raw)) + raw + _PAIR.pack(
-            sum(counts.values()), max(counts.values(), default=0)))
-        for token, tf in counts.items():
-            occurrences[token].extend((ordinal, tf))
-    if not docs:
+        doc_ids.append(_doc_id_bytes(document, seen))
+        before = len(words)
+        words.extend(map(vocabulary.__getitem__, find(document.text.lower())))
+        lengths.append(len(words) - before)
+    if not doc_ids:
         raise CorpusError("empty corpus")
-    parts = [_MAGIC, bytes((_VERSION,)), _UINT.pack(len(docs)), *docs,
-             _UINT.pack(len(occurrences))]
-    for token in sorted(occurrences):
-        raw = token.encode("utf-8")
-        postings = occurrences[token]
-        parts += (_UINT.pack(len(raw)), raw, _UINT.pack(len(postings) // 2),
-                  np.array(postings, _U32).tobytes())
-    return InvertedIndex(b"".join(parts))
+    n_docs = len(doc_ids)
+
+    ids = np.frombuffer(words, np.int32)
+    ordinals = np.repeat(np.arange(n_docs, dtype=np.uint32), lengths)
+    kept = ids >= len(STOPWORDS)
+    ids, ordinals = ids[kept], ordinals[kept]
+    del words, kept
+    token_counts = np.bincount(ordinals, minlength=n_docs)
+    names = list(vocabulary)
+    order = sorted(range(len(STOPWORDS), len(names)), key=names.__getitem__)
+    n_terms = len(order)
+    key_type = np.uint32 if n_terms * n_docs <= 1 << 32 else np.uint64
+    ranks = np.zeros(len(names), key_type)
+    ranks[order] = np.arange(n_terms, dtype=key_type)
+    keys = ranks[ids]
+    keys *= n_docs
+    keys += ordinals
+    del ids, ordinals
+    keys, frequencies = np.unique(keys, return_counts=True)
+    terms, ordinals = np.divmod(keys, key_type(n_docs))
+    del keys
+    dfs = np.bincount(terms, minlength=n_terms)
+    max_tfs = np.zeros(n_docs, np.int64)
+    np.maximum.at(max_tfs, ordinals, frequencies)
+    pairs = np.empty((len(ordinals), 2), _U32)
+    pairs[:, 0] = ordinals
+    pairs[:, 1] = frequencies
+    del terms, ordinals, frequencies
+    postings = memoryview(pairs.reshape(-1))  # uint32s, two per posting
+
+    # one growing buffer, not a list of parts: joining n parts costs a
+    # buffer descriptor per part, more than the index for small tokens
+    out = io.BytesIO()
+    write = out.write
+    write(_MAGIC + bytes((_VERSION,)) + _UINT.pack(n_docs))
+    for raw, stats in zip(doc_ids, zip(token_counts.tolist(),
+                                       max_tfs.tolist())):
+        write(_UINT.pack(len(raw)))
+        write(raw)
+        write(_PAIR.pack(*stats))
+    write(_UINT.pack(n_terms))
+    end = 0
+    for term, df in zip(order, dfs.tolist()):
+        raw = names[term].encode("utf-8")
+        write(_UINT.pack(len(raw)))
+        write(raw)
+        write(_UINT.pack(df))
+        start, end = end, end + 2 * df
+        write(postings[start:end])
+    return out.getvalue()
 
 
 def idf_norm(index: InvertedIndex, token: str) -> float:
@@ -397,4 +526,4 @@ def read_corpus_jsonl(path: str | Path) -> Iterator[Document]:
                     raise CorpusError(
                         f"missing or non-string field {field!r}", line=number
                     )
-            yield Document(record["doc_id"], record["text"])
+            yield Document(record["doc_id"], record["text"], number)

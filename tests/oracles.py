@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
+import struct
+from collections import Counter, defaultdict
 
 import numpy as np
 
@@ -26,6 +27,29 @@ _WORD_RE = re.compile(r"[a-z0-9]+", re.ASCII)
 def reference_tokenize(text: str) -> list[str]:
     words = _WORD_RE.findall(text.lower())
     return [w for w in words if len(w) >= 2 and w not in STOPWORDS]
+
+
+def reference_frix(docs: list[tuple[str, str]]) -> bytes:
+    """FRIX1 bytes of ``(doc_id, text)`` pairs, built the straightforward
+    way: a ``Counter`` per document, a list of (ordinal, tf) per token, and
+    one array per token's postings."""
+    u32 = struct.Struct("<I").pack
+    headers = []
+    occurrences: dict[str, list[int]] = defaultdict(list)
+    for ordinal, (doc_id, text) in enumerate(docs):
+        counts = Counter(reference_tokenize(text))
+        raw = doc_id.encode("utf-8")
+        headers.append(u32(len(raw)) + raw + u32(sum(counts.values()))
+                       + u32(max(counts.values(), default=0)))
+        for token, tf in counts.items():
+            occurrences[token].extend((ordinal, tf))
+    parts = [b"FRIX1\x01", u32(len(docs)), *headers, u32(len(occurrences))]
+    for token in sorted(occurrences, key=lambda t: t.encode("utf-8")):
+        raw = token.encode("utf-8")
+        postings = occurrences[token]
+        parts += (u32(len(raw)), raw, u32(len(postings) // 2),
+                  np.array(postings, "<u4").tobytes())
+    return b"".join(parts)
 
 
 def tri(x: np.ndarray, a: float, b: float, c: float) -> np.ndarray:

@@ -2,10 +2,14 @@
 
 import json
 import struct
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frank.cli import main
+from frank.errors import RunFormatError, read_text
 from frank.evaluation import evaluate_run, format_report, load_qrels, load_run
 from frank.fis import MAX_RESOLUTION
 from frank.index import Document, build_index
@@ -111,6 +115,16 @@ class TestIndex:
         assert rc == 2
         assert err.startswith("frank: error:")
 
+    def test_duplicate_doc_id_names_its_line(self, capsys, tmp_path):
+        corpus = tmp_path / "dup.jsonl"
+        corpus.write_text('{"doc_id": "a", "text": "x"}\n\n'
+                          '{"doc_id": "a", "text": "y"}\n')
+        rc, out, err = run_cli(capsys, [
+            "index", "--corpus", str(corpus), "--out", str(tmp_path / "o.idx")])
+        assert rc == 2
+        assert out == ""
+        assert err == "frank: error: line 3: duplicate doc_id 'a'\n"
+
     def test_invalid_utf8_line_exits_2(self, capsys, tmp_path):
         corpus = tmp_path / "bad.jsonl"
         corpus.write_bytes(b'{"doc_id": "x", "text": "ok"}\n'
@@ -128,8 +142,8 @@ class TestIndex:
             "index", "--corpus", str(corpus), "--out", str(tmp_path / "o.idx")])
         assert rc == 2
         assert out == ""
-        assert err == ("frank: error: doc_id '\\ud800' is not valid "
-                       "Unicode\n")
+        assert err == ("frank: error: line 1: doc_id '\\ud800' is not "
+                       "valid Unicode\n")
 
     @pytest.mark.parametrize("doc_id", ["a b", "a\tb", " ", ""])
     def test_doc_id_not_one_run_field_exits_2(self, capsys, tmp_path,
@@ -140,8 +154,8 @@ class TestIndex:
             "index", "--corpus", str(corpus), "--out", str(tmp_path / "o.idx")])
         assert rc == 2
         assert out == ""
-        assert err == (f"frank: error: doc_id {doc_id!r} is empty or "
-                       "contains whitespace\n")
+        assert err == (f"frank: error: line 1: doc_id {doc_id!r} is empty "
+                       "or contains whitespace\n")
 
     def test_malformed_line_reports_number(self, capsys, tmp_path):
         corpus = tmp_path / "bad.jsonl"
@@ -511,6 +525,75 @@ class TestFisEval:
         assert err.startswith("frank: error: ")
         assert "finite hi - lo" in err
         assert err.count("\n") == 1
+
+
+    def test_universe_error_names_its_section_line(self, capsys, data_dir,
+                                                   tmp_path):
+        config = tmp_path / "system.cfg"
+        config.write_text((data_dir / "fis_basic.cfg").read_text().replace(
+            "[variable tf]\nuniverse 0 1", "[variable tf]\nuniverse 0 inf"))
+        rc, out, err = run_cli(capsys, [
+            "fis-eval", "--config", str(config),
+            "--in", "tf=0.5", "--in", "idf=0.5"])
+        assert rc == 2
+        assert out == ""
+        assert err == ("frank: error: line 2: variable 'tf': universe "
+                       "requires lo < hi and a finite hi - lo, got "
+                       "(0.0, inf)\n")
+
+
+class TestTextInputs:
+    """Every text input is read by one reader: invalid UTF-8 exits 2 with
+    one line naming where, and valid bytes read as ``Path.read_text``."""
+
+    # the file, the line that gets the bad byte, and the command
+    CASES = {
+        "run": ("golden/run_fis.txt", 2, [
+            "eval", "--run", "{bad}", "--qrels", "{tests}/data/qrels20.txt"]),
+        "qrels": ("data/qrels20.txt", 2, [
+            "eval", "--run", "{tests}/golden/run_fis.txt", "--qrels", "{bad}"]),
+        "queries": ("data/queries5.tsv", 2, [
+            "search", "--index", "{index}", "--ranker", "baseline",
+            "--queries", "{bad}"]),
+        "config": ("data/fis_basic.cfg", 1, [  # a comment line
+            "fis-eval", "--config", "{bad}", "--in", "tf=0.5",
+            "--in", "idf=0.5"]),
+        "template": ("data/template_default.cfg", 3, [
+            "search", "--index", "{index}", "--ranker", "fis",
+            "--template", "{bad}", "--query", "river"]),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(CASES))
+    def test_invalid_utf8_exits_2_with_its_line(self, capsys, tmp_path,
+                                                index_path, kind):
+        name, line, argv = self.CASES[kind]
+        tests = Path(__file__).parent
+        lines = (tests / name).read_bytes().splitlines(keepends=True)
+        lines[line - 1] = lines[line - 1][:3] + b"\xff" + lines[line - 1][3:]
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"".join(lines))
+        rc, out, err = run_cli(capsys, [
+            arg.format(bad=bad, tests=tests, index=index_path)
+            for arg in argv])
+        assert rc == 2
+        assert out == ""
+        assert err == f"frank: error: line {line}: invalid UTF-8 at byte 3\n"
+
+    def test_line_counts_every_line_break(self, tmp_path):
+        path = tmp_path / "run.txt"
+        path.write_bytes(b"a\r\nb\rc\nd\xc3\xa9\xff")
+        with pytest.raises(RunFormatError) as excinfo:
+            read_text(path, RunFormatError)
+        assert str(excinfo.value) == "line 4: invalid UTF-8 at byte 3"
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.text(alphabet="ab\u00e9\r\n\t \u2028\x85", max_size=20))
+    def test_valid_text_reads_as_path_read_text(self, text):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "input.txt"
+            path.write_bytes(text.encode("utf-8"))
+            assert read_text(path, RunFormatError) == path.read_text(
+                encoding="utf-8")
 
 
 class TestMfData:

@@ -101,6 +101,15 @@ if (x is bell) -> (y is high)
         with pytest.raises(ConfigError, match="finite hi - lo"):
             parse_fis_config(text)
 
+    @pytest.mark.parametrize("section, line", [
+        ("[variable tf]", 1), ("[output relevance]", 5)])
+    def test_universe_error_names_its_section_line(self, section, line):
+        text = BASIC.replace(f"{section}\nuniverse 0 1",
+                             f"{section}\nuniverse 0 inf")
+        with pytest.raises(ConfigError) as excinfo:
+            parse_fis_config(text)
+        assert str(excinfo.value).startswith(f"line {line}: variable ")
+
     def test_resolution_bound(self):
         """Checked at construction; no grid is sampled for either value."""
         config = parse_fis_config(

@@ -16,19 +16,31 @@ the raw token counts before the index code was written:
 
 import math
 import random
+import string
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from frank.errors import CorpusError, IndexFormatError, QueryError
 from frank.index import (Document, InvertedIndex, build_index,
                          extract_features, idf_norm, idf_raw,
                          read_corpus_jsonl, tf_norm, tokenize, STOPWORDS)
 
-from oracles import ReferenceCorpus
+from oracles import ReferenceCorpus, reference_frix, reference_tokenize
+
+# Words and fragments that exercise the tokenizer's edges: one-character
+# tokens, digits, hyphens, stopwords in any case, and the two characters
+# whose lowercase forms leave ASCII (Kelvin sign) or grow (dotted capital I).
+_PIECES = st.one_of(
+    st.sampled_from(["a", "x", "7", "ab", "Ab", "AB", "the", "The", "OF",
+                     "e-mail", "tf-idf", "2006", "x1", "09", "\u212a",
+                     "\u212ai", "\u0130", "\u0130t", "naïve", "-", "--"]),
+    st.text(alphabet="abkK019-_ .,\n\t\u212a\u0130\u00e9", max_size=8),
+)
+_TEXTS = st.lists(_PIECES, max_size=10).map(" ".join)
 
 
 class TestTokenize:
@@ -46,6 +58,11 @@ class TestTokenize:
 
     def test_digits_kept(self):
         assert tokenize("model 42 released in 2004") == ["model", "42", "released", "2004"]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_TEXTS)
+    def test_matches_reference(self, text):
+        assert tokenize(text) == reference_tokenize(text)
 
     def test_stopword_list_is_exactly_thirty(self):
         assert len(STOPWORDS) == 30
@@ -78,6 +95,14 @@ class TestBuildIndex:
         with pytest.raises(CorpusError, match="dup"):
             build_index(docs)
 
+    def test_doc_id_error_names_the_corpus_line(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"doc_id": "a", "text": "x"}\n\n'
+                        '{"doc_id": "a", "text": "y"}\n')
+        with pytest.raises(CorpusError) as excinfo:
+            build_index(read_corpus_jsonl(path))
+        assert str(excinfo.value) == "line 3: duplicate doc_id 'a'"
+
     def test_empty_corpus_rejected(self):
         with pytest.raises(CorpusError, match="empty"):
             build_index([])
@@ -94,6 +119,50 @@ class TestBuildIndex:
             assert ordinals == sorted(set(ordinals))
             n, postings = index5.document_frequency(token), index5.postings(token)
             assert n == len(postings[0]) == len(postings[1])
+
+
+class TestBuildMatchesReference:
+    """The sort-based build writes the same FRIX1 bytes as the reference
+    build's Counter per document."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.lists(_TEXTS, min_size=1, max_size=8))
+    @example([""])
+    @example(["", "", "the of"])
+    @example(["The AND of", "a b c 1 2"])
+    @example(["single document"])
+    @example(["K-9 \u212a9 \u0130stanbul istanbul", "k9 KK \u0130\u0130"])
+    def test_bytes_equal_reference(self, texts):
+        docs = [(f"d{i}\u00e9", text) for i, text in enumerate(texts)]
+        built = build_index(Document(*doc) for doc in docs)
+        assert built.to_bytes() == reference_frix(docs)
+
+
+def _zipf_corpus(n_docs: int, n_words: int, length: int,
+                 seed: int) -> list[Document]:
+    rng = random.Random(seed)
+    words = ["".join(rng.choices(string.ascii_lowercase, k=rng.randint(3, 9)))
+             for _ in range(n_words)]
+    weights = [1 / rank for rank in range(1, n_words + 1)]
+    return [Document(f"doc{i:05d}",
+                     " ".join(rng.choices(words, weights, k=length)))
+            for i in range(n_docs)]
+
+
+class TestBuildMemory:
+    def test_peak_allocation_is_a_small_multiple_of_the_index(self):
+        """Intermediates stay in 4-byte columns, each dropped once used,
+        and the bytes grow in one buffer: a build's peak traced allocation
+        stays under 8x its FRIX1 size (a list per token, or a list of
+        parts joined at the end, takes over 10x)."""
+        docs = _zipf_corpus(2000, 3000, 30, seed=7)
+        tracemalloc.start()
+        try:
+            size = len(build_index(docs).to_bytes())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * size
 
 
 class TestNormalizedFeatures:
