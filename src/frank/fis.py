@@ -23,9 +23,11 @@ Under product implication, sum aggregation and centroid defuzzification
 is sum_j s_j * M1(C_j) / sum_j s_j * M0(C_j), where M0 and M1 are the
 zeroth and first grid moments of each consequent set, computed once per
 config.  ``evaluate`` uses that moment form there and builds no grid per
-row.  Every other operator combination runs the grid pipeline above, row
-by row; composed from ``imply``/``aggregate``/``defuzzify``, that pipeline
-is also the oracle the moment form is tested against (within 1e-12).
+row.  Every other operator combination runs the grid pipeline above on
+blocks of rows, each of at most ``GRID_BLOCK_FLOATS`` implied samples or of
+one row; a 1-D call to ``imply``/``aggregate``/``defuzzify`` is the one-row
+case, and composed from such calls the pipeline is the oracle the moment
+form is tested against (within 1e-12).
 
 Rule order never affects the result, bit for bit: implied sets are combined
 in a canonical order (consequent label, negation, strength) rather than rule
@@ -56,6 +58,9 @@ DEFAULT_RESOLUTION = 1001
 # Upper bound on ``resolution``: each consequent set is sampled on a grid of
 # that many float64 points, so an unbounded value allocates without limit.
 MAX_RESOLUTION = 1_000_000
+# Implied samples per block of rows on the grid path: a block holds this over
+# (implied sets x resolution) rows, at least one, so memory stays bounded.
+GRID_BLOCK_FLOATS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -101,7 +106,8 @@ def default_variable(name: str) -> LinguisticVariable:
 
 @dataclass(frozen=True)
 class AggregateSet:
-    """Pointwise-aggregated membership over the output grid.
+    """Pointwise-aggregated membership over the output grid, for one row
+    (1-D samples) or a block of rows (rows x grid).
 
     Samples may exceed 1 under sum aggregation; they are never negative.
     """
@@ -111,8 +117,8 @@ class AggregateSet:
 
     def __post_init__(self):
         samples = np.array(self.samples, dtype=np.float64)
-        if samples.ndim != 1 or len(samples) < 2:
-            raise ConfigError("aggregate needs a 1-D grid of at least 2 samples")
+        if samples.ndim not in (1, 2) or samples.shape[-1] < 2:
+            raise ConfigError("aggregate needs 1 or 2 axes of >= 2 samples")
         if (samples < 0).any():
             raise ConfigError("aggregate samples must be nonnegative")
         samples.flags.writeable = False
@@ -121,7 +127,7 @@ class AggregateSet:
     @property
     def grid(self) -> np.ndarray:
         lo, hi = self.universe
-        return np.linspace(lo, hi, len(self.samples))
+        return np.linspace(lo, hi, self.samples.shape[-1])
 
 
 @dataclass(frozen=True)
@@ -188,6 +194,16 @@ class FisConfig:
                 )
             if not 0.0 < rule.weight <= 1.0:
                 raise ConfigError(f"rule weight {rule.weight} outside (0, 1]")
+        # the aggregate is at most len(rules), so this bounds both sums of
+        # the centroid over the grid
+        lo, hi = self.output.universe
+        if not np.isfinite(self.resolution * len(self.rules)
+                           * max(abs(lo), abs(hi))):
+            raise ConfigError(
+                f"output universe {self.output.universe} is too wide for "
+                f"{len(self.rules)} rules at resolution {self.resolution}: "
+                f"the centroid sums overflow"
+            )
 
     @cached_property
     def output_grid(self) -> np.ndarray:
@@ -307,9 +323,11 @@ def fire_rule(rule: RuleAst,
     return strength * rule.weight
 
 
-def imply(consequent_samples: np.ndarray, strength: float,
+def imply(consequent_samples: np.ndarray, strength: float | np.ndarray,
           implication: str = "prod") -> np.ndarray:
-    """Reshape a sampled consequent: prod scales it, min truncates it."""
+    """Reshape a sampled consequent: prod scales it, min truncates it.
+    (sets x 1 x grid) consequents and (sets x rows x 1) strengths broadcast
+    to one implied set per set and row."""
     if implication == "prod":
         return consequent_samples * strength
     return np.minimum(consequent_samples, strength)
@@ -319,10 +337,11 @@ def aggregate(implied_sets: Sequence[np.ndarray], aggregation: str = "sum",
               universe: tuple[float, float] = (0.0, 1.0)) -> AggregateSet:
     """Combine implied sets pointwise into one output set.
 
-    All sets must be sampled on the identical grid.  Sum output is not
-    renormalized and may exceed 1.
+    All sets must be sampled on the identical grid, as rows or (rows x
+    grid) blocks, such as a (sets x rows x grid) array; blocks combine row by
+    row.  Sum output is not renormalized and may exceed 1.
     """
-    if not implied_sets:
+    if len(implied_sets) == 0:
         raise ConfigError("nothing to aggregate: no implied sets")
     if aggregation == "sum":
         combined = np.sum(np.asarray(implied_sets), axis=0)
@@ -337,41 +356,48 @@ def aggregate(implied_sets: Sequence[np.ndarray], aggregation: str = "sum",
     return AggregateSet(universe, combined)
 
 
-def defuzzify(aggregate_set: AggregateSet, method: str = "centroid") -> float:
-    """Collapse an aggregate set to one crisp value inside its universe.
+def defuzzify(aggregate_set: AggregateSet, method: str = "centroid"
+              ) -> float | np.ndarray:
+    """Collapse each row of an aggregate set to one crisp value inside its
+    universe: a float for a 1-D set, a column for a block.
 
     centroid  sum(x * mu) / sum(mu) over the sample grid
     bisector  the grid point splitting the area in half
     mom/lom/som  mean / largest / smallest point of the argmax plateau
 
-    An all-zero aggregate has no area to locate; it falls back to the
-    universe midpoint and emits a RuntimeWarning so tests can detect it.
+    An all-zero row has no area to locate; it falls back to the universe
+    midpoint and emits a RuntimeWarning so tests can detect it.
     """
-    samples = aggregate_set.samples
+    samples = np.atleast_2d(aggregate_set.samples)
     lo, hi = aggregate_set.universe
-    if not (samples > 0).any():
+    empty = ~(samples > 0).any(axis=-1)
+    if empty.any():
         warnings.warn(
             "all-zero aggregate set; defuzzifying to the universe midpoint",
             RuntimeWarning,
             stacklevel=2,
         )
-        return (lo + hi) / 2.0
     grid = aggregate_set.grid
     if method == "centroid":
-        return float(np.sum(grid * samples) / np.sum(samples))
-    if method == "bisector":
-        cumulative = np.cumsum(samples)
-        index = int(np.searchsorted(cumulative, cumulative[-1] / 2.0))
-        return float(grid[min(index, len(grid) - 1)])
-    peak = samples.max()
-    plateau = grid[samples == peak]
-    if method == "mom":
-        return float(plateau.mean())
-    if method == "lom":
-        return float(plateau.max())
-    if method == "som":
-        return float(plateau.min())
-    raise ConfigError(f"unknown defuzzification method {method!r}")
+        with np.errstate(invalid="ignore"):
+            crisp = np.sum(grid * samples, axis=-1) / np.sum(samples, axis=-1)
+    elif method == "bisector":
+        # the sums never fall, so this count is where searchsorted puts half
+        cumulative = np.cumsum(samples, axis=-1)
+        index = np.sum(cumulative < cumulative[:, -1:] / 2.0, axis=-1)
+        crisp = grid[np.minimum(index, len(grid) - 1)]
+    elif method in ("mom", "lom", "som"):
+        plateau = samples == samples.max(axis=-1, keepdims=True)
+        if method == "mom":  # a vector mean would sum in another order
+            crisp = np.array([grid[row].mean() for row in plateau])
+        elif method == "som":  # the grid ascends, so its first point is least
+            crisp = grid[np.argmax(plateau, axis=-1)]
+        else:
+            crisp = grid[len(grid) - 1 - np.argmax(plateau[:, ::-1], axis=-1)]
+    else:
+        raise ConfigError(f"unknown defuzzification method {method!r}")
+    crisp = np.where(empty, (lo + hi) / 2.0, crisp)
+    return float(crisp[0]) if aggregate_set.samples.ndim == 1 else crisp
 
 
 def rule_strengths(config: FisConfig, inputs: Mapping[str, float]) -> list[float]:
@@ -420,20 +446,18 @@ def _combine(config: FisConfig, rules: Sequence[RuleAst],
     ordered = [np.sort(np.concatenate(groups[key]), axis=0) for key in keys]
     if config.has_moment_form:
         return _centroid_by_moments(config, keys, ordered)
-    set_keys = [key for key, block in zip(keys, ordered) for _ in block]
-    return np.array([_evaluate_on_grid(config, set_keys, column)
-                     for column in np.concatenate(ordered).T])
-
-
-def _evaluate_on_grid(config: FisConfig, keys: Sequence[tuple[str, bool]],
-                      strengths: np.ndarray) -> float:
-    """One row through imply, aggregate and defuzzify on the output grid:
-    ``strengths[i]`` fires the consequent set ``keys[i]``."""
-    implied = [imply(config.consequent_samples[key], float(strength),
-                     config.implication)
-               for key, strength in zip(keys, strengths)]
-    aggregated = aggregate(implied, config.aggregation, config.output.universe)
-    return defuzzify(aggregated, config.defuzzification)
+    consequents = np.array([config.consequent_samples[key] for key, block
+                            in zip(keys, ordered) for _ in block])[:, None]
+    strengths = np.concatenate(ordered)[:, :, None]
+    step = max(1, GRID_BLOCK_FLOATS // consequents.size)
+    crisp = np.empty(rows)
+    for start in range(0, rows, step):
+        implied = imply(consequents, strengths[:, start:start + step],
+                        config.implication)
+        crisp[start:start + step] = defuzzify(aggregate(
+            implied, config.aggregation, config.output.universe),
+            config.defuzzification)
+    return crisp
 
 
 def _centroid_by_moments(config: FisConfig, keys: Sequence[tuple[str, bool]],

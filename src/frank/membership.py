@@ -26,6 +26,7 @@ from .errors import ConfigError
 KINDS = ("triangular", "trapezoidal", "gaussian", "sigmoid")
 
 _PARAM_COUNT = {"triangular": 3, "trapezoidal": 4, "gaussian": 2, "sigmoid": 2}
+_ORDER = {"triangular": "a <= b <= c", "trapezoidal": "a <= b <= c <= d"}
 
 # exp() overflows beyond this; the sigmoid is saturated long before.
 _EXP_CLAMP = 700.0
@@ -48,20 +49,15 @@ class MembershipFunction:
             )
         if any(not math.isfinite(p) for p in params):
             raise ConfigError(f"{self.kind} parameters must be finite: {params}")
-        if self.kind == "triangular":
-            a, b, c = params
-            if not a <= b <= c:
-                raise ConfigError(f"triangular requires a <= b <= c, got {params}")
-        elif self.kind == "trapezoidal":
-            a, b, c, d = params
-            if not a <= b <= c <= d:
-                raise ConfigError(
-                    f"trapezoidal requires a <= b <= c <= d, got {params}"
-                )
-        elif self.kind == "gaussian":
+        if self.kind in _ORDER and list(params) != sorted(params):
+            raise ConfigError(
+                f"{self.kind} requires {_ORDER[self.kind]}, got {params}")
+        if self.kind == "gaussian":
             sigma, _ = params
-            if sigma <= 0:
-                raise ConfigError(f"gaussian requires sigma > 0, got {sigma}")
+            # sample divides by 2 sigma^2, which is 0 for sigma below ~1.6e-162
+            if not (sigma > 0 and 2.0 * sigma * sigma > 0):
+                raise ConfigError(f"gaussian requires sigma > 0 and "
+                                  f"2 sigma^2 > 0, got {sigma}")
 
     @classmethod
     def triangular(cls, a: float, b: float, c: float) -> MembershipFunction:
@@ -87,19 +83,9 @@ class MembershipFunction:
         """Degrees of membership of an array of points."""
         xs = np.asarray(xs, dtype=np.float64)
         p = self.params
-        if self.kind == "triangular":
-            a, b, c = p
-            y = np.zeros_like(xs)
-            if a < b:
-                rising = (xs > a) & (xs < b)
-                y[rising] = (xs[rising] - a) / (b - a)
-            if b < c:
-                falling = (xs > b) & (xs < c)
-                y[falling] = (c - xs[falling]) / (c - b)
-            y[xs == b] = 1.0
-            return y
-        if self.kind == "trapezoidal":
-            a, b, c, d = p
+        if self.kind in ("triangular", "trapezoidal"):
+            # a triangle is the trapezoid whose shoulders meet at its peak
+            a, b, c, d = p if len(p) == 4 else (p[0], p[1], p[1], p[2])
             y = np.zeros_like(xs)
             if a < b:
                 rising = (xs > a) & (xs < b)

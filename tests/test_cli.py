@@ -527,6 +527,41 @@ class TestFisEval:
         assert err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("command", [
+        ["fis-eval", "--in", "tf=0.5", "--in", "idf=0.5"],
+        ["mf-data", "--var", "relevance", "--samples", "5"],
+    ], ids=["fis-eval", "mf-data"])
+    def test_underflowing_gaussian_exits_2(self, capsys, data_dir, tmp_path,
+                                           command):
+        config = tmp_path / "system.cfg"
+        config.write_text((data_dir / "fis_basic.cfg").read_text().replace(
+            "[output relevance]\nuniverse 0 1\nset high trimf 0 1 1",
+            "[output relevance]\nuniverse 0 1\nset high gaussmf 1e-320 0.5"))
+        rc, out, err = run_cli(capsys, [*command, "--config", str(config)])
+        assert rc == 2
+        assert out == ""
+        assert err == ("frank: error: line 12: gaussian requires sigma > 0 "
+                       "and 2 sigma^2 > 0, got 1e-320\n")
+
+    @pytest.mark.parametrize("implication", ["prod", "min"])
+    def test_overflowing_centroid_universe_exits_2(self, capsys, data_dir,
+                                                   tmp_path, implication):
+        config = tmp_path / "system.cfg"
+        config.write_text((data_dir / "fis_basic.cfg").read_text().replace(
+            "[output relevance]\nuniverse 0 1\nset high trimf 0 1 1\n"
+            "set not_high trimf 0 0 1",
+            "[output relevance]\nuniverse 0 1e308\n"
+            "set high trimf 0 1e308 1e308\nset not_high trimf 0 0 1e308"
+        ).replace("implication prod", f"implication {implication}"))
+        rc, out, err = run_cli(capsys, [
+            "fis-eval", "--config", str(config),
+            "--in", "tf=0.7", "--in", "idf=0.6"])
+        assert rc == 2
+        assert out == ""
+        assert err == ("frank: error: output universe (0.0, 1e+308) is too "
+                       "wide for 2 rules at resolution 1001: the centroid "
+                       "sums overflow\n")
+
     def test_universe_error_names_its_section_line(self, capsys, data_dir,
                                                    tmp_path):
         config = tmp_path / "system.cfg"

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from frank.errors import ConfigError
-from frank.fis import (AggregateSet, FisConfig, LinguisticVariable, aggregate,
+from frank.fis import (AGGREGATIONS, DEFUZZIFICATIONS, IMPLICATIONS,
+                       AggregateSet, FisConfig, LinguisticVariable, aggregate,
                        default_variable, defuzzify, evaluate, fire_rule,
                        fuzzify, imply, rule_strengths)
 from frank.membership import MembershipFunction
@@ -212,6 +213,28 @@ class TestAggregate:
     def test_empty_list_rejected(self):
         with pytest.raises(ConfigError):
             aggregate([], "sum", (0.0, 1.0))
+        with pytest.raises(ConfigError):
+            aggregate(np.empty((0, 3, 101)), "sum", (0.0, 1.0))
+
+    @pytest.mark.parametrize("aggregation", AGGREGATIONS)
+    @pytest.mark.parametrize("implication", IMPLICATIONS)
+    def test_block_equals_each_row(self, implication, aggregation):
+        """(sets x 1 x grid) consequents implied by (sets x rows x 1)
+        strengths aggregate, row by row, to the bits of 1-D calls."""
+        rng = np.random.default_rng(47)
+        consequents = np.array([self.rising, self.falling, self.rising])
+        strengths = rng.uniform(0.0, 1.0, (3, 9))
+        strengths[:, 4] = 0.0
+        block = aggregate(imply(consequents[:, None, :],
+                                strengths[:, :, None], implication),
+                          aggregation, (0.0, 1.0))
+        assert block.samples.shape == (9, len(self.grid))
+        for row in range(9):
+            alone = aggregate(
+                [imply(samples, float(strength), implication)
+                 for samples, strength in zip(consequents, strengths[:, row])],
+                aggregation, (0.0, 1.0))
+            assert block.samples[row].tolist() == alone.samples.tolist()
 
     def test_pairwise_commutativity_is_exact(self):
         a = 0.3 * self.rising
@@ -236,6 +259,23 @@ class TestAggregate:
 # Computed by oracles.reference_rfis_score([0.7, 0.5], [0.6, 0.5], 1.0,
 # resolution=100000) ahead of the engine build.
 REFERENCE_TWO_TERM_SCORE = 0.5644580110626152
+
+
+def row_defuzzify(universe, samples, method):
+    """One 1-D row defuzzified the straightforward way, one formula per
+    method: the reference the block form must equal bit for bit."""
+    grid = np.linspace(*universe, len(samples))
+    if not samples.any():
+        return (universe[0] + universe[1]) / 2.0
+    if method == "centroid":
+        return float(np.sum(grid * samples) / np.sum(samples))
+    if method == "bisector":
+        cumulative = np.cumsum(samples)
+        index = int(np.searchsorted(cumulative, cumulative[-1] / 2.0))
+        return float(grid[min(index, len(grid) - 1)])
+    plateau = grid[samples == samples.max()]
+    return float({"mom": plateau.mean, "lom": plateau.max,
+                  "som": plateau.min}[method]())
 
 
 class TestDefuzzify:
@@ -276,6 +316,36 @@ class TestDefuzzify:
         zero = AggregateSet((0.2, 0.8), np.zeros(101))
         with pytest.warns(RuntimeWarning):
             assert defuzzify(zero, "centroid") == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("method", DEFUZZIFICATIONS)
+    def test_block_equals_each_row(self, method):
+        """A (rows x grid) aggregate gives each row's 1-D bits, and the
+        reference formula's, all-zero rows included: the midpoint, with one
+        warning for the block."""
+        rng = np.random.default_rng(53)
+        block = rng.uniform(0.0, 2.0, (10, 201))
+        block[rng.uniform(size=block.shape) < 0.4] = 0.0
+        block[2:5] = np.round(block[2:5])  # plateaus, some of them split
+        block[3, 100:] = 0.0
+        block[8] = np.arange(201) < 200  # half the area falls on a point
+        block[[1, 7]] = 0.0
+        universe = (-1.0, 3.0)
+        with pytest.warns(RuntimeWarning, match="all-zero"):
+            together = defuzzify(AggregateSet(universe, block), method)
+        alone = []
+        for row in block:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                alone.append(defuzzify(AggregateSet(universe, row), method))
+            assert len(caught) == (not row.any())
+        assert isinstance(together, np.ndarray)
+        assert together.tolist() == alone == [
+            row_defuzzify(universe, row, method) for row in block]
+        assert together[1] == together[7] == 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rest = defuzzify(AggregateSet(universe, block[2:7]), method)
+        assert rest.tolist() == alone[2:7]
 
     def test_centroid_stays_in_universe(self):
         rng = np.random.default_rng(5)
@@ -349,6 +419,21 @@ class TestEvaluate:
             coarse = evaluate(default_rfis_config(2, resolution), inputs)
             fine = evaluate(default_rfis_config(2, 2 * resolution), inputs)
             assert abs(coarse - fine) < 1.0 / resolution
+
+    @pytest.mark.parametrize("implication", IMPLICATIONS)
+    def test_universe_whose_centroid_sums_overflow_rejected(self, implication):
+        """resolution x rules x max(|lo|, |hi|) bounds the centroid's sums;
+        it must be finite."""
+        def config(hi):
+            return two_input_config(implication=implication, output=(
+                LinguisticVariable("relevance", (0.0, hi), {
+                    "high": MembershipFunction.triangular(0.0, hi, hi),
+                    "not_high": MembershipFunction.triangular(0.0, 0.0, hi),
+                })))
+        with pytest.raises(ConfigError, match="the centroid sums overflow"):
+            config(1e308)
+        value = evaluate(config(1e300), {"tf": 0.7, "idf": 0.6})
+        assert 0.0 < value < 1e300
 
     def test_strengths_listed_in_rule_order(self):
         config = two_input_config()

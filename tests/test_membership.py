@@ -93,6 +93,12 @@ class TestValidation:
         with pytest.raises(ConfigError):
             MembershipFunction.gaussian(0.0, 0.5)
 
+    def test_gaussian_two_sigma_squared_positive(self):
+        # sample divides by 2 sigma^2, which underflows to 0 here
+        with pytest.raises(ConfigError, match="2 sigma\\^2 > 0"):
+            MembershipFunction.gaussian(1e-320, 0.5)
+        assert MembershipFunction.gaussian(1e-150, 0.5).evaluate(0.5) == 1.0
+
     def test_wrong_parameter_count(self):
         with pytest.raises(ConfigError):
             MembershipFunction("triangular", (0.0, 1.0))

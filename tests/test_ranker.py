@@ -2,8 +2,10 @@
 and the independent reference pipeline."""
 
 import dataclasses
+import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +13,9 @@ import pytest
 import frank.ranker
 from frank.errors import QueryError
 from frank.evaluation import format_run, run_from_ranked
-from frank.fis import FisConfig, LinguisticVariable, evaluate
+from frank.fis import (AGGREGATIONS, AND_METHODS, DEFUZZIFICATIONS,
+                       IMPLICATIONS, FisConfig, LinguisticVariable, aggregate,
+                       defuzzify, evaluate, fire_rule, fuzzify, imply)
 from frank.index import (Document, build_index, extract_features, idf_raw,
                          read_corpus_jsonl, tokenize)
 from frank.ranker import (FisTemplate, RankedEntry, RankedList,
@@ -332,6 +336,41 @@ TEMPLATES = {
 }
 
 
+# every operator combination without a moment form, which runs the grid path
+GRID_OPERATORS = [
+    dict(zip(("and_method", "implication", "aggregation", "defuzzification"),
+             combo))
+    for combo in itertools.product(AND_METHODS, IMPLICATIONS, AGGREGATIONS,
+                                   DEFUZZIFICATIONS)
+    if combo[1:] != ("prod", "sum", "centroid")
+]
+
+
+def candidate_inputs(index, terms, ordinal):
+    """The instantiated system's inputs for one candidate."""
+    features = extract_features(index, terms, [ordinal])
+    inputs = {"overlap": float(features.overlap[0])}
+    for i, term in enumerate(terms):
+        inputs[f"tf_{i + 1}"] = float(features.tf[i, 0])
+        inputs[f"idf_{i + 1}"] = features.idf[i]
+    return inputs
+
+
+def grid_pipeline(config, inputs):
+    """One row through the grid pipeline, composed stage by stage from 1-D
+    calls, with implied sets in canonical order: sets sorted by (label,
+    negated), strengths ascending within a set."""
+    degrees = fuzzify(config, inputs)
+    fired = sorted(((rule.consequent.label, rule.consequent.negated),
+                    float(fire_rule(rule, degrees, config.and_method)))
+                   for rule in config.rules)
+    implied = [imply(config.consequent_samples[key], strength,
+                     config.implication) for key, strength in fired]
+    return defuzzify(aggregate(implied, config.aggregation,
+                               config.output.universe),
+                     config.defuzzification)
+
+
 class TestColumnScoring:
     QUERIES = ("river flood levee", "banana bread flour", "ice",
                "river flood levee ice water", "ice nosuchterm")
@@ -353,14 +392,50 @@ class TestColumnScoring:
                 ranked = score_fis(index, template, query)
                 assert ranked.entries
                 for entry in ranked.entries:
-                    ordinal = index.ordinal_of(entry.doc_id)
-                    features = extract_features(index, terms, [ordinal])
-                    inputs = {"overlap": float(features.overlap[0])}
-                    for i, term in enumerate(terms):
-                        inputs[f"tf_{i + 1}"] = float(features.tf[i, 0])
-                        inputs[f"idf_{i + 1}"] = features.idf[i]
+                    inputs = candidate_inputs(
+                        index, terms, index.ordinal_of(entry.doc_id))
                     assert entry.score == evaluate(config, inputs), \
                         (name, query, entry.doc_id)
+
+    @pytest.mark.parametrize(
+        "operators", GRID_OPERATORS,
+        ids=["/".join(operators.values()) for operators in GRID_OPERATORS])
+    def test_grid_path_is_the_stage_pipeline_per_candidate(self, index20,
+                                                           operators):
+        """score_fis equals the grid pipeline composed of 1-D stage calls,
+        one candidate at a time, bit for bit.  The five-term query on the
+        random index scores 279 rows in blocks of 5; every 3rd is checked."""
+        template = template_variant(**operators)
+        for index, query, stride in [
+                (index20, "river flood levee ice water", 1),
+                (index20, "ice", 1),
+                (random_index(), "w4 w5 w6 w7 w8", 3)]:
+            terms = list(dict.fromkeys(tokenize(query)))
+            config = instantiate_fis(template, len(terms))
+            ranked = score_fis(index, template, query)
+            assert ranked.entries
+            for entry in ranked.entries[::stride]:
+                inputs = candidate_inputs(
+                    index, terms, index.ordinal_of(entry.doc_id))
+                assert entry.score == grid_pipeline(config, inputs), \
+                    (query, entry.doc_id)
+
+    def test_grid_path_memory_is_bounded(self):
+        """Grid-path scoring works on blocks of a fixed number of floats, so
+        a query's peak allocation does not grow with its candidates: here
+        279 rows x 12 implied sets x 1001 points would take 27 MB at once.
+        It peaks at 1.2 MiB with 2^16-float blocks, 2.2 MiB with 2^17."""
+        index = random_index()
+        template = TEMPLATES["min_max"]
+        query = "w4 w5 w6 w7 w8"
+        assert len(score_fis(index, template, query).entries) == 279
+        tracemalloc.start()
+        try:
+            score_fis(index, template, query)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
 
     def test_scores_without_building_a_config(self, index20, monkeypatch):
         template = TEMPLATES["weighted"]
