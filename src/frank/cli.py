@@ -3,8 +3,9 @@
 Every subcommand is deterministic: the same files and flags produce
 byte-identical output.  Errors print one greppable ``frank: error:`` line
 to stderr; usage errors exit 1, data/format errors exit 2.  A warning prints
-one ``frank: warning:`` line to stderr and leaves stdout and the exit code
-alone.
+one ``frank: warning:`` line to stderr when the command ends, however often
+it was raised, and leaves stdout and the exit code alone; a command that
+fails prints its error line only.
 """
 
 from __future__ import annotations
@@ -230,11 +231,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    warned: dict[str, None] = {}
     with warnings.catch_warnings():
-        warnings.showwarning = lambda message, *_: print(
-            f"frank: warning: {message}", file=sys.stderr)
+        warnings.showwarning = lambda message, *_: warned.setdefault(
+            str(message))
         try:
-            return args.func(args)
+            code = args.func(args)
         except UsageError as exc:
             print(f"frank: error: {exc}", file=sys.stderr)
             return 1
@@ -244,6 +246,9 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             print(f"frank: error: {exc}", file=sys.stderr)
             return 2
+    for message in warned:
+        print(f"frank: warning: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

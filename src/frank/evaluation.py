@@ -199,9 +199,9 @@ def run_from_ranked(ranked_lists: list[RankedList], tag: str) -> RunFile:
     for ranked in ranked_lists:
         if ranked.query_id in topics:
             raise EvalError(f"duplicate topic {ranked.query_id} in run")
-        topics[ranked.query_id] = [
-            (entry.doc_id, entry.rank, entry.score) for entry in ranked.entries
-        ]
+        entries = ranked.entries
+        topics[ranked.query_id] = list(zip(entries.doc_ids, entries.ranks,
+                                           entries.scores.tolist()))
     return RunFile(tag, topics)
 
 

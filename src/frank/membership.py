@@ -11,7 +11,9 @@ trapezoidal) are evaluated exactly, with no smoothing at the breakpoints:
 
 Degenerate linear edges (a == b, or c == d) collapse to a step: the peak or
 shoulder value still evaluates to 1, points strictly on the collapsed side
-evaluate to 0.
+evaluate to 0.  An edge's span (b - a, d - c) and a Gaussian's 2 sigma^2
+must be finite and the latter nonzero, so every curve that constructs gives
+a degree in [0, 1] at every finite point.
 """
 
 from __future__ import annotations
@@ -49,15 +51,32 @@ class MembershipFunction:
             )
         if any(not math.isfinite(p) for p in params):
             raise ConfigError(f"{self.kind} parameters must be finite: {params}")
-        if self.kind in _ORDER and list(params) != sorted(params):
-            raise ConfigError(
-                f"{self.kind} requires {_ORDER[self.kind]}, got {params}")
+        if self.kind in _ORDER:
+            if list(params) != sorted(params):
+                raise ConfigError(
+                    f"{self.kind} requires {_ORDER[self.kind]}, got {params}")
+            a, b, c, d = self._corners
+            # sample divides by the edge spans, which may overflow to inf
+            if not (math.isfinite(b - a) and math.isfinite(d - c)):
+                raise ConfigError(
+                    f"{self.kind} requires finite edge spans, got {params}")
         if self.kind == "gaussian":
             sigma, _ = params
             # sample divides by 2 sigma^2, which is 0 for sigma below ~1.6e-162
             if not (sigma > 0 and 2.0 * sigma * sigma > 0):
                 raise ConfigError(f"gaussian requires sigma > 0 and "
                                   f"2 sigma^2 > 0, got {sigma}")
+            # ... and inf for sigma above ~9.5e153
+            if not math.isfinite(2.0 * sigma * sigma):
+                raise ConfigError(
+                    f"gaussian requires a finite 2 sigma^2, got {sigma}")
+
+    @property
+    def _corners(self) -> tuple[float, float, float, float]:
+        """A piecewise-linear curve's (a, b, c, d): a triangle is the
+        trapezoid whose shoulders meet at its peak."""
+        p = self.params
+        return p if len(p) == 4 else (p[0], p[1], p[1], p[2])
 
     @classmethod
     def triangular(cls, a: float, b: float, c: float) -> MembershipFunction:
@@ -82,10 +101,8 @@ class MembershipFunction:
     def sample(self, xs: np.ndarray) -> np.ndarray:
         """Degrees of membership of an array of points."""
         xs = np.asarray(xs, dtype=np.float64)
-        p = self.params
-        if self.kind in ("triangular", "trapezoidal"):
-            # a triangle is the trapezoid whose shoulders meet at its peak
-            a, b, c, d = p if len(p) == 4 else (p[0], p[1], p[1], p[2])
+        if self.kind in _ORDER:
+            a, b, c, d = self._corners
             y = np.zeros_like(xs)
             if a < b:
                 rising = (xs > a) & (xs < b)
@@ -95,9 +112,14 @@ class MembershipFunction:
                 y[falling] = (d - xs[falling]) / (d - c)
             y[(xs >= b) & (xs <= c)] = 1.0
             return y
-        if self.kind == "gaussian":
-            sigma, mean = p
-            return np.exp(-((xs - mean) ** 2) / (2.0 * sigma * sigma))
-        slope, inflection = p
-        z = np.clip(slope * (xs - inflection), -_EXP_CLAMP, _EXP_CLAMP)
+        # x - mean and x - inflection may overflow to +-inf, which is the
+        # right limit: degree 0 far from a Gaussian, a saturated sigmoid
+        with np.errstate(over="ignore"):
+            if self.kind == "gaussian":
+                sigma, mean = self.params
+                return np.exp(-((xs - mean) ** 2) / (2.0 * sigma * sigma))
+            slope, inflection = self.params
+            # a zero slope is flat at 1/2, even where x - inflection is inf
+            z = slope * (xs - inflection) if slope else np.zeros_like(xs)
+        z = np.clip(z, -_EXP_CLAMP, _EXP_CLAMP)
         return 1.0 / (1.0 + np.exp(-z))

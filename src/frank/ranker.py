@@ -14,12 +14,20 @@ strengths; it equals ``evaluate(instantiate_fis(...), ...)`` bit for bit.
 Both scorers share candidate generation (the union of the query terms'
 postings: documents matching no term are never scored) and the ranking
 order: descending score, ties broken by ascending doc_id.
+
+A :class:`RankedList`'s ``entries`` is a :class:`RankedEntries`: a
+sequence backed by three columns (doc ids, a read-only float64 score array
+and the ranks) whose :class:`RankedEntry` items are built on access.
+Indexing, slicing and iterating it read as a tuple of entries would, and
+comparing it with one holds; a scorer builds no object per entry.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
@@ -177,16 +185,66 @@ class RankedEntry(NamedTuple):
     rank: int
 
 
+class RankedEntries(Sequence):
+    """A ranked list's entries as columns: ``doc_ids`` (a tuple of str),
+    ``scores`` (a read-only float64 array) and ``ranks``.
+
+    Indexing builds one :class:`RankedEntry`, a slice a tuple of them, and
+    the list equals (and hashes as) the tuple of its entries.  It holds no
+    object per entry, so the garbage collector has nothing to walk.
+    """
+
+    __slots__ = ("doc_ids", "scores", "ranks")
+
+    def __init__(self, doc_ids: tuple[str, ...], scores: np.ndarray,
+                 ranks: Sequence[int]):
+        scores.flags.writeable = False
+        self.doc_ids = doc_ids
+        self.scores = scores
+        self.ranks = ranks
+
+    def __len__(self) -> int:
+        return len(self.doc_ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        return RankedEntry(self.doc_ids[i], float(self.scores[i]),
+                           self.ranks[i])
+
+    def __iter__(self):
+        return map(RankedEntry, self.doc_ids, self.scores.tolist(), self.ranks)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class RankedList:
     """Ranked retrieval output for one query.
 
     Scores are non-increasing; ties are broken by ascending doc_id; ranks
-    run contiguously from 1.
+    run contiguously from 1.  ``entries`` given as any sequence of entries
+    is stored as their :class:`RankedEntries` columns.
     """
 
     query_id: str
-    entries: tuple[RankedEntry, ...]
+    entries: Sequence[RankedEntry]
+
+    def __post_init__(self):
+        if not isinstance(self.entries, RankedEntries):
+            # hand-built (doc_id, score, rank) entries keep their ranks
+            doc_ids, scores, ranks = tuple(zip(*self.entries)) or ((), (), ())
+            object.__setattr__(self, "entries", RankedEntries(
+                doc_ids, np.array(scores, dtype=np.float64), ranks))
 
 
 def _distinct_query_terms(query_text: str) -> list[str]:
@@ -208,11 +266,9 @@ def _to_ranked_list(index: InvertedIndex, query_id: str,
                     candidates: np.ndarray, scores: np.ndarray,
                     k: int) -> RankedList:
     order = np.lexsort((index.doc_id_ranks[candidates], -scores))[:k]
-    rows = zip(map(index.doc_ids.__getitem__, candidates[order].tolist()),
-               scores[order].tolist(), range(1, len(order) + 1))
-    # what RankedEntry._make does, minus a Python-level call per entry
-    return RankedList(query_id, tuple(
-        map(tuple.__new__, [RankedEntry] * len(order), rows)))
+    doc_ids = tuple(map(index.doc_ids.__getitem__, candidates[order].tolist()))
+    return RankedList(query_id, RankedEntries(doc_ids, scores[order],
+                                              range(1, len(order) + 1)))
 
 
 def score_fis(index: InvertedIndex, template: FisTemplate, query_text: str,

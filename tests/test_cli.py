@@ -1,18 +1,20 @@
 """Command-line behavior: golden bytes, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import struct
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from frank.cli import main
 from frank.errors import RunFormatError, read_text
 from frank.evaluation import evaluate_run, format_report, load_qrels, load_run
 from frank.fis import MAX_RESOLUTION
-from frank.index import Document, build_index
+from frank.index import Document, build_index, read_corpus_jsonl
 
 
 @pytest.fixture()
@@ -409,6 +411,31 @@ class TestEvalAndDiff:
         assert err == ("frank: warning: topic(s) with no relevant documents "
                        "excluded from averages: 102\n")
 
+    def test_diff_warns_once_for_both_runs(self, capsys, tmp_path, data_dir,
+                                           golden_dir):
+        qrels = tmp_path / "qrels.txt"
+        qrels.write_text((data_dir / "qrels20.txt").read_text().replace(
+            "102 0 d03 1", "102 0 d03 0"))
+        run = str(golden_dir / "run_fis.txt")
+        rc, out, err = run_cli(capsys, [
+            "diff", "--run-a", run, "--run-b", run, "--qrels", str(qrels)])
+        assert rc == 0
+        assert out.count("\n") == 3
+        assert err == ("frank: warning: topic(s) with no relevant documents "
+                       "excluded from averages: 102\n")
+
+    def test_failed_command_prints_its_error_only(self, capsys, tmp_path):
+        run = tmp_path / "run.txt"
+        run.write_text("101 Q0 d07 1 0.5 x\n")
+        qrels = tmp_path / "qrels.txt"
+        qrels.write_text("101 0 d07 0\n")
+        rc, out, err = run_cli(capsys, [
+            "eval", "--run", str(run), "--qrels", str(qrels)])
+        assert rc == 2
+        assert out == ""
+        assert err == ("frank: error: no topics with relevant documents to "
+                       "evaluate\n")
+
     def test_diff_with_itself_is_all_zero(self, capsys, data_dir, golden_dir):
         rc, out, _ = run_cli(capsys, [
             "diff", "--run-a", str(golden_dir / "run_fis.txt"),
@@ -543,6 +570,27 @@ class TestFisEval:
         assert err == ("frank: error: line 12: gaussian requires sigma > 0 "
                        "and 2 sigma^2 > 0, got 1e-320\n")
 
+    @pytest.mark.parametrize("command", [
+        ["fis-eval", "--in", "tf=0.7", "--in", "idf=0.6"],
+        ["mf-data", "--var", "tf", "--samples", "5"],
+    ], ids=["fis-eval", "mf-data"])
+    @pytest.mark.parametrize("curve, message", [
+        ("gaussmf 1e200 1e300", "gaussian requires a finite 2 sigma^2, "
+                                "got 1e+200"),
+        ("trimf -1e308 1e308 1e308", "triangular requires finite edge "
+                                     "spans, got (-1e+308, 1e+308, 1e+308)"),
+    ], ids=["gaussian", "triangle"])
+    def test_overflowing_curve_exits_2(self, capsys, data_dir, tmp_path,
+                                       command, curve, message):
+        config = tmp_path / "system.cfg"
+        config.write_text((data_dir / "fis_basic.cfg").read_text().replace(
+            "[variable tf]\nuniverse 0 1\nset high trimf 0 1 1",
+            f"[variable tf]\nuniverse 0 1\nset high {curve}"))
+        rc, out, err = run_cli(capsys, [*command, "--config", str(config)])
+        assert rc == 2
+        assert out == ""
+        assert err == f"frank: error: line 4: {message}\n"
+
     @pytest.mark.parametrize("implication", ["prod", "min"])
     def test_overflowing_centroid_universe_exits_2(self, capsys, data_dir,
                                                    tmp_path, implication):
@@ -629,6 +677,102 @@ class TestTextInputs:
             path.write_bytes(text.encode("utf-8"))
             assert read_text(path, RunFormatError) == path.read_text(
                 encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory, data_dir, golden_dir):
+    """A valid file for every input slot of a subcommand."""
+    directory = tmp_path_factory.mktemp("valid")
+    index = directory / "c20.idx"
+    build_index(read_corpus_jsonl(data_dir / "corpus20.jsonl")).save(index)
+    return {"corpus": data_dir / "corpus20.jsonl", "index": index,
+            "queries": data_dir / "queries5.tsv",
+            "template": data_dir / "template_default.cfg",
+            "run": golden_dir / "run_fis.txt",
+            "qrels": data_dir / "qrels20.txt",
+            "config": data_dir / "fis_basic.cfg"}
+
+
+# each input slot, with every command that reads a file in it
+SLOT_COMMANDS = {
+    "corpus": [["index", "--corpus", "{bad}", "--out", "{out}"]],
+    "index": [
+        ["search", "--index", "{bad}", "--ranker", "baseline",
+         "--queries", "{queries}"],
+        ["search", "--index", "{bad}", "--ranker", "fis",
+         "--template", "{template}", "--query", "river flood"]],
+    "queries": [
+        ["search", "--index", "{index}", "--ranker", "baseline",
+         "--queries", "{bad}"],
+        ["search", "--index", "{index}", "--ranker", "fis",
+         "--template", "{template}", "--queries", "{bad}"]],
+    "template": [
+        ["search", "--index", "{index}", "--ranker", "fis",
+         "--template", "{bad}", "--queries", "{queries}"]],
+    "run": [
+        ["eval", "--run", "{bad}", "--qrels", "{qrels}"],
+        ["diff", "--run-a", "{run}", "--run-b", "{bad}",
+         "--qrels", "{qrels}"]],
+    "qrels": [
+        ["eval", "--run", "{run}", "--qrels", "{bad}"],
+        ["diff", "--run-a", "{run}", "--run-b", "{run}", "--qrels", "{bad}"]],
+    "config": [
+        ["fis-eval", "--config", "{bad}", "--in", "tf=0.7", "--in", "idf=0.6",
+         "--verbose"],
+        ["mf-data", "--config", "{bad}", "--var", "tf", "--samples", "5"]],
+}
+
+
+@st.composite
+def file_inputs(draw):
+    """A slot, one of its commands and the bytes of its file: arbitrary, or
+    a valid file with one byte replaced (the valid file is read later)."""
+    slot = draw(st.sampled_from(sorted(SLOT_COMMANDS)))
+    command = draw(st.sampled_from(SLOT_COMMANDS[slot]))
+    if draw(st.booleans()):
+        return slot, command, draw(st.binary(max_size=80))
+    return slot, command, (draw(st.floats(0.0, 1.0, exclude_max=True)),
+                           draw(st.integers(0, 255)))
+
+
+DATA = Path(__file__).parent / "data"
+# topic 101 loses its one relevant document, so each evaluation warns
+QRELS_101_UNJUDGED = (DATA / "qrels20.txt").read_bytes().replace(
+    b"101 0 d07 1", b"101 0 d07 0")
+# 2 sigma^2 overflows: numpy warned twice and the degrees were nan
+CONFIG_WIDE_GAUSSIAN = (DATA / "fis_basic.cfg").read_bytes().replace(
+    b"set high trimf 0 1 1", b"set high gaussmf 1e200 1e300", 1)
+
+
+class TestArbitraryInputFiles:
+    """Whatever bytes an input file holds, every subcommand that reads it
+    exits 0, 1 or 2 and writes nothing or one ``frank:`` line to stderr."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(case=file_inputs())
+    @example(case=("qrels", SLOT_COMMANDS["qrels"][1], QRELS_101_UNJUDGED))
+    @example(case=("config", SLOT_COMMANDS["config"][0], CONFIG_WIDE_GAUSSIAN))
+    @example(case=("config", SLOT_COMMANDS["config"][1], CONFIG_WIDE_GAUSSIAN))
+    def test_exit_code_and_one_stderr_line(self, valid_files, case):
+        slot, command, data = case
+        if isinstance(data, tuple):
+            where, byte = data
+            data = bytearray(valid_files[slot].read_bytes())
+            data[int(where * len(data))] = byte
+        with tempfile.TemporaryDirectory() as directory:
+            bad = Path(directory) / "input"
+            bad.write_bytes(data)
+            argv = [arg.format(bad=bad, out=Path(directory) / "out.idx",
+                               **valid_files) for arg in command]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                rc = main(argv)
+        assert rc in (0, 1, 2)
+        lines = err.getvalue().splitlines(keepends=True)
+        assert len(lines) <= 1, lines
+        assert all(line.startswith("frank: ") and line.endswith("\n")
+                   for line in lines), lines
 
 
 class TestMfData:

@@ -1,12 +1,14 @@
 """Membership function evaluation and construction validation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frank.errors import ConfigError
-from frank.membership import MembershipFunction
+from frank.membership import KINDS, MembershipFunction
 
 from generators import random_mf
 
@@ -99,6 +101,39 @@ class TestValidation:
             MembershipFunction.gaussian(1e-320, 0.5)
         assert MembershipFunction.gaussian(1e-150, 0.5).evaluate(0.5) == 1.0
 
+    def test_gaussian_two_sigma_squared_finite(self):
+        # 2 sigma^2 overflows to inf here, and inf / inf is nan
+        with pytest.raises(ConfigError, match="finite 2 sigma\\^2"):
+            MembershipFunction.gaussian(1e200, 1e300)
+        assert MembershipFunction.gaussian(1e150, 0.0).evaluate(1e150) == \
+            pytest.approx(math.exp(-0.5))
+
+    @pytest.mark.parametrize("kind, params", [
+        ("triangular", (-1e308, 1e308, 1e308)),
+        ("triangular", (-1e308, -1e308, 1e308)),
+        ("trapezoidal", (-1e308, 1e308, 1e308, 1e308)),
+        ("trapezoidal", (-1e308, -1e308, -1e308, 1e308)),
+    ], ids=["triangle-rising", "triangle-falling", "trapezoid-rising",
+            "trapezoid-falling"])
+    def test_edge_spans_finite(self, kind, params):
+        # b - a or d - c overflows to inf, which zeroed the whole edge
+        with pytest.raises(ConfigError, match="finite edge spans"):
+            MembershipFunction(kind, params)
+
+    def test_widest_finite_edges_accepted(self):
+        assert MembershipFunction.triangular(
+            -1e307, 1e307, 1e307).evaluate(0.5) == 0.5
+        assert MembershipFunction.triangular(
+            -1e308, 0.0, 1e308).evaluate(5e307) == 0.5
+        assert MembershipFunction.trapezoidal(
+            -1e308, 0.0, 0.0, 1e308).evaluate(-5e307) == 0.5
+
+    def test_flat_sigmoid_is_one_half(self):
+        # 0 * (x - c) was nan where x - c overflows
+        mf = MembershipFunction.sigmoid(0.0, 1e308)
+        assert mf.evaluate(-1e308) == 0.5
+        assert mf.sample(np.array([-1e308, 0.0, 1e308])).tolist() == [0.5] * 3
+
     def test_wrong_parameter_count(self):
         with pytest.raises(ConfigError):
             MembershipFunction("triangular", (0.0, 1.0))
@@ -120,6 +155,31 @@ def test_degree_always_in_unit_interval():
         for x in rng.uniform(-10.0, 10.0, size=20):
             degree = mf.evaluate(float(x))
             assert 0.0 <= degree <= 1.0
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.sampled_from(KINDS), st.lists(_FINITE, min_size=4, max_size=4),
+       st.booleans(), st.lists(_FINITE, min_size=1, max_size=8))
+def test_every_curve_that_constructs_stays_in_unit_interval(kind, values,
+                                                            ordered, points):
+    """Extreme finite parameters either fail to construct or give a degree
+    in [0, 1], without a numpy warning, at every finite point."""
+    count = {"triangular": 3, "trapezoidal": 4}.get(kind, 2)
+    params = values[:count]
+    if ordered:
+        params = sorted(params)
+    try:
+        mf = MembershipFunction(kind, tuple(params))
+    except ConfigError:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        degrees = mf.sample(np.array(points))
+        assert [mf.evaluate(x) for x in points] == degrees.tolist()
+    assert np.all((degrees >= 0.0) & (degrees <= 1.0)), (mf, points, degrees)
 
 
 def test_sample_matches_scalar_evaluation():

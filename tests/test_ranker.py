@@ -2,6 +2,7 @@
 and the independent reference pipeline."""
 
 import dataclasses
+import gc
 import itertools
 import math
 import random
@@ -11,15 +12,15 @@ import numpy as np
 import pytest
 
 import frank.ranker
-from frank.errors import QueryError
-from frank.evaluation import format_run, run_from_ranked
+from frank.errors import QueryError, RunFormatError
+from frank.evaluation import RunFile, format_run, parse_run, run_from_ranked
 from frank.fis import (AGGREGATIONS, AND_METHODS, DEFUZZIFICATIONS,
                        IMPLICATIONS, FisConfig, LinguisticVariable, aggregate,
                        defuzzify, evaluate, fire_rule, fuzzify, imply)
 from frank.index import (Document, build_index, extract_features, idf_raw,
                          read_corpus_jsonl, tokenize)
-from frank.ranker import (FisTemplate, RankedEntry, RankedList,
-                          default_template, instantiate_fis, score_baseline,
+from frank.ranker import (FisTemplate, RankedEntries, RankedEntry,
+                          RankedList, default_template, instantiate_fis, score_baseline,
                           score_fis)
 from frank.rules import parse_rule
 
@@ -515,3 +516,128 @@ class TestRankedListContract:
         assert ranked.entries[0] == reversed_entries[-1]
         with pytest.raises(AttributeError):
             ranked.entries = ()
+
+
+def wide_index(n: int):
+    """n documents that all match ``river flood``, with varied scores."""
+    return build_index([
+        Document(f"d{i:04d}", "river " * (1 + i % 7) + "flood " * (i % 3)
+                 + f"w{i} " * (i % 5))
+        for i in range(n)])
+
+
+def rows_of(ranked: RankedList) -> list[tuple[str, int, float]]:
+    """A run topic as a loop over the entries builds it, row by row."""
+    return [(e.doc_id, e.rank, e.score) for e in ranked.entries]
+
+
+class TestColumnarEntries:
+    """``RankedList.entries`` is a sequence over doc-id, score and rank
+    columns that reads like the tuple of its entries."""
+
+    @staticmethod
+    def tracked_while_holding(make) -> int:
+        gc.collect()
+        before = len(gc.get_objects())
+        held = make()
+        gc.collect()
+        assert held.entries
+        return len(gc.get_objects()) - before
+
+    def test_ranked_lists_add_few_tracked_objects(self, template):
+        index = wide_index(900)
+        scorers = {
+            "baseline": lambda k: score_baseline(index, "river flood", k=k),
+            "fis": lambda k: score_fis(index, template, "river flood", k=k),
+        }
+        for name, score in scorers.items():
+            score(1)  # the index's lazy per-document columns
+            small = self.tracked_while_holding(lambda: score(20))
+            large = self.tracked_while_holding(lambda: score(800))
+            assert len(score(800).entries) == 800
+            assert large <= 10, name
+            assert large <= small, name
+
+    def test_equals_the_tuple_of_its_entries(self, index20, template):
+        for ranked in (score_baseline(index20, "river flood"),
+                       score_fis(index20, template, "river flood")):
+            entries = ranked.entries
+            as_tuple = tuple(entries)
+            assert len(as_tuple) == len(entries) > 1
+            assert all(type(e) is RankedEntry for e in as_tuple)
+            assert entries == as_tuple and as_tuple == entries
+            assert entries == list(as_tuple)
+            assert entries != as_tuple[:-1] and entries != as_tuple[::-1]
+            assert RankedList(ranked.query_id, as_tuple) == ranked
+            assert isinstance(entries, RankedEntries)
+        empty = score_baseline(index20, "nosuchterm").entries
+        assert empty == () and () == empty and len(empty) == 0
+        assert list(empty) == [] and empty != (RankedEntry("d1", 1.0, 1),)
+
+    def test_indices_and_slices(self, index20):
+        entries = score_baseline(index20, "river flood").entries
+        as_tuple = tuple(entries)
+        n = len(entries)
+        for i in range(-n, n):
+            assert entries[i] == as_tuple[i]
+            assert type(entries[i]) is RankedEntry
+            assert type(entries[i].score) is float
+        for i in (n, n + 5, -n - 1):
+            with pytest.raises(IndexError):
+                entries[i]
+        for cut in (slice(1, 3), slice(None, -1), slice(None, None, -1),
+                    slice(None, None, -2), slice(2, 1), slice(-50, 50)):
+            part = entries[cut]
+            assert type(part) is tuple and part == as_tuple[cut]
+            assert all(type(e) is RankedEntry for e in part)
+
+    def test_equal_lists_hash_equal(self, index20, template):
+        first = score_fis(index20, template, "river flood", query_id="q")
+        again = score_fis(index20, template, "river flood", query_id="q")
+        assert first == again and first.entries is not again.entries
+        assert hash(first) == hash(again)
+        assert hash(first.entries) == hash(tuple(first.entries))
+        rebuilt = RankedList("q", tuple(first.entries))
+        assert hash(rebuilt) == hash(first)
+        assert len({first, again, rebuilt}) == 1
+
+    def test_scores_are_read_only(self, index20, template):
+        for ranked in (score_baseline(index20, "river flood"),
+                       score_fis(index20, template, "river flood"),
+                       RankedList("t", (RankedEntry("d1", 0.5, 1),)),
+                       RankedList("t", ())):
+            scores = ranked.entries.scores
+            assert scores.dtype == np.float64
+            assert not scores.flags.writeable
+            with pytest.raises(ValueError):
+                scores[:1] = 2.0
+
+    def test_ill_formed_lists_keep_their_run_bytes(self, index20):
+        ranked = score_baseline(index20, "river flood", query_id="q9")
+
+        def swap_first_two(entries):
+            first, second, *rest = entries
+            return (RankedEntry(second.doc_id, second.score, 1),
+                    RankedEntry(first.doc_id, first.score, 2), *rest)
+
+        cases = {
+            "swapped first two": (swap_first_two,
+                                  "line 2: topic q9: score increases at "
+                                  "rank 2"),
+            "dropped last": (lambda entries: entries[:-1], None),
+            "reversed": (lambda entries: entries[::-1],
+                         "line 1: topic q9: rank 3 out of order "
+                         "(expected 1)"),
+        }
+        for name, (change, message) in cases.items():
+            bad = dataclasses.replace(ranked, entries=change(ranked.entries))
+            text = format_run(run_from_ranked([bad], "t"))
+            assert text == format_run(RunFile("t", {"q9": rows_of(bad)})), name
+            if message is None:
+                parsed = parse_run(text).topics["q9"]
+                assert [row[:2] for row in parsed] == \
+                    [row[:2] for row in rows_of(bad)]
+            else:
+                with pytest.raises(RunFormatError) as caught:
+                    parse_run(text)
+                assert str(caught.value) == message, name
