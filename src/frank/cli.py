@@ -47,7 +47,7 @@ def cmd_index(args) -> int:
 
 
 def _read_queries_tsv(path: str) -> list[tuple[str, str]]:
-    queries = []
+    queries: dict[str, str] = {}
     for number, raw in enumerate(
             read_text(path, RunFormatError).splitlines(), start=1):
         if not raw.strip():
@@ -60,10 +60,12 @@ def _read_queries_tsv(path: str) -> list[tuple[str, str]]:
             )
         if any(map(str.isspace, topic)):  # parse_run splits fields on it
             raise RunFormatError(f"whitespace in topic {topic!r}", line=number)
-        queries.append((topic, text.strip()))
+        if topic in queries:  # a run holds one ranked list per topic
+            raise RunFormatError(f"duplicate topic {topic}", line=number)
+        queries[topic] = text.strip()
     if not queries:
         raise RunFormatError("no queries in batch file")
-    return queries
+    return list(queries.items())
 
 
 def cmd_search(args) -> int:
@@ -74,6 +76,10 @@ def cmd_search(args) -> int:
     for flag, value in (("--topic", args.topic), ("--tag", args.tag)):
         if not value or any(map(str.isspace, value)):
             raise UsageError(f"{flag} must be one word, got {value!r}")
+    if args.query is not None:
+        queries = [(args.topic, args.query)]
+    else:
+        queries = _read_queries_tsv(args.queries)
     index = InvertedIndex.load(args.index)
     if args.ranker == "fis":
         if args.template is None:
@@ -86,10 +92,6 @@ def cmd_search(args) -> int:
         def rank(topic, text):
             return score_baseline(index, text, k=args.k, query_id=topic)
 
-    if args.query is not None:
-        queries = [(args.topic, args.query)]
-    else:
-        queries = _read_queries_tsv(args.queries)
     run = run_from_ranked(
         [rank(topic, text) for topic, text in queries], args.tag
     )

@@ -439,11 +439,13 @@ def _combine(config: FisConfig, rules: Sequence[RuleAst],
     """
     groups: dict[tuple[str, bool], list[np.ndarray]] = {}
     for rule, strength in zip(rules, strengths):
-        block = np.atleast_2d(strength)
+        shape = np.shape(strength)
+        if shape[-1:] != (rows,):
+            strength = np.broadcast_to(strength, shape[:-1] + (rows,))
         groups.setdefault((rule.consequent.label, rule.consequent.negated),
-                          []).append(np.broadcast_to(block, (len(block), rows)))
+                          []).append(strength)
     keys = sorted(groups)
-    ordered = [np.sort(np.concatenate(groups[key]), axis=0) for key in keys]
+    ordered = [np.sort(np.vstack(groups[key]), axis=0) for key in keys]
     if config.has_moment_form:
         return _centroid_by_moments(config, keys, ordered)
     consequents = np.array([config.consequent_samples[key] for key, block

@@ -58,7 +58,7 @@ _VERSION = 1
 _U32 = np.dtype("<u4")
 _UINT = struct.Struct("<I")
 _PAIR = struct.Struct("<II")
-_NO_POSTINGS = np.frombuffer(b"", _U32)
+_NO_POSTINGS = np.frombuffer(b"", _U32).reshape(0, 2)
 _TRUNCATED = "truncated index file"
 
 
@@ -171,7 +171,8 @@ class InvertedIndex:
     Built by :func:`build_index` or loaded from FRIX1 bytes, then a pure
     read structure, safe for concurrent readers.  Per-document statistics
     are ``doc_ids`` and the read-only arrays ``token_counts``,
-    ``max_term_frequencies`` and ``doc_id_ranks``, by doc ordinal.
+    ``max_term_frequencies``, ``doc_id_ranks`` and ``doc_id_array`` (the
+    doc ids as objects), by doc ordinal.
     Construction raises :class:`IndexFormatError` unless every count and
     length fits the bytes with none left over, doc ids and tokens are
     UTF-8, doc ids unique, tokens strictly ascending, each df and tf >= 1,
@@ -241,6 +242,9 @@ class InvertedIndex:
         self.doc_id_ranks = np.empty(n_docs, np.intp)
         self.doc_id_ranks[order] = np.arange(n_docs)
         self.doc_id_ranks.flags.writeable = False
+        #: ``doc_ids`` as an object array, to gather many with one index.
+        self.doc_id_array = np.array(self.doc_ids, dtype=object)
+        self.doc_id_array.flags.writeable = False
         self._check_postings()
 
     def _check_postings(self) -> None:
@@ -295,12 +299,17 @@ class InvertedIndex:
     def postings(self, token: str) -> tuple[np.ndarray, np.ndarray]:
         """A token's doc ordinals (ascending) and term frequencies, as
         read-only uint32 views of the index bytes; empty if unknown."""
+        pairs = self._pairs(token)
+        return pairs[:, 0], pairs[:, 1]
+
+    def _pairs(self, token: str) -> np.ndarray:
+        """A token's postings as (ordinal, tf) rows of one read-only df x 2
+        uint32 view of the index bytes; no rows if unknown."""
         entry = self._terms.get(token)
         if entry is None:
-            return _NO_POSTINGS, _NO_POSTINGS
+            return _NO_POSTINGS
         df, offset = entry
-        pairs = np.frombuffer(self._data, _U32, 2 * df, offset).reshape(df, 2)
-        return pairs[:, 0], pairs[:, 1]
+        return np.frombuffer(self._data, _U32, 2 * df, offset).reshape(df, 2)
 
     def term_frequency(self, doc_ordinal: int, token: str) -> int:
         ordinals, frequencies = self.postings(token)
@@ -471,8 +480,10 @@ def extract_features(index: InvertedIndex, query_tokens: list[str],
                      candidates: np.ndarray) -> QueryFeatures:
     """Ranking features of the candidate documents for the query tokens.
 
-    ``candidates`` are doc ordinals in ascending order.  One pass over each
-    distinct token's postings fills the tf matrix.  Distinct query tokens
+    ``candidates`` are doc ordinals in ascending order.  Every distinct
+    token's postings are read at once: one ``searchsorted`` finds each
+    posting's candidate column and one scatter fills the tf matrix, whatever
+    the number of tokens.  Distinct query tokens
     (first-occurrence order) set the overlap denominator; duplicates are
     collapsed.  A document with no tokens (maximum 0) has tf_norm 0 for
     every token.
@@ -481,13 +492,14 @@ def extract_features(index: InvertedIndex, query_tokens: list[str],
         raise QueryError("no query tokens")
     distinct = list(dict.fromkeys(query_tokens))
     candidates = np.asarray(candidates, dtype=np.intp)
+    pairs = [index._pairs(token) for token in distinct]
+    rows = np.repeat(np.arange(len(distinct)), list(map(len, pairs)))
+    ordinals, frequencies = np.concatenate(pairs).T
+    columns = np.searchsorted(candidates, ordinals)
+    hit = columns < len(candidates)
+    hit[hit] = candidates[columns[hit]] == ordinals[hit]
     counts = np.zeros((len(distinct), len(candidates)), dtype=np.int64)
-    for row, token in zip(counts, distinct):
-        ordinals, frequencies = index.postings(token)
-        columns = np.searchsorted(candidates, ordinals)
-        hit = columns < len(candidates)
-        hit[hit] = candidates[columns[hit]] == ordinals[hit]
-        row[columns[hit]] = frequencies[hit]
+    counts[rows[hit], columns[hit]] = frequencies[hit]
     max_tf = index.max_term_frequencies[candidates]
     return QueryFeatures(
         terms=tuple(distinct),

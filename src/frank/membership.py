@@ -9,11 +9,17 @@ trapezoidal) are evaluated exactly, with no smoothing at the breakpoints:
     gaussian(sigma, mean)       exp(-(x - mean)^2 / (2 sigma^2)); sigma > 0
     sigmoid(slope, inflection)  1 / (1 + exp(-slope * (x - inflection)))
 
-Degenerate linear edges (a == b, or c == d) collapse to a step: the peak or
-shoulder value still evaluates to 1, points strictly on the collapsed side
-evaluate to 0.  An edge's span (b - a, d - c) and a Gaussian's 2 sigma^2
-must be finite and the latter nonzero, so every curve that constructs gives
-a degree in [0, 1] at every finite point.
+A piecewise-linear curve is sampled as clipped ramps: the rise (x - a) /
+(b - a) and the fall (d - x) / (d - c), the degree the smaller of the two
+clipped to [0, 1].  A degenerate edge (a == b, or c == d) is a step instead:
+the peak or shoulder value still evaluates to 1, points strictly on the
+collapsed side evaluate to 0.  Such a curve gives a NaN point degree 0, and
+a signed zero such as (d - x) = -0.0 degree 0.0, so it never prints
+``-0.000000``.  Where x - inflection overflows, a sigmoid takes slope * x -
+slope * inflection, so a small slope keeps the true degree there.  An edge's
+span (b - a, d - c) and a Gaussian's 2 sigma^2 must be finite and the latter
+nonzero, so every curve that constructs gives a degree in [0, 1] at every
+finite point.
 """
 
 from __future__ import annotations
@@ -101,25 +107,30 @@ class MembershipFunction:
     def sample(self, xs: np.ndarray) -> np.ndarray:
         """Degrees of membership of an array of points."""
         xs = np.asarray(xs, dtype=np.float64)
-        if self.kind in _ORDER:
-            a, b, c, d = self._corners
-            y = np.zeros_like(xs)
-            if a < b:
-                rising = (xs > a) & (xs < b)
-                y[rising] = (xs[rising] - a) / (b - a)
-            if c < d:
-                falling = (xs > c) & (xs < d)
-                y[falling] = (d - xs[falling]) / (d - c)
-            y[(xs >= b) & (xs <= c)] = 1.0
-            return y
-        # x - mean and x - inflection may overflow to +-inf, which is the
-        # right limit: degree 0 far from a Gaussian, a saturated sigmoid
+        # x - a and the like may overflow to +-inf, which is the right
+        # limit: a clipped ramp, a degree 0 far from a Gaussian, a saturated
+        # sigmoid
         with np.errstate(over="ignore"):
+            if self.kind in _ORDER:
+                a, b, c, d = self._corners
+                rise = (xs - a) / (b - a) if a < b else (xs >= b) * 1.0
+                fall = (d - xs) / (d - c) if c < d else (xs <= c) * 1.0
+                y = np.fmax(np.minimum(np.minimum(rise, fall), 1.0), 0.0)
+                y += 0.0  # -0.0 becomes 0.0
+                return y
             if self.kind == "gaussian":
                 sigma, mean = self.params
                 return np.exp(-((xs - mean) ** 2) / (2.0 * sigma * sigma))
             slope, inflection = self.params
-            # a zero slope is flat at 1/2, even where x - inflection is inf
-            z = slope * (xs - inflection) if slope else np.zeros_like(xs)
+            if not slope:  # flat at 1/2, even where x - inflection is inf
+                return np.full_like(xs, 0.5)
+            offset = xs - inflection
+            # where a finite x is so far from the inflection that x -
+            # inflection overflows, the two have opposite signs, so slope *
+            # x - slope * inflection is finite or +-inf, never nan; the
+            # points where it is not taken may give inf - inf
+            with np.errstate(invalid="ignore"):
+                z = np.where(np.isinf(offset) & np.isfinite(xs),
+                             slope * xs - slope * inflection, slope * offset)
         z = np.clip(z, -_EXP_CLAMP, _EXP_CLAMP)
         return 1.0 / (1.0 + np.exp(-z))

@@ -7,9 +7,12 @@ the placeholder inputs ``tf``, ``idf`` and ``overlap``, plus
 distinct query term (weighted 1/t for t terms) and the ``overlap`` rules
 are weighted a further ``overlap_weight_ratio`` (default 1/6) below that,
 because overlap evidence is already partly carried by every per-term rule.
-:func:`score_fis` instead fires the template's own rules once on the
-query's t x n feature block, so a rule's t clones are t rows of its
-strengths; it equals ``evaluate(instantiate_fis(...), ...)`` bit for bit.
+:func:`score_fis` instead fuzzifies the query's tf, idf and overlap
+columns in one pass over the placeholders' shared prototype, and fires the
+template's own rules once on the query's t x n feature block, so a rule's t
+clones are t rows of its strengths; it equals
+``evaluate(instantiate_fis(...), ...)`` bit for bit.  The numpy calls per
+query do not grow with the number of terms or placeholders.
 
 Both scorers share candidate generation (the union of the query terms'
 postings: documents matching no term are never scored) and the ranking
@@ -266,7 +269,7 @@ def _to_ranked_list(index: InvertedIndex, query_id: str,
                     candidates: np.ndarray, scores: np.ndarray,
                     k: int) -> RankedList:
     order = np.lexsort((index.doc_id_ranks[candidates], -scores))[:k]
-    doc_ids = tuple(map(index.doc_ids.__getitem__, candidates[order].tolist()))
+    doc_ids = tuple(index.doc_id_array[candidates[order]].tolist())
     return RankedList(query_id, RankedEntries(doc_ids, scores[order],
                                               range(1, len(order) + 1)))
 
@@ -277,21 +280,27 @@ def score_fis(index: InvertedIndex, template: FisTemplate, query_text: str,
 
     Per candidate, the inputs are tf_norm/idf_norm per distinct query term
     (tf 0 for terms the document lacks, idf 0 for terms the corpus lacks)
-    plus the overlap fraction.  The template's rules, at their per-query
-    weights, fire once on tf as a terms x candidates matrix, idf as a terms
-    x 1 column and overlap as one row; each score equals
+    plus the overlap fraction.  All of them are fuzzified in one pass over
+    the placeholders' shared prototype.  The template's rules, at their
+    per-query weights, fire once on tf as a terms x candidates matrix, idf
+    as a terms x 1 column and overlap as one row; each score equals
     ``evaluate(instantiate_fis(template, t), ...)`` bit for bit.
     """
     terms = _distinct_query_terms(query_text)
     rules = template.query_rules(len(terms))
     candidates = _candidates(index, terms)
     features = extract_features(index, terms, candidates)
-    block = {"tf": features.tf, "idf": np.array(features.idf)[:, None],
-             "overlap": features.overlap}
-    config = template.config
+    # the placeholders share one prototype, so one pass fuzzifies them all
+    t, n = features.tf.shape
+    values = np.concatenate((features.tf.ravel(), features.idf,
+                             features.overlap))
     memberships = {}
-    for variable in config.inputs:
-        memberships.update(_memberships(variable, block[variable.name]))
+    for (_, label), degrees in _memberships(template.variable_prototype,
+                                            values).items():
+        memberships["tf", label] = degrees[:t * n].reshape(t, n)
+        memberships["idf", label] = degrees[t * n:t * n + t, None]
+        memberships["overlap", label] = degrees[t * n + t:]
+    config = template.config
     strengths = [fire_rule(rule, memberships, config.and_method)
                  for rule in rules]
     scores = _combine(config, rules, strengths, len(candidates))

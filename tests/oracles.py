@@ -69,6 +69,23 @@ def trap(x: np.ndarray, a: float, b: float, c: float, d: float) -> np.ndarray:
     return np.clip(y, 0.0, 1.0)
 
 
+def reference_sample(a: float, b: float, c: float, d: float,
+                     xs: np.ndarray) -> np.ndarray:
+    """Trapezoid (a, b, c, d) degrees by masked scatters: 0 everywhere, each
+    edge's open interval written from its ramp, then 1 on [b, c].  A
+    triangle is the trapezoid whose shoulders meet at its peak."""
+    xs = np.asarray(xs, dtype=np.float64)
+    y = np.zeros_like(xs)
+    if a < b:
+        rising = (xs > a) & (xs < b)
+        y[rising] = (xs[rising] - a) / (b - a)
+    if c < d:
+        falling = (xs > c) & (xs < d)
+        y[falling] = (d - xs[falling]) / (d - c)
+    y[(xs >= b) & (xs <= c)] = 1.0
+    return y
+
+
 def centroid_of(grid: np.ndarray, mu: np.ndarray) -> float:
     return math.fsum(grid * mu) / math.fsum(mu)
 
@@ -148,6 +165,29 @@ def _distinct(tokens: list[str]) -> list[str]:
         if token not in seen:
             seen.append(token)
     return seen
+
+
+def reference_extract_features(index, query_tokens: list[str],
+                               candidates) -> tuple[list[list[float]],
+                                                    list[float]]:
+    """The tf matrix and overlap column of ``extract_features``, one token
+    and one candidate at a time: a dict of each distinct token's postings,
+    read through ``index.postings``, looked up per candidate document."""
+    terms = _distinct(query_tokens)
+    candidates = [int(ordinal) for ordinal in candidates]
+    tf = []
+    matched = [0] * len(candidates)
+    for token in terms:
+        ordinals, frequencies = index.postings(token)
+        found = dict(zip(ordinals.tolist(), frequencies.tolist()))
+        row = []
+        for column, ordinal in enumerate(candidates):
+            count = found.get(ordinal, 0)
+            top = int(index.max_term_frequencies[ordinal])
+            row.append(count / top if count and top else 0.0)
+            matched[column] += count > 0
+        tf.append(row)
+    return tf, [m / len(terms) for m in matched]
 
 
 def reference_rank_fis(corpus: ReferenceCorpus, query: str, k: int = 1000,

@@ -7,9 +7,11 @@ import struct
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from frank import cli
 from frank.cli import main
 from frank.errors import RunFormatError, read_text
 from frank.evaluation import evaluate_run, format_report, load_qrels, load_run
@@ -285,6 +287,24 @@ class TestSearch:
         assert rc == 2
         assert out == ""
         assert err == "frank: error: line 2: whitespace in topic '1 02'\n"
+
+    @pytest.mark.parametrize("index_name", ["index", "missing"])
+    def test_duplicate_topic_names_its_line_before_loading(
+            self, capsys, index_path, tmp_path, monkeypatch, index_name):
+        # the batch is read before the index is loaded or a query ranked
+        def rank(*args, **kwargs):
+            raise AssertionError("a query was ranked")
+
+        monkeypatch.setattr(cli, "score_baseline", rank)
+        batch = tmp_path / "queries.tsv"
+        batch.write_text("7\triver\n8\tflood\n7\tice core\n")
+        index = index_path if index_name == "index" else tmp_path / "none"
+        rc, out, err = run_cli(capsys, [
+            "search", "--index", str(index), "--ranker", "baseline",
+            "--queries", str(batch)])
+        assert rc == 2
+        assert out == ""
+        assert err == "frank: error: line 3: duplicate topic 7\n"
 
     @pytest.mark.parametrize("flag, value", [
         ("--topic", "my topic"), ("--topic", ""),
@@ -794,6 +814,23 @@ class TestMfData:
             "--var", "tf", "--samples", "5"])
         assert rc == 0
         assert out == (golden_dir / "mf_data_tf5.txt").read_text()
+
+    def test_negative_zero_corner_prints_no_signed_zero(self, capsys,
+                                                        tmp_path, data_dir):
+        # the falling edge ends at -0, so d - x is -0.0 at x = 0
+        config = tmp_path / "neg_zero.cfg"
+        config.write_text((data_dir / "fis_basic.cfg").read_text().replace(
+            "[variable tf]\nuniverse 0 1\nset high trimf 0 1 1\n",
+            "[variable tf]\nuniverse -1 0\nset high trimf -1 -0.5 -0\n"))
+        rc, out, _ = run_cli(capsys, [
+            "mf-data", "--config", str(config), "--var", "tf",
+            "--samples", "9"])
+        assert rc == 0
+        assert out == "x,high,not_high\n" + "".join(
+            f"{x:.6f},{high:.6f},{float(x == 0):.6f}\n" for x, high in zip(
+                np.linspace(-1.0, 0.0, 9),
+                (0, 0.25, 0.5, 0.75, 1, 0.75, 0.5, 0.25, 0)))
+        assert "-0.000000" not in out
 
     def test_rising_ramp_value(self, capsys, data_dir):
         rc, out, _ = run_cli(capsys, [

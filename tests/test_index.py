@@ -29,7 +29,8 @@ from frank.index import (Document, InvertedIndex, build_index,
                          extract_features, idf_norm, idf_raw,
                          read_corpus_jsonl, tf_norm, tokenize, STOPWORDS)
 
-from oracles import ReferenceCorpus, reference_frix, reference_tokenize
+from oracles import (ReferenceCorpus, reference_extract_features,
+                     reference_frix, reference_tokenize)
 
 # Words and fragments that exercise the tokenizer's edges: one-character
 # tokens, digits, hyphens, stopwords in any case, and the two characters
@@ -292,6 +293,34 @@ class TestExtractFeatures:
         for column, ordinal in enumerate(subset.tolist()):
             assert features.tf[:, column].tolist() == [
                 tf_norm(index20, ordinal, token) for token in query]
+
+
+@pytest.mark.parametrize("query, subset", [
+    (["river", "flood", "river", "ice", "flood"], "all"),
+    (["river", "nosuchterm", "ice"], "all"),
+    (["nosuchterm"], "all"),
+    (["river", "flood", "ice", "nosuchterm"], "every third"),
+    (["water", "river", "water"], "first half"),
+    (["river", "flood"], "one"),
+    (["river", "flood"], "none"),
+], ids=["duplicate-tokens", "absent-token", "only-absent", "every-third",
+        "first-half-duplicates", "one-candidate", "no-candidates"])
+def test_extract_features_equals_the_per_token_loop(index20, query, subset):
+    """The one postings gather fills the tf matrix and overlap column the
+    per-token reference loop does, bit for bit."""
+    n = index20.total_docs
+    candidates = {"all": np.arange(n), "every third": np.arange(0, n, 3),
+                  "first half": np.arange(n // 2), "one": np.array([n - 1]),
+                  "none": np.array([], dtype=np.intp)}[subset]
+    features = extract_features(index20, query, candidates)
+    tf, overlap = reference_extract_features(index20, query, candidates)
+    distinct = list(dict.fromkeys(query))
+    assert features.terms == tuple(distinct)
+    assert features.idf == tuple(idf_norm(index20, t) for t in distinct)
+    assert features.candidates.tolist() == candidates.tolist()
+    assert features.tf.shape == (len(distinct), len(candidates))
+    assert features.tf.tolist() == tf
+    assert features.overlap.tolist() == overlap
 
 
 class TestInvariants:

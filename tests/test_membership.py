@@ -11,6 +11,7 @@ from frank.errors import ConfigError
 from frank.membership import KINDS, MembershipFunction
 
 from generators import random_mf
+from oracles import reference_sample
 
 
 class TestTriangular:
@@ -80,6 +81,29 @@ class TestSmoothKinds:
         mf = MembershipFunction.sigmoid(slope=1000.0, inflection=0.0)
         assert mf.evaluate(1e6) == 1.0
         assert 0.0 <= mf.evaluate(-1e6) < 1e-300
+
+    def test_small_slope_sigmoid_where_the_offset_overflows(self):
+        # x - inflection is -inf here, but slope * x - slope * inflection
+        # is -2: the degree is 1 / (1 + e^2), not a saturated 0
+        mf = MembershipFunction.sigmoid(1e-308, 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mf.evaluate(-1e308) == pytest.approx(
+                1.0 / (1.0 + math.exp(2.0)), rel=1e-12)
+            assert MembershipFunction.sigmoid(-1e-308, -1e308).evaluate(
+                1e308) == pytest.approx(1.0 / (1.0 + math.exp(2.0)),
+                                        rel=1e-12)
+
+    def test_large_slope_sigmoid_where_the_offset_overflows(self):
+        # slope * x and slope * inflection overflow to -inf and inf, whose
+        # difference is -inf: still saturated, never nan
+        mf = MembershipFunction.sigmoid(1e10, 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            degrees = mf.sample(np.array([-1e308, 1e308, -math.inf,
+                                          math.inf]))
+        assert degrees[0] < 1e-300
+        assert degrees[1:].tolist() == [0.5, degrees[0], 1.0]
 
 
 class TestValidation:
@@ -195,3 +219,71 @@ def test_sample_matches_scalar_evaluation():
             assert np.array_equal(sampled, scalar)
         else:
             np.testing.assert_allclose(sampled, scalar, rtol=1e-14, atol=0)
+
+
+def _bits(values: np.ndarray) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _near_corners(corners) -> list[float]:
+    """Each corner and its neighbouring floats, +-inf past the largest."""
+    with np.errstate(over="ignore"):
+        return [y for x in corners for y in (
+            np.nextafter(x, -math.inf), x, np.nextafter(x, math.inf))]
+
+
+_SPECIAL_POINTS = [0.0, -0.0, math.nan, math.inf, -math.inf, 1e308, -1e308,
+                   5e-324, -5e-324]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.booleans(), st.lists(_FINITE, min_size=4, max_size=4),
+       st.lists(st.floats(), max_size=8))
+def test_piecewise_linear_sample_is_the_masked_reference(trapezoid, values,
+                                                         points):
+    """The clipped ramps give the masked scatters' bytes at every point:
+    random and corner-neighbouring points, NaN, +-inf and signed zeros."""
+    params = sorted(values if trapezoid else values[:3])
+    try:
+        mf = MembershipFunction("trapezoidal" if trapezoid else "triangular",
+                                tuple(params))
+    except ConfigError:
+        return
+    a, b, c, d = params if trapezoid else (params[0], params[1], params[1],
+                                           params[2])
+    xs = np.array(points + _SPECIAL_POINTS + _near_corners((a, b, c, d)))
+    want = _bits(reference_sample(a, b, c, d, xs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # a whole column and one point at a time, as numpy's vector loops
+        # and their scalar tails may treat signed zeros apart
+        assert _bits(mf.sample(xs)) == want
+        assert _bits([mf.evaluate(x) for x in xs]) == want
+
+
+@pytest.mark.parametrize("corners", [
+    (0.0, 0.0, 1.0, 1.0),          # both edges collapsed
+    (0.0, 0.0, 0.0, 0.0),          # a point
+    (-1.0, -0.5, -0.5, -0.0),      # d = -0.0
+    (-0.0, -0.0, 0.5, 1.0),        # a collapsed edge at -0.0
+    (-0.0, 0.0, 0.0, 0.0),         # corners that differ only in sign
+    (0.0, 1.0, 1.0, 1.0),          # the default "high" ramp
+    (0.0, 0.0, 0.0, 1.0),          # the default "not_high" ramp
+    (-1e308, -1e300, 1e300, 1e308),
+    (-5e-324, 0.0, 0.0, 5e-324),   # denormal edges
+    (1.0, 1.0 + 2.0 ** -52, 2.0 - 2.0 ** -52, 2.0),
+], ids=["collapsed-edges", "point", "d-neg-zero", "a-neg-zero",
+        "signed-zero-corners", "high", "not-high", "widest", "denormal",
+        "adjacent-floats"])
+def test_piecewise_linear_sample_matches_reference_at_edge_cases(corners):
+    mf = MembershipFunction.trapezoidal(*corners)
+    between = [x / 2 + y / 2 for x, y in zip(corners, corners[1:])]
+    xs = np.array(_SPECIAL_POINTS + _near_corners(corners) + between)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sampled = mf.sample(xs)
+        one_by_one = [mf.evaluate(x) for x in xs]
+    assert _bits(sampled) == _bits(reference_sample(*corners, xs))
+    assert _bits(one_by_one) == _bits(sampled)
+    # no signed zero leaks, which "%f" would print as -0.000000
+    assert not np.signbit(sampled).any()

@@ -19,6 +19,7 @@ from frank.fis import (AGGREGATIONS, AND_METHODS, DEFUZZIFICATIONS,
                        defuzzify, evaluate, fire_rule, fuzzify, imply)
 from frank.index import (Document, build_index, extract_features, idf_raw,
                          read_corpus_jsonl, tokenize)
+from frank.membership import MembershipFunction
 from frank.ranker import (FisTemplate, RankedEntries, RankedEntry,
                           RankedList, default_template, instantiate_fis, score_baseline,
                           score_fis)
@@ -461,6 +462,26 @@ class TestColumnScoring:
             monkeypatch.setattr(cls, "__post_init__", counting(cls))
         assert score_fis(index20, template, query) == want
         assert built == []
+
+    @pytest.mark.parametrize("query, t", [
+        ("ice", 1), ("river flood levee ice water", 5)], ids=["t1", "t5"])
+    def test_fuzzifies_once_per_prototype_set(self, index20, template,
+                                              monkeypatch, query, t):
+        """tf, idf and overlap share one prototype, so a query samples each
+        of its sets once, whatever the number of terms."""
+        want = score_fis(index20, template, query)  # caches output samples
+        sampled = []
+        original = MembershipFunction.sample
+
+        def counting(mf, xs):
+            sampled.append(mf)
+            return original(mf, xs)
+
+        monkeypatch.setattr(MembershipFunction, "sample", counting)
+        assert score_fis(index20, template, query) == want
+        assert len(set(tokenize(query))) == t
+        assert sampled == list(template.variable_prototype.sets.values())
+        assert len(sampled) == 2
 
     def test_rule_order_leaves_run_bytes_alone(self, index20):
         for template in TEMPLATES.values():
