@@ -3,8 +3,8 @@
 Run:  python3 demos/05_evaluation.py
 """
 
-from frank import (Qrels, RunFile, diff_runs, evaluate_run, format_diff,
-                   format_report, format_run, parse_qrels)
+from frank import (RankedList, diff_runs, evaluate_run, format_diff,
+                   format_report, format_run, parse_qrels, run_from_ranked)
 
 # Judgments: topic, ignored column, document, graded relevance (>=1 counts).
 qrels = parse_qrels("""
@@ -14,15 +14,18 @@ t1 0 doc-c 2
 t2 0 doc-d 1
 """)
 
-# Two competing systems' rankings for the same topics.
-system_a = RunFile("system-a", {
-    "t1": [("doc-a", 1, 0.9), ("doc-b", 2, 0.7), ("doc-c", 3, 0.3)],
-    "t2": [("doc-x", 1, 0.8), ("doc-d", 2, 0.6)],
-})
-system_b = RunFile("system-b", {
-    "t1": [("doc-a", 1, 0.8), ("doc-c", 2, 0.6), ("doc-b", 3, 0.2)],
-    "t2": [("doc-d", 1, 0.9)],
-})
+# Two competing systems' rankings for the same topics, as the scorers
+# return them: per topic, (doc_id, score, rank) entries.
+system_a = run_from_ranked([
+    RankedList("t1", [
+        ("doc-a", 0.9, 1), ("doc-b", 0.7, 2), ("doc-c", 0.3, 3)]),
+    RankedList("t2", [("doc-x", 0.8, 1), ("doc-d", 0.6, 2)]),
+], "system-a")
+system_b = run_from_ranked([
+    RankedList("t1", [
+        ("doc-a", 0.8, 1), ("doc-c", 0.6, 2), ("doc-b", 0.2, 3)]),
+    RankedList("t2", [("doc-d", 0.9, 1)]),
+], "system-b")
 
 print("run file exchange format (6-decimal scores, sorted topics):")
 print(format_run(system_a))

@@ -25,7 +25,7 @@ from .evaluation import (diff_runs, evaluate_run, format_diff, format_report,
                          run_from_ranked)
 from .fis import MAX_RESOLUTION, evaluate, rule_strengths
 from .fisfile import load_fis_config, load_template
-from .index import InvertedIndex, build_index, read_corpus_jsonl
+from .index import InvertedIndex, build_index, read_corpus_jsonl, tokenize
 from .ranker import DEFAULT_CUTOFF, score_baseline, score_fis
 from .rules import print_rule
 
@@ -62,6 +62,9 @@ def _read_queries_tsv(path: str) -> list[tuple[str, str]]:
             raise RunFormatError(f"whitespace in topic {topic!r}", line=number)
         if topic in queries:  # a run holds one ranked list per topic
             raise RunFormatError(f"duplicate topic {topic}", line=number)
+        if not tokenize(text):  # the scorers reject it, after earlier topics
+            raise RunFormatError(f"topic {topic}: query is empty after "
+                                 "tokenization", line=number)
         queries[topic] = text.strip()
     if not queries:
         raise RunFormatError("no queries in batch file")

@@ -18,13 +18,17 @@ round-half-even behavior of Python float formatting.
 from __future__ import annotations
 
 import json
+import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
+import numpy as np
+
 from .errors import EvalError, RunFormatError, read_text
-from .ranker import RankedList
+from .ranker import RankedEntries, RankedList
 
 
 @dataclass(frozen=True)
@@ -50,13 +54,10 @@ class Qrels:
 
 @dataclass(frozen=True)
 class RunFile:
-    """One system's ranked output: topic -> [(doc_id, rank, score)]."""
+    """One system's ranked output: topic -> its ranked entries."""
 
     tag: str
-    topics: dict[str, list[tuple[str, int, float]]]
-
-    def ranked_doc_ids(self, topic: str) -> list[str]:
-        return [doc_id for doc_id, _, _ in self.topics.get(topic, [])]
+    topics: dict[str, RankedEntries]
 
 
 @dataclass(frozen=True)
@@ -125,7 +126,7 @@ def load_qrels(path: str | Path) -> Qrels:
 
 def parse_run(text: str) -> RunFile:
     tag: str | None = None
-    topics: dict[str, list[tuple[str, int, float]]] = {}
+    topics: dict[str, tuple[list[str], list[float]]] = {}
     # Doc ids of the current topic's lines, for the duplicate check.  Run
     # files group lines by topic, so one set at a time suffices; a topic
     # whose lines come back after another topic's keeps its set from then
@@ -147,6 +148,8 @@ def parse_run(text: str) -> RunFile:
         try:
             rank = int(rank_text)
             score = float(score_text)
+            if not math.isfinite(score):  # nan would pass the order check
+                raise ValueError
         except ValueError:
             raise RunFormatError(f"bad rank or score in {line!r}", line=number)
         if tag is None:
@@ -155,30 +158,34 @@ def parse_run(text: str) -> RunFile:
             raise RunFormatError(
                 f"conflicting run tags {tag!r} and {line_tag!r}", line=number
             )
-        entries = topics.setdefault(topic, [])
-        if rank != len(entries) + 1:
+        if topic != current:
+            current = topic
+            doc_ids, scores = topics.setdefault(topic, ([], []))
+            docs = interleaved.get(topic) or set(doc_ids)
+            if doc_ids:
+                interleaved[topic] = docs
+        if rank != len(doc_ids) + 1:
             raise RunFormatError(
                 f"topic {topic}: rank {rank} out of order (expected "
-                f"{len(entries) + 1})", line=number,
+                f"{len(doc_ids) + 1})", line=number,
             )
-        if entries and score > entries[-1][2]:
+        if doc_ids and score > scores[-1]:
             raise RunFormatError(
                 f"topic {topic}: score increases at rank {rank}", line=number
             )
-        if topic != current:
-            current = topic
-            docs = interleaved.get(topic) or {doc for doc, _, _ in entries}
-            if entries:
-                interleaved[topic] = docs
         if doc_id in docs:
             raise RunFormatError(
                 f"topic {topic}: duplicate doc {doc_id}", line=number
             )
         docs.add(doc_id)
-        entries.append((doc_id, rank, score))
+        doc_ids.append(doc_id)
+        scores.append(score)
     if tag is None:
         raise RunFormatError("empty run file")
-    return RunFile(tag, topics)
+    return RunFile(tag, {
+        topic: RankedEntries(tuple(doc_ids), np.array(scores),
+                             range(1, len(doc_ids) + 1))
+        for topic, (doc_ids, scores) in topics.items()})
 
 
 def load_run(path: str | Path) -> RunFile:
@@ -188,24 +195,23 @@ def load_run(path: str | Path) -> RunFile:
 def format_run(run: RunFile) -> str:
     """Canonical run-file bytes: topics ascending, ranks ascending."""
     lines = []
-    for topic in sorted(run.topics):
-        for doc_id, rank, score in run.topics[topic]:
+    for topic, entries in sorted(run.topics.items()):
+        for doc_id, rank, score in zip(entries.doc_ids, entries.ranks,
+                                       entries.scores.tolist()):
             lines.append(f"{topic} Q0 {doc_id} {rank} {score:.6f} {run.tag}")
     return "\n".join(lines) + "\n"
 
 
 def run_from_ranked(ranked_lists: list[RankedList], tag: str) -> RunFile:
-    topics: dict[str, list[tuple[str, int, float]]] = {}
+    topics: dict[str, RankedEntries] = {}
     for ranked in ranked_lists:
         if ranked.query_id in topics:
             raise EvalError(f"duplicate topic {ranked.query_id} in run")
-        entries = ranked.entries
-        topics[ranked.query_id] = list(zip(entries.doc_ids, entries.ranks,
-                                           entries.scores.tolist()))
+        topics[ranked.query_id] = ranked.entries
     return RunFile(tag, topics)
 
 
-def average_precision(ranked_doc_ids: list[str], relevant: set[str]) -> float:
+def average_precision(doc_ids: Sequence[str], relevant: set[str]) -> float:
     """Mean of precision at each relevant retrieved rank, over all relevant.
 
     The denominator counts every relevant document in the judgments,
@@ -215,17 +221,17 @@ def average_precision(ranked_doc_ids: list[str], relevant: set[str]) -> float:
         raise EvalError("average precision needs at least one relevant doc")
     hits = 0
     precision_sum = 0.0
-    for rank, doc_id in enumerate(ranked_doc_ids, start=1):
+    for rank, doc_id in enumerate(doc_ids, start=1):
         if doc_id in relevant:
             hits += 1
             precision_sum += hits / rank
     return precision_sum / len(relevant)
 
 
-def precision_at_10(ranked_doc_ids: list[str], relevant: set[str]) -> float:
+def precision_at_10(doc_ids: Sequence[str], relevant: set[str]) -> float:
     """Relevant fraction of the first 10 retrieved; the denominator stays
     10 even for shorter lists."""
-    hits = sum(1 for doc_id in ranked_doc_ids[:10] if doc_id in relevant)
+    hits = sum(1 for doc_id in doc_ids[:10] if doc_id in relevant)
     return hits / 10.0
 
 
@@ -244,7 +250,7 @@ def evaluate_run(run: RunFile, qrels: Qrels) -> MetricsReport:
         if not relevant:
             skipped.append(topic)
             continue
-        ranked = run.ranked_doc_ids(topic)
+        ranked = run.topics[topic].doc_ids if topic in run.topics else ()
         per_topic[topic] = TopicMetrics(
             ap=average_precision(ranked, relevant),
             p10=precision_at_10(ranked, relevant),

@@ -248,3 +248,77 @@ def reference_rank_baseline(corpus: ReferenceCorpus, query: str,
         scored.append((doc_id, score))
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return scored[:k]
+
+
+class ReferenceRunError(Exception):
+    """A run-file error as ``frank.errors.RunFormatError`` reports it: the
+    message prefixed with ``line N: `` when the line is known."""
+
+    def __init__(self, message: str, line: int | None = None):
+        self.line = line
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+
+
+def reference_parse_run(text: str) -> tuple[str, dict[str, list]]:
+    """The run-file parser as it was written row by row: the tag and, per
+    topic, its lines as ``(doc_id, rank, score)`` tuples.
+
+    Lines are ``topic Q0 doc rank score tag``; ranks run 1, 2, ... per
+    topic, scores do not rise, a topic names a doc once and every line
+    carries the same tag.  Scores are taken as ``float`` reads them, so
+    non-finite ones are not rejected here.
+    """
+    tag: str | None = None
+    topics: dict[str, list[tuple[str, int, float]]] = {}
+    current: str | None = None
+    docs: set[str] = set()
+    interleaved: dict[str, set[str]] = {}
+    for number, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        fields = line.split()
+        if len(fields) != 6:
+            raise ReferenceRunError(
+                f"expected 'topic Q0 doc rank score tag', got "
+                f"{len(fields)} fields", line=number,
+            )
+        topic, _, doc_id, rank_text, score_text, line_tag = fields
+        try:
+            rank = int(rank_text)
+            score = float(score_text)
+        except ValueError:
+            raise ReferenceRunError(f"bad rank or score in {line!r}",
+                                    line=number)
+        if tag is None:
+            tag = line_tag
+        elif tag != line_tag:
+            raise ReferenceRunError(
+                f"conflicting run tags {tag!r} and {line_tag!r}", line=number
+            )
+        entries = topics.setdefault(topic, [])
+        if rank != len(entries) + 1:
+            raise ReferenceRunError(
+                f"topic {topic}: rank {rank} out of order (expected "
+                f"{len(entries) + 1})", line=number,
+            )
+        if entries and score > entries[-1][2]:
+            raise ReferenceRunError(
+                f"topic {topic}: score increases at rank {rank}", line=number
+            )
+        if topic != current:
+            current = topic
+            docs = interleaved.get(topic) or {doc for doc, _, _ in entries}
+            if entries:
+                interleaved[topic] = docs
+        if doc_id in docs:
+            raise ReferenceRunError(
+                f"topic {topic}: duplicate doc {doc_id}", line=number
+            )
+        docs.add(doc_id)
+        entries.append((doc_id, rank, score))
+    if tag is None:
+        raise ReferenceRunError("empty run file")
+    return tag, topics

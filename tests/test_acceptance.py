@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 
 from frank.cli import main
-from frank.evaluation import Qrels, RunFile, evaluate_run, load_qrels, load_run
+from frank.evaluation import (Qrels, evaluate_run, load_qrels, load_run,
+                              run_from_ranked)
 from frank.fis import AggregateSet, FisConfig, defuzzify, evaluate, fuzzify
 from frank.index import InvertedIndex, build_index, read_corpus_jsonl, tokenize
 from frank.membership import MembershipFunction
-from frank.ranker import default_template, instantiate_fis
+from frank.ranker import RankedList, default_template, instantiate_fis
 from frank.rules import parse_rule, print_rule
 
 from generators import random_config, random_inputs, random_rule_ast
@@ -139,18 +140,20 @@ def test_c05_monotonicity_on_dense_grid(template):
 def test_c06_metric_fixtures():
     """Hand-computed AP/P10/%no values, exact."""
     qrels = Qrels({("t1", "r1"): 1, ("t1", "r2"): 1})
-    run = RunFile("fix", {"t1": [("r1", 1, 0.9), ("x", 2, 0.5), ("r2", 3, 0.1)]})
+    run = run_from_ranked(
+        [RankedList("t1", [("r1", 0.9, 1), ("x", 0.5, 2), ("r2", 0.1, 3)])],
+        "fix")
     report_one = evaluate_run(run, qrels)
     assert report_one.per_topic["t1"].ap == pytest.approx(5 / 6, abs=1e-12)
 
     four_qrels = Qrels({(f"t{i}", "r"): 1 for i in range(4)})
-    four_run = RunFile("fix", {
-        "t0": [("r", 1, 1.0)],
-        "t1": [("r", 1, 1.0)],
-        "t2": [("r", 1, 1.0)],
-        "t3": [(f"x{j}", j + 1, 1.0 - j / 100) for j in range(10)]
-              + [("r", 11, 0.5)],
-    })
+    four_run = run_from_ranked([
+        RankedList("t0", [("r", 1.0, 1)]),
+        RankedList("t1", [("r", 1.0, 1)]),
+        RankedList("t2", [("r", 1.0, 1)]),
+        RankedList("t3", [(f"x{j}", 1.0 - j / 100, j + 1) for j in range(10)]
+                   + [("r", 0.5, 11)]),
+    ], "fix")
     four_report = evaluate_run(four_run, four_qrels)
     assert four_report.pct_no == 0.25
     assert four_report.per_topic["t3"].ap == pytest.approx(1 / 11, abs=1e-12)
@@ -197,8 +200,8 @@ def test_c08_rankers_agree_qualitatively(data_dir, golden_dir):
 
     single_answer = {"101": "d07", "102": "d03"}
     for topic, doc_id in single_answer.items():
-        assert fis_run.ranked_doc_ids(topic)[0] == doc_id
-        assert baseline_run.ranked_doc_ids(topic)[0] == doc_id
+        assert fis_run.topics[topic].doc_ids[0] == doc_id
+        assert baseline_run.topics[topic].doc_ids[0] == doc_id
     report(f"criterion 8, |MAP delta| = {abs(fis_map - baseline_map):.4f} "
            "<= 0.15 and single-answer topics ranked first by both")
 

@@ -306,6 +306,24 @@ class TestSearch:
         assert out == ""
         assert err == "frank: error: line 3: duplicate topic 7\n"
 
+    @pytest.mark.parametrize("index_name", ["index", "missing"])
+    def test_empty_query_in_batch_names_its_line_before_loading(
+            self, capsys, index_path, tmp_path, monkeypatch, index_name):
+        def rank(*args, **kwargs):
+            raise AssertionError("a query was ranked")
+
+        monkeypatch.setattr(cli, "score_baseline", rank)
+        batch = tmp_path / "queries.tsv"
+        batch.write_text("1\tfuzzy ranking\n2\tthe of\n")
+        index = index_path if index_name == "index" else tmp_path / "none"
+        rc, out, err = run_cli(capsys, [
+            "search", "--index", str(index), "--ranker", "baseline",
+            "--queries", str(batch)])
+        assert rc == 2
+        assert out == ""
+        assert err == ("frank: error: line 2: topic 2: query is empty after "
+                       "tokenization\n")
+
     @pytest.mark.parametrize("flag, value", [
         ("--topic", "my topic"), ("--topic", ""),
         ("--tag", "my run"), ("--tag", ""), ("--tag", "run\u2028b"),

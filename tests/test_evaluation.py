@@ -12,25 +12,27 @@ The 3-topic fixture below was scored by hand before the harness existed:
     MAP = (5/6 + 1/11 + 1)/3,  mean P10 = 1/6,  %no = 1/3
 """
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frank.errors import EvalError, RunFormatError
-from frank.evaluation import (MetricsReport, Qrels, RunFile,
-                              average_precision, diff_runs, evaluate_run,
-                              format_diff, format_report, format_run,
-                              parse_qrels, parse_run, precision_at_10,
-                              report_jsonl, run_from_ranked)
-from frank.ranker import RankedEntry, RankedList
+from frank.evaluation import (MetricsReport, Qrels, average_precision,
+                              diff_runs, evaluate_run, format_diff,
+                              format_report, format_run, parse_qrels,
+                              parse_run, precision_at_10, report_jsonl,
+                              run_from_ranked)
+from frank.ranker import RankedEntries, RankedEntry, RankedList
+
+from oracles import ReferenceRunError, reference_parse_run
 
 
 def make_run(tag, ranking_by_topic):
-    topics = {}
-    for topic, doc_ids in ranking_by_topic.items():
-        topics[topic] = [
-            (doc_id, rank, 1.0 / rank)
-            for rank, doc_id in enumerate(doc_ids, start=1)
-        ]
-    return RunFile(tag, topics)
+    return run_from_ranked([
+        RankedList(topic, [(doc_id, 1.0 / rank, rank)
+                           for rank, doc_id in enumerate(doc_ids, start=1)])
+        for topic, doc_ids in ranking_by_topic.items()
+    ], tag)
 
 
 FIXTURE_QRELS = Qrels({
@@ -136,9 +138,9 @@ class TestEvaluateRun:
     def test_metrics_depend_only_on_doc_order(self):
         qrels = Qrels({("t1", "r1"): 1, ("t1", "r2"): 1})
         by_order = make_run("a", {"t1": ["r1", "x", "r2"]})
-        different_scores = RunFile("b", {
-            "t1": [("r1", 1, 9.0), ("x", 2, 3.0), ("r2", 3, 0.25)],
-        })
+        different_scores = run_from_ranked([
+            RankedList("t1", [("r1", 9.0, 1), ("x", 3.0, 2), ("r2", 0.25, 3)]),
+        ], "b")
         report_a = evaluate_run(by_order, qrels)
         report_b = evaluate_run(different_scores, qrels)
         assert report_a.per_topic["t1"] == report_b.per_topic["t1"]
@@ -227,24 +229,101 @@ class TestQrelsParsing:
             parse_qrels("t 0 x\n")
 
 
+_TOPICS = ("t1", "t2", "t10")
+_DOCS = ("d1", "d2", "d3", "d4")
+_SCORES = st.floats(-3, 3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def run_texts(draw):
+    """Run text near a well-formed run: topics grouped or interleaved, then
+    up to three lines broken in a way the parser checks (rank, score
+    order, duplicate doc, topic, tag, unreadable number), then maybe a
+    field dropped or added or a blank line put in.  Every score is
+    finite."""
+    pending = []
+    for topic in draw(st.lists(st.sampled_from(_TOPICS), unique=True,
+                               max_size=3)):
+        docs = draw(st.lists(st.sampled_from(_DOCS), unique=True, min_size=1,
+                             max_size=4))
+        scores = sorted(draw(st.lists(_SCORES, min_size=len(docs),
+                                      max_size=len(docs))), reverse=True)
+        pending.append([[topic, "Q0", doc, str(rank), f"{score:.6f}", "run"]
+                        for rank, (doc, score) in enumerate(zip(docs, scores),
+                                                            start=1)])
+    lines = []
+    while pending:  # each topic's lines stay in rank order
+        rows = pending[draw(st.integers(0, len(pending) - 1))]
+        lines.append(rows.pop(0))
+        pending = [rows for rows in pending if rows]
+    for _ in range(draw(st.integers(0, 3)) if lines else 0):
+        fields = lines[draw(st.integers(0, len(lines) - 1))]
+        kind = draw(st.sampled_from(("rank", "score", "score", "doc", "doc",
+                                     "topic", "tag")))
+        if kind == "rank":
+            fields[3] = draw(st.sampled_from(("0", "1", "2", "3", "5", "-1",
+                                              "x", "2.0")))
+        elif kind == "score":
+            fields[4] = draw(st.sampled_from(("9", "9", "0.500000", "-0",
+                                              "1e-3", "-2.5", "x")))
+        elif kind == "doc":
+            fields[2] = draw(st.sampled_from(_DOCS))
+        elif kind == "topic":
+            fields[0] = draw(st.sampled_from(_TOPICS))
+        else:
+            fields[5] = "other"
+    kind = draw(st.sampled_from(("none", "none", "none", "drop field",
+                                 "add field", "blank")))
+    if kind == "blank":
+        lines.insert(draw(st.integers(0, len(lines))), [])
+    elif lines and kind != "none":
+        fields = lines[draw(st.integers(0, len(lines) - 1))]
+        if kind == "drop field":
+            del fields[draw(st.integers(0, 5))]
+        else:
+            fields.append("extra")
+    separator = draw(st.sampled_from((" ", "\t", "  ")))
+    return "\n".join(separator.join(fields) for fields in lines)
+
+
 class TestRunFileParsing:
     def test_roundtrip(self):
         text = format_run(FIXTURE_RUN)
-        assert format_run(parse_run(text)) == text
+        parsed = parse_run(text)
+        assert format_run(parsed) == text
+        for entries in parsed.topics.values():
+            assert type(entries) is RankedEntries
+            assert entries.scores.dtype == np.float64
+            assert not entries.scores.flags.writeable
 
     def test_format_is_byte_stable(self):
-        run = RunFile("tag", {"t1": [("d1", 1, 0.5), ("d2", 2, 0.25)]})
+        run = run_from_ranked(
+            [RankedList("t1", [("d1", 0.5, 1), ("d2", 0.25, 2)])], "tag")
         assert format_run(run) == (
             "t1 Q0 d1 1 0.500000 tag\n"
             "t1 Q0 d2 2 0.250000 tag\n"
         )
 
     def test_topics_sorted_in_output(self):
-        run = RunFile("tag", {
-            "t2": [("d", 1, 1.0)], "t1": [("d", 1, 1.0)], "t10": [("d", 1, 1.0)],
-        })
+        run = run_from_ranked([
+            RankedList(topic, [("d", 1.0, 1)]) for topic in ("t2", "t1", "t10")
+        ], "tag")
         lines = format_run(run).splitlines()
         assert [line.split()[0] for line in lines] == ["t1", "t10", "t2"]
+
+    @pytest.mark.parametrize("rank, score", [
+        ("x", "0.5"), ("2.0", "0.5"), ("2", "high"),
+        # float() reads these; nan would pass the score-order check
+        ("2", "nan"), ("2", "NaN"), ("2", "inf"), ("2", "-inf"),
+        ("2", "infinity"), ("2", "1e999"),
+    ])
+    def test_bad_rank_or_score_rejected(self, rank, score):
+        line = f"t1 Q0 d2 {rank} {score} tag"
+        text = f"t1 Q0 d1 1 1.0 tag\n{line}\nt1 Q0 d3 3 5.0 tag\n"
+        with pytest.raises(RunFormatError) as caught:
+            parse_run(text)
+        assert str(caught.value) == f"line 2: bad rank or score in {line!r}"
+        assert caught.value.line == 2
 
     def test_rank_gap_rejected(self):
         with pytest.raises(RunFormatError, match="rank"):
@@ -270,8 +349,8 @@ class TestRunFileParsing:
         lines = ["t1 Q0 d1 1 0.9 tag", "t2 Q0 d1 1 0.9 tag",
                  "t1 Q0 d2 2 0.8 tag", "t2 Q0 d2 2 0.8 tag",
                  "t1 Q0 d3 3 0.7 tag", "t2 Q0 d3 3 0.7 tag"]
-        assert parse_run("\n".join(lines)).ranked_doc_ids("t2") == [
-            "d1", "d2", "d3"]
+        assert parse_run("\n".join(lines)).topics["t2"].doc_ids == (
+            "d1", "d2", "d3")
         with pytest.raises(RunFormatError,
                            match="^line 7: topic t2: duplicate doc d2$"):
             parse_run("\n".join(lines + ["t2 Q0 d2 4 0.6 tag"]))
@@ -284,6 +363,27 @@ class TestRunFileParsing:
         with pytest.raises(RunFormatError, match="empty"):
             parse_run("\n\n")
 
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(run_texts())
+    def test_parse_run_matches_row_wise_reference(self, text):
+        """Same rows as ``(doc_id, score, rank)``, or the same error at the
+        same line, as the row-wise parser in ``tests/oracles.py``."""
+        try:
+            tag, rows = reference_parse_run(text)
+        except ReferenceRunError as error:
+            with pytest.raises(RunFormatError) as caught:
+                parse_run(text)
+            assert (str(caught.value), caught.value.line) == \
+                (str(error), error.line)
+            return
+        run = parse_run(text)
+        assert run.tag == tag
+        assert list(run.topics) == list(rows)
+        for topic, entries in run.topics.items():
+            assert type(entries) is RankedEntries
+            assert list(entries) == [(doc_id, score, rank)
+                                     for doc_id, rank, score in rows[topic]]
+
     def test_run_from_ranked_lists(self):
         lists = [
             RankedList("t1", (RankedEntry("d1", 0.9, 1),)),
@@ -291,7 +391,9 @@ class TestRunFileParsing:
         ]
         run = run_from_ranked(lists, "mine")
         assert run.tag == "mine"
-        assert run.ranked_doc_ids("t1") == ["d1"]
+        assert run.topics["t1"].doc_ids == ("d1",)
+        assert all(type(entries) is RankedEntries
+                   for entries in run.topics.values())
 
     def test_run_from_ranked_duplicate_topic(self):
         lists = [

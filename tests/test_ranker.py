@@ -547,9 +547,11 @@ def wide_index(n: int):
         for i in range(n)])
 
 
-def rows_of(ranked: RankedList) -> list[tuple[str, int, float]]:
-    """A run topic as a loop over the entries builds it, row by row."""
-    return [(e.doc_id, e.rank, e.score) for e in ranked.entries]
+def run_lines_of(ranked: RankedList, tag: str) -> str:
+    """A run topic's lines as a loop over the entries writes them, row by
+    row."""
+    return "".join(f"{ranked.query_id} Q0 {e.doc_id} {e.rank} {e.score:.6f} "
+                   f"{tag}\n" for e in ranked.entries)
 
 
 class TestColumnarEntries:
@@ -558,11 +560,16 @@ class TestColumnarEntries:
 
     @staticmethod
     def tracked_while_holding(make) -> int:
+        """GC-tracked objects added while ``make()``'s result, a non-empty
+        ranked list or run, is held."""
         gc.collect()
         before = len(gc.get_objects())
         held = make()
         gc.collect()
-        assert held.entries
+        if isinstance(held, RunFile):
+            assert held.topics and all(held.topics.values())
+        else:
+            assert held.entries
         return len(gc.get_objects()) - before
 
     def test_ranked_lists_add_few_tracked_objects(self, template):
@@ -578,6 +585,20 @@ class TestColumnarEntries:
             assert len(score(800).entries) == 800
             assert large <= 10, name
             assert large <= small, name
+
+    def test_parsed_runs_add_few_tracked_objects(self):
+        index = wide_index(900)
+
+        def parsed(k):
+            return parse_run(format_run(run_from_ranked(
+                [score_baseline(index, "river flood", k=k)], "t")))
+
+        parsed(1)  # the index's lazy per-document columns
+        small = self.tracked_while_holding(lambda: parsed(20))
+        large = self.tracked_while_holding(lambda: parsed(800))
+        assert len(parsed(800).topics["1"]) == 800
+        assert large <= 10
+        assert large <= small
 
     def test_equals_the_tuple_of_its_entries(self, index20, template):
         for ranked in (score_baseline(index20, "river flood"),
@@ -653,11 +674,11 @@ class TestColumnarEntries:
         for name, (change, message) in cases.items():
             bad = dataclasses.replace(ranked, entries=change(ranked.entries))
             text = format_run(run_from_ranked([bad], "t"))
-            assert text == format_run(RunFile("t", {"q9": rows_of(bad)})), name
+            assert text == run_lines_of(bad, "t"), name
             if message is None:
                 parsed = parse_run(text).topics["q9"]
-                assert [row[:2] for row in parsed] == \
-                    [row[:2] for row in rows_of(bad)]
+                assert [(e.doc_id, e.rank) for e in parsed] == \
+                    [(e.doc_id, e.rank) for e in bad.entries]
             else:
                 with pytest.raises(RunFormatError) as caught:
                     parse_run(text)
