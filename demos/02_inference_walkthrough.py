@@ -48,13 +48,13 @@ implied = [
           strength, config.implication)
     for rule, strength in zip(config.rules, strengths)
 ]
-combined = aggregate(implied, config.aggregation, config.output.universe)
-print(f"aggregate output set: {len(combined.samples)} samples, "
-      f"peak {combined.samples.max():.3f}, area {combined.samples.sum():.1f}")
+combined = aggregate(implied, config.aggregation)
+print(f"aggregate output set: {len(combined)} samples, "
+      f"peak {combined.max():.3f}, area {combined.sum():.1f}")
 print()
 
 # 5. defuzzification: centroid of the aggregate
-crisp = defuzzify(combined, config.defuzzification)
+crisp = defuzzify(combined, config.output.universe, config.defuzzification)
 print(f"centroid -> crisp relevance {crisp:.6f}")
 # Under prod implication and sum aggregation the centroid is linear in the
 # strengths, so evaluate() takes it from each consequent set's grid moments

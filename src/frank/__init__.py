@@ -12,14 +12,14 @@ from .evaluation import (MetricsDiff, MetricsReport, Qrels, RunFile,
                          evaluate_run, format_diff, format_report, format_run,
                          load_qrels, load_run, parse_qrels, parse_run,
                          precision_at_10, report_jsonl, run_from_ranked)
-from .fis import (AggregateSet, FisConfig, LinguisticVariable, aggregate,
-                  default_variable, defuzzify, evaluate, fire_rule, fuzzify,
-                  imply, rule_strengths)
+from .fis import (FisConfig, LinguisticVariable, aggregate, default_variable,
+                  defuzzify, evaluate, fire_rule, fuzzify, imply,
+                  rule_strengths)
 from .fisfile import (format_fis_config, format_template, load_fis_config,
                       load_template, parse_fis_config, parse_template)
 from .index import (Document, InvertedIndex, QueryFeatures, build_index,
                     extract_features, idf_norm, idf_raw, read_corpus_jsonl,
-                    tf_norm, tokenize)
+                    tokenize)
 from .membership import MembershipFunction
 from .ranker import (FisTemplate, RankedEntry, RankedList, default_template,
                      instantiate_fis, score_baseline, score_fis)

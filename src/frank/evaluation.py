@@ -193,13 +193,14 @@ def load_run(path: str | Path) -> RunFile:
 
 
 def format_run(run: RunFile) -> str:
-    """Canonical run-file bytes: topics ascending, ranks ascending."""
+    """Canonical run-file bytes: topics ascending, ranks ascending; empty
+    for a run without lines."""
     lines = []
     for topic, entries in sorted(run.topics.items()):
         for doc_id, rank, score in zip(entries.doc_ids, entries.ranks,
                                        entries.scores.tolist()):
             lines.append(f"{topic} Q0 {doc_id} {rank} {score:.6f} {run.tag}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n" if lines else ""
 
 
 def run_from_ranked(ranked_lists: list[RankedList], tag: str) -> RunFile:

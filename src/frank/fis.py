@@ -105,32 +105,6 @@ def default_variable(name: str) -> LinguisticVariable:
 
 
 @dataclass(frozen=True)
-class AggregateSet:
-    """Pointwise-aggregated membership over the output grid, for one row
-    (1-D samples) or a block of rows (rows x grid).
-
-    Samples may exceed 1 under sum aggregation; they are never negative.
-    """
-
-    universe: tuple[float, float]
-    samples: np.ndarray
-
-    def __post_init__(self):
-        samples = np.array(self.samples, dtype=np.float64)
-        if samples.ndim not in (1, 2) or samples.shape[-1] < 2:
-            raise ConfigError("aggregate needs 1 or 2 axes of >= 2 samples")
-        if (samples < 0).any():
-            raise ConfigError("aggregate samples must be nonnegative")
-        samples.flags.writeable = False
-        object.__setattr__(self, "samples", samples)
-
-    @property
-    def grid(self) -> np.ndarray:
-        lo, hi = self.universe
-        return np.linspace(lo, hi, self.samples.shape[-1])
-
-
-@dataclass(frozen=True)
 class FisConfig:
     inputs: tuple[LinguisticVariable, ...]
     output: LinguisticVariable
@@ -333,8 +307,8 @@ def imply(consequent_samples: np.ndarray, strength: float | np.ndarray,
     return np.minimum(consequent_samples, strength)
 
 
-def aggregate(implied_sets: Sequence[np.ndarray], aggregation: str = "sum",
-              universe: tuple[float, float] = (0.0, 1.0)) -> AggregateSet:
+def aggregate(implied_sets: Sequence[np.ndarray], aggregation: str = "sum"
+              ) -> np.ndarray:
     """Combine implied sets pointwise into one output set.
 
     All sets must be sampled on the identical grid, as rows or (rows x
@@ -353,13 +327,15 @@ def aggregate(implied_sets: Sequence[np.ndarray], aggregation: str = "sum",
         combined = implied_sets[0]
         for samples in implied_sets[1:]:
             combined = combined + samples - combined * samples
-    return AggregateSet(universe, combined)
+    return combined
 
 
-def defuzzify(aggregate_set: AggregateSet, method: str = "centroid"
-              ) -> float | np.ndarray:
-    """Collapse each row of an aggregate set to one crisp value inside its
-    universe: a float for a 1-D set, a column for a block.
+def defuzzify(samples: np.ndarray, universe: tuple[float, float],
+              method: str = "centroid") -> float | np.ndarray:
+    """Collapse each row of an aggregate set, sampled on the uniform
+    inclusive grid over ``universe``, to one crisp value inside it: a float
+    for 1-D samples, a column for a (rows x grid) block.  Samples may exceed
+    1 under sum aggregation; they may not be negative.
 
     centroid  sum(x * mu) / sum(mu) over the sample grid
     bisector  the grid point splitting the area in half
@@ -368,26 +344,31 @@ def defuzzify(aggregate_set: AggregateSet, method: str = "centroid"
     An all-zero row has no area to locate; it falls back to the universe
     midpoint and emits a RuntimeWarning so tests can detect it.
     """
-    samples = np.atleast_2d(aggregate_set.samples)
-    lo, hi = aggregate_set.universe
-    empty = ~(samples > 0).any(axis=-1)
+    samples = np.asarray(samples, dtype=np.float64)
+    if samples.ndim not in (1, 2) or samples.shape[-1] < 2:
+        raise ConfigError("aggregate needs 1 or 2 axes of >= 2 samples")
+    if (samples < 0).any():
+        raise ConfigError("aggregate samples must be nonnegative")
+    rows = np.atleast_2d(samples)
+    lo, hi = universe
+    empty = ~(rows > 0).any(axis=-1)
     if empty.any():
         warnings.warn(
             "all-zero aggregate set; defuzzifying to the universe midpoint",
             RuntimeWarning,
             stacklevel=2,
         )
-    grid = aggregate_set.grid
+    grid = np.linspace(lo, hi, rows.shape[-1])
     if method == "centroid":
         with np.errstate(invalid="ignore"):
-            crisp = np.sum(grid * samples, axis=-1) / np.sum(samples, axis=-1)
+            crisp = np.sum(grid * rows, axis=-1) / np.sum(rows, axis=-1)
     elif method == "bisector":
         # the sums never fall, so this count is where searchsorted puts half
-        cumulative = np.cumsum(samples, axis=-1)
+        cumulative = np.cumsum(rows, axis=-1)
         index = np.sum(cumulative < cumulative[:, -1:] / 2.0, axis=-1)
         crisp = grid[np.minimum(index, len(grid) - 1)]
     elif method in ("mom", "lom", "som"):
-        plateau = samples == samples.max(axis=-1, keepdims=True)
+        plateau = rows == rows.max(axis=-1, keepdims=True)
         if method == "mom":  # a vector mean would sum in another order
             crisp = np.array([grid[row].mean() for row in plateau])
         elif method == "som":  # the grid ascends, so its first point is least
@@ -397,7 +378,7 @@ def defuzzify(aggregate_set: AggregateSet, method: str = "centroid"
     else:
         raise ConfigError(f"unknown defuzzification method {method!r}")
     crisp = np.where(empty, (lo + hi) / 2.0, crisp)
-    return float(crisp[0]) if aggregate_set.samples.ndim == 1 else crisp
+    return float(crisp[0]) if samples.ndim == 1 else crisp
 
 
 def rule_strengths(config: FisConfig, inputs: Mapping[str, float]) -> list[float]:
@@ -456,8 +437,8 @@ def _combine(config: FisConfig, rules: Sequence[RuleAst],
     for start in range(0, rows, step):
         implied = imply(consequents, strengths[:, start:start + step],
                         config.implication)
-        crisp[start:start + step] = defuzzify(aggregate(
-            implied, config.aggregation, config.output.universe),
+        crisp[start:start + step] = defuzzify(
+            aggregate(implied, config.aggregation), config.output.universe,
             config.defuzzification)
     return crisp
 

@@ -75,9 +75,10 @@ class QueryFeatures:
     """Ranking features of one query's candidate documents, as columns.
 
     ``terms`` holds the distinct query tokens in first-occurrence order and
-    ``idf`` their idf_norm.  Row i of ``tf`` holds tf_norm of ``terms[i]``
-    for each of the ``candidates`` (doc ordinals, ascending), 0 where the
-    document lacks the token.  ``overlap`` holds, per candidate, the number
+    ``idf`` their idf_norm.  Row i of ``tf`` holds the term frequency of
+    ``terms[i]`` in each of the ``candidates`` (doc ordinals, ascending)
+    divided by that document's max term frequency, 0 where the document
+    lacks the token.  ``overlap`` holds, per candidate, the number
     of distinct tokens it contains divided by ``len(terms)``.
     """
 
@@ -177,9 +178,9 @@ class InvertedIndex:
     length fits the bytes with none left over, doc ids and tokens are
     UTF-8, doc ids unique, tokens strictly ascending, each df and tf >= 1,
     each token's doc ordinals < N and strictly ascending, and each
-    document's max term frequency the maximum over its postings.  Where
-    the bytes break several of these, the first break in byte order is
-    the one reported.
+    document's token count the sum of its postings' term frequencies and
+    its max term frequency their maximum.  Where the bytes break several
+    of these, the first break in byte order is the one reported.
     """
 
     def __init__(self, data: bytes):
@@ -249,7 +250,8 @@ class InvertedIndex:
 
     def _check_postings(self) -> None:
         """Check every posting against N, its token's order and its
-        document's recorded max term frequency, all tokens at once."""
+        document's recorded token count and max term frequency, all tokens
+        at once."""
         data = self._data
         ordinal, tf = np.frombuffer(
             b"".join(data[at:at + 8 * df] for df, at in self._terms.values()),
@@ -271,11 +273,20 @@ class InvertedIndex:
             fail(bad[0] + 1, "has postings out of doc ordinal order")
         observed = np.zeros(self.total_docs, _U32)
         np.maximum.at(observed, ordinal, tf)
-        if (bad := np.flatnonzero(observed != self.max_term_frequencies)).size:
+        # uint64 sums are exact; np.add.at's fast path needs matching dtypes
+        counted = np.zeros(self.total_docs, np.uint64)
+        np.add.at(counted, ordinal, tf.astype(np.uint64))
+        miscounted = counted != self.token_counts
+        bad = np.flatnonzero(miscounted
+                             | (observed != self.max_term_frequencies))
+        if bad.size:  # the token count comes first in a document's record
+            doc = bad[0]
+            problem = (
+                f"token count {self.token_counts[doc]}" if miscounted[doc]
+                else f"max term frequency {self.max_term_frequencies[doc]}")
             raise IndexFormatError(
-                f"corrupt index: document {self.doc_ids[bad[0]]!r} has max "
-                f"term frequency {self.max_term_frequencies[bad[0]]}, "
-                f"inconsistent with its postings")
+                f"corrupt index: document {self.doc_ids[doc]!r} has "
+                f"{problem}, inconsistent with its postings")
 
     @property
     def total_docs(self) -> int:
@@ -451,13 +462,10 @@ def idf_norm(index: InvertedIndex, token: str) -> float:
 
     A token in a single document scores 1, a token in every document scores
     0.  Unknown tokens score 0 (they contribute no matched evidence), and a
-    single-document corpus has no spread to normalize, also 0.
+    corpus of fewer than two documents has no spread to normalize, also 0.
     """
-    n = index.document_frequency(token)
     total = index.total_docs
-    if n == 0 or total == 1:
-        return 0.0
-    return math.log(total / n) / math.log(total)
+    return idf_raw(index, token) / math.log(total) if total > 1 else 0.0
 
 
 def idf_raw(index: InvertedIndex, token: str) -> float:
@@ -466,14 +474,6 @@ def idf_raw(index: InvertedIndex, token: str) -> float:
     if n == 0:
         return 0.0
     return math.log(index.total_docs / n)
-
-
-def tf_norm(index: InvertedIndex, doc_ordinal: int, token: str) -> float:
-    """Term frequency normalized by the document's max term frequency."""
-    tf = index.term_frequency(doc_ordinal, token)
-    if tf == 0:
-        return 0.0
-    return tf / int(index.max_term_frequencies[doc_ordinal])
 
 
 def extract_features(index: InvertedIndex, query_tokens: list[str],
@@ -485,8 +485,8 @@ def extract_features(index: InvertedIndex, query_tokens: list[str],
     posting's candidate column and one scatter fills the tf matrix, whatever
     the number of tokens.  Distinct query tokens
     (first-occurrence order) set the overlap denominator; duplicates are
-    collapsed.  A document with no tokens (maximum 0) has tf_norm 0 for
-    every token.
+    collapsed.  A document with no tokens (maximum 0) has tf 0 for every
+    token.
     """
     if not query_tokens:
         raise QueryError("no query tokens")

@@ -118,10 +118,6 @@ class FisTemplate:
     def variable_prototype(self) -> LinguisticVariable:
         return next(v for v in self.config.inputs if v.name == "tf")
 
-    @property
-    def output(self) -> LinguisticVariable:
-        return self.config.output
-
     def query_rules(self, t: int) -> tuple[RuleAst, ...]:
         """The per-term rules, then the overlap rules, at their weights for
         a query of ``t`` distinct terms: (rule weight) * 1/t, and a further
@@ -278,7 +274,7 @@ def score_fis(index: InvertedIndex, template: FisTemplate, query_text: str,
               k: int = DEFAULT_CUTOFF, query_id: str = "1") -> RankedList:
     """Rank candidate documents with the template's fuzzy rules.
 
-    Per candidate, the inputs are tf_norm/idf_norm per distinct query term
+    Per candidate, the inputs are normalized tf and idf per distinct query term
     (tf 0 for terms the document lacks, idf 0 for terms the corpus lacks)
     plus the overlap fraction.  All of them are fuzzified in one pass over
     the placeholders' shared prototype.  The template's rules, at their
@@ -311,7 +307,7 @@ def score_baseline(index: InvertedIndex, query_text: str,
                    k: int = DEFAULT_CUTOFF, query_id: str = "1") -> RankedList:
     """Rank candidate documents with the summed tf-idf vector formula.
 
-    Per matched term: tf_norm * idf_raw * length_norm, summed over terms in
+    Per matched term: tf * idf_raw * length_norm, summed over terms in
     query order, then scaled by the overlap (matched fraction of distinct
     query terms, the coordination factor) and the query norm.  length_norm
     is 1/sqrt(token count), 0 for an empty document; the query norm is

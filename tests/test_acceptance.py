@@ -16,7 +16,7 @@ import pytest
 from frank.cli import main
 from frank.evaluation import (Qrels, evaluate_run, load_qrels, load_run,
                               run_from_ranked)
-from frank.fis import AggregateSet, FisConfig, defuzzify, evaluate, fuzzify
+from frank.fis import FisConfig, defuzzify, evaluate, fuzzify
 from frank.index import InvertedIndex, build_index, read_corpus_jsonl, tokenize
 from frank.membership import MembershipFunction
 from frank.ranker import RankedList, default_template, instantiate_fis
@@ -84,11 +84,11 @@ def test_c03_analytic_defuzzification():
     resolution = 1001
     grid = np.linspace(0.0, 1.0, resolution)
     ramp = MembershipFunction.triangular(0.0, 1.0, 1.0).sample(grid)
-    value = defuzzify(AggregateSet((0.0, 1.0), ramp), "centroid")
+    value = defuzzify(ramp, (0.0, 1.0), "centroid")
     assert value == pytest.approx(2.0 / 3.0, abs=2.0 / resolution)
 
     symmetric = MembershipFunction.triangular(0.2, 0.5, 0.8).sample(grid)
-    center = defuzzify(AggregateSet((0.0, 1.0), symmetric), "centroid")
+    center = defuzzify(symmetric, (0.0, 1.0), "centroid")
     assert center == pytest.approx(0.5, abs=1e-9)
     report("criterion 3, analytic centroids (2/3 ramp, symmetric midpoint)")
 

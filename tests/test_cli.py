@@ -91,6 +91,16 @@ CORRUPT_INDEXES = {
         [D1, (b"d2", 1, 2)], [APPLE, BANANA],
         "document 'd2' has max term frequency 2, inconsistent with its "
         "postings"),
+    "token_count_mismatch": (
+        [D1, (b"d2", 2, 1)], [APPLE, BANANA],
+        "document 'd2' has token count 2, inconsistent with its postings"),
+    "token_count_reported_before_max_tf": (
+        [D1, (b"d2", 2, 2)], [APPLE, BANANA],
+        "document 'd2' has token count 2, inconsistent with its postings"),
+    "lowest_bad_document_reported": (
+        [(b"d1", 3, 3), (b"d2", 2, 1)], [APPLE, BANANA],
+        "document 'd1' has max term frequency 3, inconsistent with its "
+        "postings"),
 }
 
 
@@ -240,6 +250,16 @@ class TestSearch:
         assert rc == 2
         assert out == ""
         assert err == f"frank: error: corrupt index: {problem}\n"
+
+    @pytest.mark.parametrize("ranker", ["baseline", "fis"])
+    def test_query_without_hits_writes_nothing(self, capsys, index_path,
+                                               data_dir, ranker):
+        rc, out, _ = run_cli(capsys, [
+            "search", "--index", str(index_path), "--ranker", ranker,
+            "--template", str(data_dir / "template_default.cfg"),
+            "--query", "zzzz qqqq"])
+        assert rc == 0
+        assert out == ""
 
     def test_k_one_yields_one_line(self, capsys, index_path, data_dir):
         rc, out, _ = run_cli(capsys, [

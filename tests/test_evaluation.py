@@ -17,11 +17,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frank.errors import EvalError, RunFormatError
-from frank.evaluation import (MetricsReport, Qrels, average_precision,
-                              diff_runs, evaluate_run, format_diff,
-                              format_report, format_run, parse_qrels,
-                              parse_run, precision_at_10, report_jsonl,
-                              run_from_ranked)
+from frank.evaluation import (MetricsReport, Qrels, RunFile,
+                              average_precision, diff_runs, evaluate_run,
+                              format_diff, format_report, format_run,
+                              parse_qrels, parse_run, precision_at_10,
+                              report_jsonl, run_from_ranked)
 from frank.ranker import RankedEntries, RankedEntry, RankedList
 
 from oracles import ReferenceRunError, reference_parse_run
@@ -303,6 +303,11 @@ class TestRunFileParsing:
             "t1 Q0 d1 1 0.500000 tag\n"
             "t1 Q0 d2 2 0.250000 tag\n"
         )
+
+    def test_run_without_lines_formats_to_nothing(self):
+        assert format_run(RunFile("t", {})) == ""
+        empty = RankedList("t1", ())
+        assert format_run(run_from_ranked([empty], "t")) == ""
 
     def test_topics_sorted_in_output(self):
         run = run_from_ranked([

@@ -15,7 +15,7 @@ import pytest
 
 from frank.errors import ConfigError
 from frank.fis import (AGGREGATIONS, DEFUZZIFICATIONS, IMPLICATIONS,
-                       AggregateSet, FisConfig, LinguisticVariable, aggregate,
+                       FisConfig, LinguisticVariable, aggregate,
                        default_variable, defuzzify, evaluate, fire_rule,
                        fuzzify, imply, rule_strengths)
 from frank.membership import MembershipFunction
@@ -185,36 +185,36 @@ class TestAggregate:
 
     def test_single_set_identity(self):
         for method in ("sum", "max", "probor"):
-            result = aggregate([self.rising], method, (0.0, 1.0))
-            assert np.array_equal(result.samples, self.rising)
+            result = aggregate([self.rising], method)
+            assert np.array_equal(result, self.rising)
 
     def test_max_is_pointwise_maximum(self):
-        result = aggregate([self.rising, self.falling], "max", (0.0, 1.0))
+        result = aggregate([self.rising, self.falling], "max")
         expected = np.where(self.rising > self.falling, self.rising, self.falling)
-        assert np.array_equal(result.samples, expected)
+        assert np.array_equal(result, expected)
 
     def test_sum_matches_bruteforce_loop(self):
         a = 0.42 * self.rising
         b = 0.17 * self.falling
-        result = aggregate([a, b], "sum", (0.0, 1.0))
+        result = aggregate([a, b], "sum")
         expected = [a[i] + b[i] for i in range(len(self.grid))]
-        assert list(result.samples) == expected
+        assert list(result) == expected
 
     def test_sum_is_not_renormalized(self):
-        result = aggregate([self.rising, self.rising], "sum", (0.0, 1.0))
-        assert result.samples.max() == 2.0
+        result = aggregate([self.rising, self.rising], "sum")
+        assert result.max() == 2.0
 
     def test_probor_formula(self):
-        result = aggregate([self.rising, self.falling], "probor", (0.0, 1.0))
+        result = aggregate([self.rising, self.falling], "probor")
         expected = self.rising + self.falling - self.rising * self.falling
-        np.testing.assert_allclose(result.samples, expected, rtol=0, atol=0)
-        assert result.samples.max() <= 1.0 + 1e-12
+        np.testing.assert_allclose(result, expected, rtol=0, atol=0)
+        assert result.max() <= 1.0 + 1e-12
 
     def test_empty_list_rejected(self):
         with pytest.raises(ConfigError):
-            aggregate([], "sum", (0.0, 1.0))
+            aggregate([], "sum")
         with pytest.raises(ConfigError):
-            aggregate(np.empty((0, 3, 101)), "sum", (0.0, 1.0))
+            aggregate(np.empty((0, 3, 101)), "sum")
 
     @pytest.mark.parametrize("aggregation", AGGREGATIONS)
     @pytest.mark.parametrize("implication", IMPLICATIONS)
@@ -227,21 +227,21 @@ class TestAggregate:
         strengths[:, 4] = 0.0
         block = aggregate(imply(consequents[:, None, :],
                                 strengths[:, :, None], implication),
-                          aggregation, (0.0, 1.0))
-        assert block.samples.shape == (9, len(self.grid))
+                          aggregation)
+        assert block.shape == (9, len(self.grid))
         for row in range(9):
             alone = aggregate(
                 [imply(samples, float(strength), implication)
                  for samples, strength in zip(consequents, strengths[:, row])],
-                aggregation, (0.0, 1.0))
-            assert block.samples[row].tolist() == alone.samples.tolist()
+                aggregation)
+            assert block[row].tolist() == alone.tolist()
 
     def test_pairwise_commutativity_is_exact(self):
         a = 0.3 * self.rising
         b = 0.9 * self.falling
-        forward = aggregate([a, b], "sum", (0.0, 1.0))
-        backward = aggregate([b, a], "sum", (0.0, 1.0))
-        assert np.array_equal(forward.samples, backward.samples)
+        forward = aggregate([a, b], "sum")
+        backward = aggregate([b, a], "sum")
+        assert np.array_equal(forward, backward)
 
     def test_many_set_permutations_agree(self):
         """Pointwise sums over permuted set lists agree to accumulation
@@ -250,9 +250,9 @@ class TestAggregate:
         import itertools
         sets = [0.3 * self.rising, 0.9 * self.falling,
                 0.5 * self.rising, 0.1 * self.falling]
-        baseline = aggregate(sets, "sum", (0.0, 1.0)).samples
+        baseline = aggregate(sets, "sum")
         for permutation in itertools.permutations(sets):
-            permuted = aggregate(list(permutation), "sum", (0.0, 1.0)).samples
+            permuted = aggregate(list(permutation), "sum")
             np.testing.assert_allclose(permuted, baseline, rtol=1e-14, atol=1e-16)
 
 
@@ -283,13 +283,13 @@ class TestDefuzzify:
         resolution = 1001
         grid = np.linspace(0.0, 1.0, resolution)
         samples = MembershipFunction.triangular(0.0, 1.0, 1.0).sample(grid)
-        value = defuzzify(AggregateSet((0.0, 1.0), samples), "centroid")
+        value = defuzzify(samples, (0.0, 1.0), "centroid")
         assert value == pytest.approx(2.0 / 3.0, abs=2.0 / resolution)
 
     def test_symmetric_aggregate_centers(self):
         grid = np.linspace(0.0, 1.0, 1001)
         samples = MembershipFunction.triangular(0.25, 0.5, 0.75).sample(grid)
-        value = defuzzify(AggregateSet((0.0, 1.0), samples), "centroid")
+        value = defuzzify(samples, (0.0, 1.0), "centroid")
         assert value == pytest.approx(0.5, abs=1e-9)
 
     def test_two_term_system_matches_reference_pipeline(self):
@@ -300,22 +300,21 @@ class TestDefuzzify:
     def test_bisector_splits_area(self):
         grid = np.linspace(0.0, 1.0, 1001)
         samples = np.ones_like(grid)
-        value = defuzzify(AggregateSet((0.0, 1.0), samples), "bisector")
+        value = defuzzify(samples, (0.0, 1.0), "bisector")
         assert value == pytest.approx(0.5, abs=1e-3)
 
     def test_maximum_family(self):
         # integer grid points, so the plateau boundaries are hit exactly
         grid = np.linspace(0.0, 10.0, 11)
         samples = MembershipFunction.trapezoidal(0.0, 2.0, 6.0, 10.0).sample(grid)
-        plateau = AggregateSet((0.0, 10.0), samples)
-        assert defuzzify(plateau, "som") == 2.0
-        assert defuzzify(plateau, "lom") == 6.0
-        assert defuzzify(plateau, "mom") == 4.0
+        assert defuzzify(samples, (0.0, 10.0), "som") == 2.0
+        assert defuzzify(samples, (0.0, 10.0), "lom") == 6.0
+        assert defuzzify(samples, (0.0, 10.0), "mom") == 4.0
 
     def test_all_zero_falls_back_to_midpoint_with_warning(self):
-        zero = AggregateSet((0.2, 0.8), np.zeros(101))
         with pytest.warns(RuntimeWarning):
-            assert defuzzify(zero, "centroid") == pytest.approx(0.5)
+            assert defuzzify(np.zeros(101), (0.2, 0.8),
+                             "centroid") == pytest.approx(0.5)
 
     @pytest.mark.parametrize("method", DEFUZZIFICATIONS)
     def test_block_equals_each_row(self, method):
@@ -331,12 +330,12 @@ class TestDefuzzify:
         block[[1, 7]] = 0.0
         universe = (-1.0, 3.0)
         with pytest.warns(RuntimeWarning, match="all-zero"):
-            together = defuzzify(AggregateSet(universe, block), method)
+            together = defuzzify(block, universe, method)
         alone = []
         for row in block:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                alone.append(defuzzify(AggregateSet(universe, row), method))
+                alone.append(defuzzify(row, universe, method))
             assert len(caught) == (not row.any())
         assert isinstance(together, np.ndarray)
         assert together.tolist() == alone == [
@@ -344,14 +343,28 @@ class TestDefuzzify:
         assert together[1] == together[7] == 1.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rest = defuzzify(AggregateSet(universe, block[2:7]), method)
+            rest = defuzzify(block[2:7], universe, method)
         assert rest.tolist() == alone[2:7]
+
+    @pytest.mark.parametrize("samples, problem", [
+        (np.float64(0.5), "1 or 2 axes of >= 2 samples"),
+        (np.ones((2, 3, 4)), "1 or 2 axes of >= 2 samples"),
+        (np.ones(0), "1 or 2 axes of >= 2 samples"),
+        (np.ones(1), "1 or 2 axes of >= 2 samples"),
+        (np.ones((3, 1)), "1 or 2 axes of >= 2 samples"),
+        (np.array([0.2, -1e-300, 0.4]), "must be nonnegative"),
+        (np.array([[0.2, 0.1], [0.5, -0.5]]), "must be nonnegative"),
+    ], ids=["0-d", "3-d", "no-samples", "one-sample", "one-sample-rows",
+            "negative", "negative-in-block"])
+    def test_bad_samples_rejected(self, samples, problem):
+        with pytest.raises(ConfigError, match=problem):
+            defuzzify(samples, (0.0, 1.0), "centroid")
 
     def test_centroid_stays_in_universe(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
             samples = rng.uniform(0.0, 2.0, size=101)
-            value = defuzzify(AggregateSet((-1.0, 3.0), samples), "centroid")
+            value = defuzzify(samples, (-1.0, 3.0), "centroid")
             assert -1.0 <= value <= 3.0
 
 
@@ -364,7 +377,7 @@ class TestEvaluate:
         )
         value = evaluate(config, {"x": 1.0})
         samples = config.output.sets["high"].sample(config.output_grid)
-        direct = defuzzify(AggregateSet((0.0, 1.0), samples), "centroid")
+        direct = defuzzify(samples, (0.0, 1.0), "centroid")
         assert value == direct
 
     def test_repeated_evaluation_is_bit_identical(self):
@@ -467,7 +480,7 @@ def grid_centroid(config, inputs):
               fire_rule(rule, degrees, config.and_method), "prod")
         for rule in config.rules
     ]
-    return defuzzify(aggregate(implied, "sum", config.output.universe),
+    return defuzzify(aggregate(implied, "sum"), config.output.universe,
                      "centroid")
 
 

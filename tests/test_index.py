@@ -27,7 +27,7 @@ from hypothesis import example, given, settings, strategies as st
 from frank.errors import CorpusError, IndexFormatError, QueryError
 from frank.index import (Document, InvertedIndex, build_index,
                          extract_features, idf_norm, idf_raw,
-                         read_corpus_jsonl, tf_norm, tokenize, STOPWORDS)
+                         read_corpus_jsonl, tokenize, STOPWORDS)
 
 from oracles import (ReferenceCorpus, reference_extract_features,
                      reference_frix, reference_tokenize)
@@ -200,23 +200,28 @@ class TestNormalizedFeatures:
             values = [idf_norm(index, f"t{j}") for j in range(total)]
             assert values == sorted(values, reverse=True)
 
+    def test_idf_empty_corpus_is_zero(self):
+        """A zero-document index loads; its idf never takes ln(0)."""
+        index = InvertedIndex(b"FRIX1\x01" + bytes(8))
+        assert index.total_docs == 0
+        assert idf_norm(index, "apple") == 0.0
+
     def test_tf_norm_by_max_frequency(self):
         index = build_index([Document("d", "aa aa aa bb")])
-        assert tf_norm(index, 0, "aa") == 1.0
-        assert tf_norm(index, 0, "bb") == pytest.approx(1 / 3)
+        tf = extract_features(index, ["aa", "bb"], [0]).tf[:, 0]
+        assert tf[0] == 1.0
+        assert tf[1] == pytest.approx(1 / 3)
 
     def test_tf_norm_absent_token(self, index5):
-        assert tf_norm(index5, 0, "fig") == 0.0
+        assert extract_features(index5, ["fig"], [0]).tf.tolist() == [[0.0]]
 
     def test_every_nonempty_doc_has_a_unit_tf(self, index20):
+        features = extract_features(index20, index20.terms,
+                                    np.arange(index20.total_docs))
         for ordinal, token_count in enumerate(index20.token_counts):
             if token_count == 0:
                 continue
-            best = max(
-                tf_norm(index20, ordinal, token) for token in index20.terms
-                if index20.term_frequency(ordinal, token)
-            )
-            assert best == 1.0
+            assert features.tf[:, ordinal].max() == 1.0
 
 
 class TestExtractFeatures:
@@ -283,16 +288,22 @@ class TestExtractFeatures:
         assert features.tf.tolist() == [[1.0, 0.0]]
         assert features.overlap.tolist() == [1.0, 0.0]
 
-    def test_subset_of_candidates_matches_per_document_tf_norm(self, index20):
-        """Each column equals tf_norm of that document, for any ascending
-        subset of ordinals, including documents matching no token."""
+    def test_subset_of_candidates_matches_per_document_tf_norm(
+            self, index20, data_dir):
+        """Each column equals the reference tf_norm of that document, for
+        any ascending subset of ordinals, including documents matching no
+        token."""
+        reference = ReferenceCorpus([
+            (d.doc_id, d.text)
+            for d in read_corpus_jsonl(data_dir / "corpus20.jsonl")])
         query = ["river", "flood", "ice", "nosuchterm"]
         subset = np.arange(0, index20.total_docs, 3)
         features = extract_features(index20, query, subset)
         assert features.tf.any()
         for column, ordinal in enumerate(subset.tolist()):
+            doc_id = index20.doc_ids[ordinal]
             assert features.tf[:, column].tolist() == [
-                tf_norm(index20, ordinal, token) for token in query]
+                reference.tf_norm(doc_id, token) for token in query]
 
 
 @pytest.mark.parametrize("query, subset", [
@@ -367,6 +378,7 @@ class TestInvariants:
         for token in index20.terms:
             assert index20.document_frequency(token) == reference.doc_freq(token)
             assert idf_raw(index20, token) == pytest.approx(reference.idf_raw(token))
+            assert idf_norm(index20, token) == reference.idf_norm(token)
 
 
 class TestSerialization:

@@ -368,9 +368,8 @@ def grid_pipeline(config, inputs):
                    for rule in config.rules)
     implied = [imply(config.consequent_samples[key], strength,
                      config.implication) for key, strength in fired]
-    return defuzzify(aggregate(implied, config.aggregation,
-                               config.output.universe),
-                     config.defuzzification)
+    return defuzzify(aggregate(implied, config.aggregation),
+                     config.output.universe, config.defuzzification)
 
 
 class TestColumnScoring:
