@@ -242,15 +242,9 @@ def main(argv: list[str] | None = None) -> int:
             str(message))
         try:
             code = args.func(args)
-        except UsageError as exc:
+        except (FrankError, OSError) as exc:
             print(f"frank: error: {exc}", file=sys.stderr)
-            return 1
-        except FrankError as exc:
-            print(f"frank: error: {exc}", file=sys.stderr)
-            return 2
-        except OSError as exc:
-            print(f"frank: error: {exc}", file=sys.stderr)
-            return 2
+            return 1 if isinstance(exc, UsageError) else 2
     for message in warned:
         print(f"frank: warning: {message}", file=sys.stderr)
     return code

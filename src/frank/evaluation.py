@@ -311,16 +311,12 @@ def format_report(report: MetricsReport, tag: str) -> str:
 
 def format_diff(report_a: MetricsReport, diff: MetricsDiff, tag_a: str,
                 tag_b: str) -> str:
-    """Baseline row in absolute terms, second row as signed deltas."""
-    base = (
-        f"{tag_a:<16} {'all':<10} {report_a.mean_ap:>8.4f} "
-        f"{report_a.mean_p10:>8.4f} {report_a.pct_no * 100:>7.2f}%"
-    )
+    """The report of ``report_a``, then a row of signed deltas."""
     delta = (
         f"{tag_b:<16} {'all':<10} {diff.delta_map:>+8.4f} "
         f"{diff.delta_p10:>+8.4f} {diff.delta_pct_no * 100:>+7.2f}%"
     )
-    return f"{_HEADER}\n{base}\n{delta}\n"
+    return f"{format_report(report_a, tag_a)}{delta}\n"
 
 
 def report_jsonl(report: MetricsReport, tag: str) -> str:

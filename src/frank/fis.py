@@ -49,10 +49,16 @@ from .errors import ConfigError
 from .membership import MembershipFunction
 from .rules import RuleAst
 
-AND_METHODS = ("prod", "min")
-IMPLICATIONS = ("prod", "min")
-AGGREGATIONS = ("sum", "max", "probor")
-DEFUZZIFICATIONS = ("centroid", "bisector", "mom", "lom", "som")
+# operator family, also its config-file key -> (FisConfig field, methods)
+OPERATORS = {
+    "and": ("and_method", ("prod", "min")),
+    "implication": ("implication", ("prod", "min")),
+    "aggregation": ("aggregation", ("sum", "max", "probor")),
+    "defuzzification": ("defuzzification",
+                        ("centroid", "bisector", "mom", "lom", "som")),
+}
+AND_METHODS, IMPLICATIONS, AGGREGATIONS, DEFUZZIFICATIONS = (
+    methods for _, methods in OPERATORS.values())
 
 DEFAULT_RESOLUTION = 1001
 # Upper bound on ``resolution``: each consequent set is sampled on a grid of
@@ -61,6 +67,22 @@ MAX_RESOLUTION = 1_000_000
 # Implied samples per block of rows on the grid path: a block holds this over
 # (implied sets x resolution) rows, at least one, so memory stays bounded.
 GRID_BLOCK_FLOATS = 1 << 16
+
+
+def _check_method(family: str, method: str) -> None:
+    if method not in OPERATORS[family][1]:
+        raise ConfigError(f"unknown {family} method {method!r}")
+
+
+def _checked_universe(universe: tuple[float, float], owner: str = ""
+                      ) -> tuple[float, float]:
+    """``universe`` as floats, if lo < hi and hi - lo is finite (so lo and
+    hi are too); ``owner`` prefixes the error."""
+    lo, hi = map(float, universe)
+    if not (lo < hi and np.isfinite(hi - lo)):
+        raise ConfigError(f"{owner}universe requires lo < hi and a finite "
+                          f"hi - lo, got {(lo, hi)}")
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -72,15 +94,10 @@ class LinguisticVariable:
     sets: dict[str, MembershipFunction]
 
     def __post_init__(self):
-        lo, hi = map(float, self.universe)
-        object.__setattr__(self, "universe", (lo, hi))
         if not self.name:
             raise ConfigError("variable name must be nonempty")
-        if not (lo < hi and np.isfinite(hi - lo)):  # so lo and hi are too
-            raise ConfigError(
-                f"variable {self.name!r}: universe requires lo < hi and a "
-                f"finite hi - lo, got {self.universe}"
-            )
+        object.__setattr__(self, "universe", _checked_universe(
+            self.universe, f"variable {self.name!r}: "))
         if not self.sets:
             raise ConfigError(f"variable {self.name!r} has no fuzzy sets")
 
@@ -118,16 +135,8 @@ class FisConfig:
     def __post_init__(self):
         object.__setattr__(self, "inputs", tuple(self.inputs))
         object.__setattr__(self, "rules", tuple(self.rules))
-        if self.and_method not in AND_METHODS:
-            raise ConfigError(f"unknown and method {self.and_method!r}")
-        if self.implication not in IMPLICATIONS:
-            raise ConfigError(f"unknown implication method {self.implication!r}")
-        if self.aggregation not in AGGREGATIONS:
-            raise ConfigError(f"unknown aggregation method {self.aggregation!r}")
-        if self.defuzzification not in DEFUZZIFICATIONS:
-            raise ConfigError(
-                f"unknown defuzzification method {self.defuzzification!r}"
-            )
+        for family, (field, _) in OPERATORS.items():
+            _check_method(family, getattr(self, field))
         if self.resolution < 2:
             raise ConfigError(f"resolution must be >= 2, got {self.resolution}")
         if self.resolution > MAX_RESOLUTION:
@@ -282,6 +291,7 @@ def fire_rule(rule: RuleAst,
     conjuncts skip the fold.  Degrees may be floats or columns that
     broadcast together.
     """
+    _check_method("and", and_method)
     strength = None
     for clause in rule.antecedent:
         degree = memberships[(clause.variable, clause.label)]
@@ -302,6 +312,7 @@ def imply(consequent_samples: np.ndarray, strength: float | np.ndarray,
     """Reshape a sampled consequent: prod scales it, min truncates it.
     (sets x 1 x grid) consequents and (sets x rows x 1) strengths broadcast
     to one implied set per set and row."""
+    _check_method("implication", implication)
     if implication == "prod":
         return consequent_samples * strength
     return np.minimum(consequent_samples, strength)
@@ -315,6 +326,7 @@ def aggregate(implied_sets: Sequence[np.ndarray], aggregation: str = "sum"
     grid) blocks, such as a (sets x rows x grid) array; blocks combine row by
     row.  Sum output is not renormalized and may exceed 1.
     """
+    _check_method("aggregation", aggregation)
     if len(implied_sets) == 0:
         raise ConfigError("nothing to aggregate: no implied sets")
     if aggregation == "sum":
@@ -344,20 +356,14 @@ def defuzzify(samples: np.ndarray, universe: tuple[float, float],
     An all-zero row has no area to locate; it falls back to the universe
     midpoint and emits a RuntimeWarning so tests can detect it.
     """
+    _check_method("defuzzification", method)
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim not in (1, 2) or samples.shape[-1] < 2:
         raise ConfigError("aggregate needs 1 or 2 axes of >= 2 samples")
     if (samples < 0).any():
         raise ConfigError("aggregate samples must be nonnegative")
     rows = np.atleast_2d(samples)
-    lo, hi = universe
-    empty = ~(rows > 0).any(axis=-1)
-    if empty.any():
-        warnings.warn(
-            "all-zero aggregate set; defuzzifying to the universe midpoint",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    lo, hi = _checked_universe(universe)
     grid = np.linspace(lo, hi, rows.shape[-1])
     if method == "centroid":
         with np.errstate(invalid="ignore"):
@@ -367,7 +373,7 @@ def defuzzify(samples: np.ndarray, universe: tuple[float, float],
         cumulative = np.cumsum(rows, axis=-1)
         index = np.sum(cumulative < cumulative[:, -1:] / 2.0, axis=-1)
         crisp = grid[np.minimum(index, len(grid) - 1)]
-    elif method in ("mom", "lom", "som"):
+    else:
         plateau = rows == rows.max(axis=-1, keepdims=True)
         if method == "mom":  # a vector mean would sum in another order
             crisp = np.array([grid[row].mean() for row in plateau])
@@ -375,9 +381,8 @@ def defuzzify(samples: np.ndarray, universe: tuple[float, float],
             crisp = grid[np.argmax(plateau, axis=-1)]
         else:
             crisp = grid[len(grid) - 1 - np.argmax(plateau[:, ::-1], axis=-1)]
-    else:
-        raise ConfigError(f"unknown defuzzification method {method!r}")
-    crisp = np.where(empty, (lo + hi) / 2.0, crisp)
+    crisp = _midpoint_where_empty(crisp, ~(rows > 0).any(axis=-1), (lo, hi),
+                                  stacklevel=2)
     return float(crisp[0]) if samples.ndim == 1 else crisp
 
 
@@ -457,14 +462,21 @@ def _centroid_by_moments(config: FisConfig, keys: Sequence[tuple[str, bool]],
         zeroth, first = config.consequent_moments[key]
         numerator = numerator + mass * first
         denominator = denominator + mass * zeroth
-    lo, hi = config.output.universe
-    empty = denominator == 0.0
-    if empty.any():
-        warnings.warn(
-            "all-zero aggregate set; defuzzifying to the universe midpoint",
-            RuntimeWarning,
-            stacklevel=4,
-        )
+    universe = config.output.universe
     with np.errstate(divide="ignore", invalid="ignore"):
-        crisp = np.clip(numerator / denominator, lo, hi)
+        crisp = np.clip(numerator / denominator, *universe)
+    return _midpoint_where_empty(crisp, denominator == 0.0, universe,
+                                 stacklevel=4)
+
+
+def _midpoint_where_empty(crisp: np.ndarray, empty: np.ndarray,
+                          universe: tuple[float, float],
+                          stacklevel: int) -> np.ndarray:
+    """``crisp`` with the universe midpoint in each ``empty`` (all-zero
+    aggregate) row, warning once if there is one; ``stacklevel`` counts from
+    this function's caller, as ``warnings.warn`` counts from its own."""
+    if empty.any():
+        warnings.warn("all-zero aggregate set; defuzzifying to the universe "
+                      "midpoint", RuntimeWarning, stacklevel=stacklevel + 1)
+    lo, hi = universe
     return np.where(empty, (lo + hi) / 2.0, crisp)

@@ -23,8 +23,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .errors import ConfigError, read_text
-from .fis import (AGGREGATIONS, AND_METHODS, DEFUZZIFICATIONS, IMPLICATIONS,
-                  MAX_RESOLUTION, FisConfig, LinguisticVariable)
+from .fis import MAX_RESOLUTION, OPERATORS, FisConfig, LinguisticVariable
 from .membership import MembershipFunction
 from .ranker import FisTemplate, _check_placeholder_names
 from .rules import RuleAst, parse_rule, print_rule
@@ -36,14 +35,6 @@ _KIND_BY_KEYWORD = {
     "sigmf": "sigmoid",
 }
 _KEYWORD_BY_KIND = {v: k for k, v in _KIND_BY_KEYWORD.items()}
-
-# [system] key -> (FisConfig field, allowed values)
-_SYSTEM_CHOICES = {
-    "and": ("and_method", AND_METHODS),
-    "implication": ("implication", IMPLICATIONS),
-    "aggregation": ("aggregation", AGGREGATIONS),
-    "defuzzification": ("defuzzification", DEFUZZIFICATIONS),
-}
 
 
 class _VariableDraft:
@@ -165,8 +156,8 @@ def _parse(text: str, template: bool) -> tuple[FisConfig, dict[str, float]]:
             else:
                 raise ConfigError(f"unknown key {key!r}", line=number)
         elif section == "system":
-            if key in _SYSTEM_CHOICES:
-                field, choices = _SYSTEM_CHOICES[key]
+            if key in OPERATORS:
+                field, choices = OPERATORS[key]
                 if len(values) != 1 or values[0] not in choices:
                     raise ConfigError(
                         f"{key} must be one of {', '.join(choices)}",
@@ -245,10 +236,8 @@ def _format(config: FisConfig, system: tuple[str, ...] = ()) -> str:
     lines.extend(_format_variable("output", config.output))
     lines += [
         "[system]",
-        f"and {config.and_method}",
-        f"implication {config.implication}",
-        f"aggregation {config.aggregation}",
-        f"defuzzification {config.defuzzification}",
+        *(f"{family} {getattr(config, field)}"
+          for family, (field, _) in OPERATORS.items()),
         f"resolution {config.resolution}",
         *system,
         "[rules]",

@@ -246,7 +246,11 @@ class RankedList:
                 doc_ids, np.array(scores, dtype=np.float64), ranks))
 
 
-def _distinct_query_terms(query_text: str) -> list[str]:
+def _distinct_query_terms(query_text: str, k: int) -> list[str]:
+    """The query's distinct terms in query order, once it and the cutoff
+    ``k`` are checked."""
+    if k < 1:  # [:k] would count from the end
+        raise QueryError(f"k must be >= 1, got {k}")
     tokens = tokenize(query_text)
     if not tokens:
         raise QueryError("query is empty after tokenization")
@@ -282,7 +286,7 @@ def score_fis(index: InvertedIndex, template: FisTemplate, query_text: str,
     as a terms x 1 column and overlap as one row; each score equals
     ``evaluate(instantiate_fis(template, t), ...)`` bit for bit.
     """
-    terms = _distinct_query_terms(query_text)
+    terms = _distinct_query_terms(query_text, k)
     rules = template.query_rules(len(terms))
     candidates = _candidates(index, terms)
     features = extract_features(index, terms, candidates)
@@ -314,7 +318,7 @@ def score_baseline(index: InvertedIndex, query_text: str,
     1/sqrt(sum of squared idf_raw), 1 when that sum is 0.  Candidate set
     and tie-breaking match :func:`score_fis`.
     """
-    terms = _distinct_query_terms(query_text)
+    terms = _distinct_query_terms(query_text, k)
     idf_values = [idf_raw(index, t) for t in terms]
     norm_sq = sum(v * v for v in idf_values)
     query_norm = 1.0 / math.sqrt(norm_sq) if norm_sq > 0 else 1.0

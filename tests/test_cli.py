@@ -269,6 +269,17 @@ class TestSearch:
         assert out.count("\n") == 1
         assert out.startswith("103 Q0 d11 1 ")
 
+    @pytest.mark.parametrize("index_exists", [True, False])
+    def test_k_below_one_exits_1_before_loading(self, capsys, index_path,
+                                                index_exists):
+        if not index_exists:
+            index_path.unlink()
+        rc, out, err = run_cli(capsys, [
+            "search", "--index", str(index_path), "--ranker", "baseline",
+            "--query", "river", "--k", "0"])
+        assert (rc, out) == (1, "")
+        assert err == "frank: error: --k must be >= 1, got 0\n"
+
     def test_fis_requires_template(self, capsys, index_path):
         rc, _, err = run_cli(capsys, [
             "search", "--index", str(index_path), "--ranker", "fis",

@@ -15,7 +15,7 @@ import pytest
 
 from frank.errors import ConfigError
 from frank.fis import (AGGREGATIONS, DEFUZZIFICATIONS, IMPLICATIONS,
-                       FisConfig, LinguisticVariable, aggregate,
+                       OPERATORS, FisConfig, LinguisticVariable, aggregate,
                        default_variable, defuzzify, evaluate, fire_rule,
                        fuzzify, imply, rule_strengths)
 from frank.membership import MembershipFunction
@@ -254,6 +254,70 @@ class TestAggregate:
         for permutation in itertools.permutations(sets):
             permuted = aggregate(list(permutation), "sum")
             np.testing.assert_allclose(permuted, baseline, rtol=1e-14, atol=1e-16)
+
+
+RISING = np.linspace(0.0, 1.0, 11)
+# each stage function called with an operator family's method name
+STAGE_CALLS = {
+    "and": lambda method: fire_rule(
+        parse_rule("if (tf is high) and (idf is high) -> (relevance is high)"),
+        {("tf", "high"): 0.5, ("idf", "high"): 0.25}, method),
+    "implication": lambda method: imply(RISING, 0.5, method),
+    "aggregation": lambda method: aggregate([RISING, RISING[::-1]], method),
+    "defuzzification": lambda method: defuzzify(RISING, (0.0, 1.0), method),
+}
+
+
+class TestStageChecks:
+    @pytest.mark.parametrize("family", OPERATORS)
+    def test_unknown_method_rejected_as_by_config(self, family):
+        """Each stage function runs every method of its family and rejects
+        any other name with the message FisConfig gives for that field."""
+        field, methods = OPERATORS[family]
+        for method in methods:
+            STAGE_CALLS[family](method)
+            assert getattr(two_input_config(**{field: method}), field) == method
+        every = {m for _, names in OPERATORS.values() for m in names}
+        for method in sorted(every - set(methods)) + ["bogus", "PROD", ""]:
+            message = f"unknown {family} method {method!r}"
+            with pytest.raises(ConfigError) as excinfo:
+                STAGE_CALLS[family](method)
+            assert str(excinfo.value) == message
+            with pytest.raises(ConfigError) as excinfo:
+                two_input_config(**{field: method})
+            assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("universe", [
+        (0.0, math.nan), (math.nan, 1.0), (1.0, 0.0), (0.5, 0.5),
+        (0.0, math.inf), (-math.inf, 0.0), (-1e308, 1e308)],
+        ids=["hi-nan", "lo-nan", "reversed", "empty", "hi-inf", "lo-inf",
+             "width-inf"])
+    def test_defuzzify_rejects_bad_universe(self, universe):
+        with pytest.raises(ConfigError) as excinfo:
+            defuzzify(RISING, universe, "centroid")
+        assert str(excinfo.value) == (
+            "universe requires lo < hi and a finite hi - lo, got "
+            f"{tuple(map(float, universe))}")
+
+    def test_universe_message_shared_with_variables(self):
+        with pytest.raises(ConfigError) as excinfo:
+            LinguisticVariable("x", (1, 0), default_variable("x").sets)
+        assert str(excinfo.value) == ("variable 'x': universe requires "
+                                      "lo < hi and a finite hi - lo, got "
+                                      "(1.0, 0.0)")
+
+    def test_all_zero_warning_points_at_the_public_caller(self):
+        config = two_input_config(output=LinguisticVariable(
+            "relevance", (0.2, 0.8),
+            {"high": MembershipFunction.triangular(0.2, 0.8, 0.8),
+             "not_high": MembershipFunction.triangular(0.2, 0.2, 0.8)}))
+        assert config.has_moment_form
+        zeros = {"tf": 1.0, "idf": 0.0}  # neither rule fires
+        for call in (lambda: defuzzify(np.zeros(5), (0.2, 0.8)),
+                     lambda: evaluate(config, zeros)):
+            with pytest.warns(RuntimeWarning, match="all-zero") as caught:
+                assert call() == 0.5
+            assert [w.filename for w in caught] == [__file__]
 
 
 # Computed by oracles.reference_rfis_score([0.7, 0.5], [0.6, 0.5], 1.0,

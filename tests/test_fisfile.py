@@ -1,10 +1,13 @@
 """Config and template file format: parsing, errors, round-trips."""
 
+import dataclasses
+import itertools
+
 import pytest
 
 from frank.errors import ConfigError
-from frank.fis import (MAX_RESOLUTION, FisConfig, LinguisticVariable,
-                       default_variable)
+from frank.fis import (MAX_RESOLUTION, OPERATORS, FisConfig,
+                       LinguisticVariable, default_variable)
 from frank.fisfile import (format_fis_config, format_template, load_template,
                            parse_fis_config, parse_template)
 from frank.membership import MembershipFunction
@@ -183,6 +186,35 @@ class TestRoundTrip:
             resolution=501,
         )
         assert parse_fis_config(format_fis_config(config)) == config
+
+    def test_every_operator_combination_roundtrips(self):
+        basic = parse_fis_config(BASIC)
+        fields = [field for field, _ in OPERATORS.values()]
+        combos = list(itertools.product(
+            *(methods for _, methods in OPERATORS.values())))
+        assert len(combos) == 60
+        for combo in combos:
+            config = dataclasses.replace(basic, **dict(zip(fields, combo)))
+            text = format_fis_config(config)
+            assert parse_fis_config(text) == config
+            assert format_fis_config(parse_fis_config(text)) == text
+
+    @pytest.mark.parametrize("family", OPERATORS)
+    def test_system_key_accepts_exactly_its_methods(self, family):
+        field, methods = OPERATORS[family]
+        every = {m for _, names in OPERATORS.values() for m in names}
+        line = BASIC.splitlines().index(f"{family} {getattr(FisConfig, field)}")
+        for method in sorted(every) + ["bogus", "PROD", f"{methods[0]} x"]:
+            text = BASIC.replace(f"{family} {getattr(FisConfig, field)}\n",
+                                 f"{family} {method}\n")
+            if method in methods:
+                assert getattr(parse_fis_config(text), field) == method
+                continue
+            with pytest.raises(ConfigError) as excinfo:
+                parse_fis_config(text)
+            assert str(excinfo.value) == (
+                f"line {line + 1}: {family} must be one of "
+                f"{', '.join(methods)}")
 
     def test_template_roundtrips(self, data_dir):
         template = load_template(data_dir / "template_default.cfg")

@@ -195,6 +195,21 @@ class TestScoreBaseline:
         ranked = score_baseline(index5, "fig")
         assert [e.doc_id for e in ranked.entries] == ["d5"]
 
+    @pytest.mark.parametrize("k", [0, -1, -5])
+    def test_cutoff_below_one_rejected_before_postings(self, k, template,
+                                                       monkeypatch):
+        """[:k] would keep all but the last -k matches; neither scorer
+        reads a postings list before it rejects k."""
+        index = build_index([Document("a", "ice"), Document("b", "ice ice"),
+                             Document("c", "ice river")])
+        assert len(score_baseline(index, "ice", k=3).entries) == 3
+        monkeypatch.setattr(type(index), "_pairs", None)  # every postings read
+        for score in (lambda: score_baseline(index, "ice", k=k),
+                      lambda: score_fis(index, template, "ice", k=k)):
+            with pytest.raises(QueryError) as excinfo:
+                score()
+            assert str(excinfo.value) == f"k must be >= 1, got {k}"
+
     def test_unmatched_query_term_only_lowers_overlap(self, index5):
         with_miss = score_baseline(index5, "fig grape")
         alone = score_baseline(index5, "fig")
