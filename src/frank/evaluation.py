@@ -194,13 +194,21 @@ def load_run(path: str | Path) -> RunFile:
 
 def format_run(run: RunFile) -> str:
     """Canonical run-file bytes: topics ascending, ranks ascending; empty
-    for a run without lines."""
-    lines = []
+    for a run without lines.
+
+    Each topic is one ``%`` of its line pattern, repeated once per entry,
+    over a flat list of (doc id, rank, score) fields; the ranks are fields,
+    so hand-built ranks print as they are."""
+    tag = run.tag.replace("%", "%%")
+    texts = []
     for topic, entries in sorted(run.topics.items()):
-        for doc_id, rank, score in zip(entries.doc_ids, entries.ranks,
-                                       entries.scores.tolist()):
-            lines.append(f"{topic} Q0 {doc_id} {rank} {score:.6f} {run.tag}")
-    return "\n".join(lines) + "\n" if lines else ""
+        fields = [None] * (3 * len(entries))
+        fields[0::3] = entries.doc_ids
+        fields[1::3] = entries.ranks
+        fields[2::3] = entries.scores.tolist()
+        pattern = f"{topic.replace('%', '%%')} Q0 %s %s %.6f {tag}\n"
+        texts.append(pattern * len(entries) % tuple(fields))
+    return "".join(texts)
 
 
 def run_from_ranked(ranked_lists: list[RankedList], tag: str) -> RunFile:

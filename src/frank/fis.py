@@ -356,6 +356,13 @@ def defuzzify(samples: np.ndarray, universe: tuple[float, float],
     An all-zero row has no area to locate; it falls back to the universe
     midpoint and emits a RuntimeWarning so tests can detect it.
     """
+    return _defuzzify(samples, universe, method, stacklevel=2)
+
+
+def _defuzzify(samples: np.ndarray, universe: tuple[float, float],
+               method: str, stacklevel: int) -> float | np.ndarray:
+    """:func:`defuzzify`, whose all-zero warning names the frame
+    ``stacklevel`` counts from this function's caller."""
     _check_method("defuzzification", method)
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim not in (1, 2) or samples.shape[-1] < 2:
@@ -382,7 +389,7 @@ def defuzzify(samples: np.ndarray, universe: tuple[float, float],
         else:
             crisp = grid[len(grid) - 1 - np.argmax(plateau[:, ::-1], axis=-1)]
     crisp = _midpoint_where_empty(crisp, ~(rows > 0).any(axis=-1), (lo, hi),
-                                  stacklevel=2)
+                                  stacklevel=stacklevel + 1)
     return float(crisp[0]) if samples.ndim == 1 else crisp
 
 
@@ -422,6 +429,8 @@ def _combine(config: FisConfig, rules: Sequence[RuleAst],
 
     Implied sets are put in canonical order once, for either path: sets
     sorted by (label, negated), strengths ascending within a set, per row.
+    A set's strength rows are sorted by a network of whole-row
+    ``np.minimum``/``np.maximum`` up to six rows, by ``np.sort`` above.
     """
     groups: dict[tuple[str, bool], list[np.ndarray]] = {}
     for rule, strength in zip(rules, strengths):
@@ -429,9 +438,9 @@ def _combine(config: FisConfig, rules: Sequence[RuleAst],
         if shape[-1:] != (rows,):
             strength = np.broadcast_to(strength, shape[:-1] + (rows,))
         groups.setdefault((rule.consequent.label, rule.consequent.negated),
-                          []).append(strength)
+                          []).extend(np.atleast_2d(strength))
     keys = sorted(groups)
-    ordered = [np.sort(np.vstack(groups[key]), axis=0) for key in keys]
+    ordered = [_sorted_rows(groups[key]) for key in keys]
     if config.has_moment_form:
         return _centroid_by_moments(config, keys, ordered)
     consequents = np.array([config.consequent_samples[key] for key, block
@@ -442,10 +451,40 @@ def _combine(config: FisConfig, rules: Sequence[RuleAst],
     for start in range(0, rows, step):
         implied = imply(consequents, strengths[:, start:start + step],
                         config.implication)
-        crisp[start:start + step] = defuzzify(
+        crisp[start:start + step] = _defuzzify(
             aggregate(implied, config.aggregation), config.output.universe,
-            config.defuzzification)
+            config.defuzzification, stacklevel=3)
     return crisp
+
+
+# Optimal sorting networks for 1 to 6 items (Knuth, TAOCP Vol. 3, 5.3.4):
+# 0, 1, 3, 5, 9 and 12 comparators, each (i, j) putting the lesser in i.
+_SORTING_NETWORKS = {
+    1: (),
+    2: ((0, 1),),
+    3: ((0, 1), (1, 2), (0, 1)),
+    4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)),
+    5: ((0, 1), (3, 4), (2, 4), (2, 3), (1, 4), (0, 3), (0, 2), (1, 3),
+        (1, 2)),
+    6: ((1, 2), (4, 5), (0, 2), (3, 5), (0, 1), (3, 4), (2, 5), (0, 3),
+        (1, 4), (2, 4), (1, 3), (2, 3)),
+}
+
+
+def _sorted_rows(rows: list[np.ndarray]) -> Sequence[np.ndarray]:
+    """Equal-length rows sorted column by column, ascending, as the rows
+    of ``np.sort(rows, axis=0)``: a network costs a few whole-row ufunc
+    calls instead of one tiny sort per column."""
+    network = _SORTING_NETWORKS.get(len(rows))
+    if network is None:
+        return np.sort(rows, axis=0)
+    rows = list(rows)
+    for i, j in network:
+        # where numpy's min and max return their second operand on a tie,
+        # as on x86, a tied pair such as 0.0 and -0.0 stays as it was
+        rows[i], rows[j] = (np.minimum(rows[j], rows[i]),
+                            np.maximum(rows[i], rows[j]))
+    return rows
 
 
 def _centroid_by_moments(config: FisConfig, keys: Sequence[tuple[str, bool]],

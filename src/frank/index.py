@@ -482,8 +482,9 @@ def extract_features(index: InvertedIndex, query_tokens: list[str],
 
     ``candidates`` are doc ordinals in ascending order.  Every distinct
     token's postings are read at once: one ``searchsorted`` finds each
-    posting's candidate column and one scatter fills the tf matrix, whatever
-    the number of tokens.  Distinct query tokens
+    posting's candidate column, one gather and compare keeps the postings of
+    candidates, and one scatter fills the tf matrix, whatever the number of
+    tokens.  Distinct query tokens
     (first-occurrence order) set the overlap denominator; duplicates are
     collapsed.  A document with no tokens (maximum 0) has tf 0 for every
     token.
@@ -495,11 +496,15 @@ def extract_features(index: InvertedIndex, query_tokens: list[str],
     pairs = [index._pairs(token) for token in distinct]
     rows = np.repeat(np.arange(len(distinct)), list(map(len, pairs)))
     ordinals, frequencies = np.concatenate(pairs).T
+    n = len(candidates)
     columns = np.searchsorted(candidates, ordinals)
-    hit = columns < len(candidates)
-    hit[hit] = candidates[columns[hit]] == ordinals[hit]
-    counts = np.zeros((len(distinct), len(candidates)), dtype=np.int64)
-    counts[rows[hit], columns[hit]] = frequencies[hit]
+    # an ordinal past the last candidate is compared with the last one
+    hit = (candidates[np.minimum(columns, n - 1)] == ordinals if n
+           else np.zeros(len(ordinals), dtype=bool))
+    if not hit.all():  # every posting hits when candidates are their union
+        rows, columns, frequencies = rows[hit], columns[hit], frequencies[hit]
+    counts = np.zeros((len(distinct), n), dtype=np.int64)
+    counts[rows, columns] = frequencies
     max_tf = index.max_term_frequencies[candidates]
     return QueryFeatures(
         terms=tuple(distinct),

@@ -12,6 +12,8 @@ The 3-topic fixture below was scored by hand before the harness existed:
     MAP = (5/6 + 1/11 + 1)/3,  mean P10 = 1/6,  %no = 1/3
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +26,8 @@ from frank.evaluation import (MetricsReport, Qrels, RunFile,
                               report_jsonl, run_from_ranked)
 from frank.ranker import RankedEntries, RankedEntry, RankedList
 
-from oracles import ReferenceRunError, reference_parse_run
+from oracles import (ReferenceRunError, reference_format_run,
+                     reference_parse_run)
 
 
 def make_run(tag, ranking_by_topic):
@@ -286,6 +289,31 @@ def run_texts(draw):
     return "\n".join(separator.join(fields) for fields in lines)
 
 
+# text that a %-pattern or an f-string could misread, and non-ASCII
+_RUN_TEXT = st.text(st.sampled_from("a1_%{}\u00e9\u2603 "), max_size=4)
+_ANY_SCORE = st.floats() | st.sampled_from((
+    -0.0, 0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300, math.nan, math.inf,
+    -math.inf))
+
+
+@st.composite
+def run_files(draw):
+    """Runs as hand-built lists can make them: any text in topics, tag and
+    doc ids, ranks that are not 1..n, any float score (``format_run`` does
+    not check them), topics without lines and runs without topics."""
+    topics = {}
+    for topic in draw(st.lists(_RUN_TEXT, unique=True, max_size=4)):
+        n = draw(st.integers(0, 5))
+        column = {"min_size": n, "max_size": n}
+        ranks = draw(st.just(range(1, n + 1)) | st.lists(
+            st.integers(-5, 10**12), **column).map(tuple))
+        topics[topic] = RankedEntries(
+            tuple(draw(st.lists(_RUN_TEXT, **column))),
+            np.array(draw(st.lists(_ANY_SCORE, **column)), dtype=np.float64),
+            ranks)
+    return RunFile(draw(_RUN_TEXT), topics)
+
+
 class TestRunFileParsing:
     def test_roundtrip(self):
         text = format_run(FIXTURE_RUN)
@@ -308,6 +336,13 @@ class TestRunFileParsing:
         assert format_run(RunFile("t", {})) == ""
         empty = RankedList("t1", ())
         assert format_run(run_from_ranked([empty], "t")) == ""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(run_files())
+    def test_format_run_matches_line_by_line_reference(self, run):
+        """The same text as the per-line f-string formatter in
+        ``tests/oracles.py``, whatever the run holds."""
+        assert format_run(run) == reference_format_run(run)
 
     def test_topics_sorted_in_output(self):
         run = run_from_ranked([

@@ -6,18 +6,22 @@ written.
 """
 
 import dataclasses
+import itertools
 import math
 import random
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from frank.errors import ConfigError
 from frank.fis import (AGGREGATIONS, DEFUZZIFICATIONS, IMPLICATIONS,
                        OPERATORS, FisConfig, LinguisticVariable, aggregate,
                        default_variable, defuzzify, evaluate, fire_rule,
                        fuzzify, imply, rule_strengths)
+from frank.fis import _combine, _sorted_rows
 from frank.membership import MembershipFunction
 from frank.rules import parse_rule
 
@@ -306,18 +310,24 @@ class TestStageChecks:
                                       "lo < hi and a finite hi - lo, got "
                                       "(1.0, 0.0)")
 
-    def test_all_zero_warning_points_at_the_public_caller(self):
-        config = two_input_config(output=LinguisticVariable(
+    @pytest.mark.parametrize("implication", ["prod", "min"],
+                             ids=["moment path", "grid path"])
+    def test_all_zero_warning_points_at_the_public_caller(self, implication):
+        config = two_input_config(implication=implication,
+                                  output=LinguisticVariable(
             "relevance", (0.2, 0.8),
             {"high": MembershipFunction.triangular(0.2, 0.8, 0.8),
              "not_high": MembershipFunction.triangular(0.2, 0.2, 0.8)}))
-        assert config.has_moment_form
+        assert config.has_moment_form == (implication == "prod")
         zeros = {"tf": 1.0, "idf": 0.0}  # neither rule fires
         for call in (lambda: defuzzify(np.zeros(5), (0.2, 0.8)),
                      lambda: evaluate(config, zeros)):
-            with pytest.warns(RuntimeWarning, match="all-zero") as caught:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
                 assert call() == 0.5
-            assert [w.filename for w in caught] == [__file__]
+            assert [(w.category, str(w.message)[:8], w.filename)
+                    for w in caught] == [(RuntimeWarning, "all-zero",
+                                          __file__)]
 
 
 # Computed by oracles.reference_rfis_score([0.7, 0.5], [0.6, 0.5], 1.0,
@@ -660,3 +670,51 @@ class TestMomentForm:
             crisp = evaluate(config, {"x": np.array([0.0, 1.0])})
         assert crisp[0] == 0.5
         assert crisp[1] == evaluate(config, {"x": 1.0}) > 0.5
+
+
+# strengths lie in [0, 1]; ties, both zeros and subnormals are where a
+# compare-exchange could part from np.sort
+_STRENGTHS = st.sampled_from((0.0, -0.0, 5e-324, 2.5e-310, 0.5, 1.0)) | \
+    st.floats(0.0, 1.0)
+
+
+class TestSortedRows:
+    """A consequent set's strength rows are sorted by a network of whole-row
+    minimum/maximum up to six rows, and by np.sort above."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(0, 50)),
+                  elements=_STRENGTHS))
+    def test_same_bytes_as_np_sort(self, block):
+        """Byte for byte ``np.sort(block, axis=0)``, except in a column
+        holding both 0.0 and -0.0, which is compared by value: np.sort
+        leaves their order to the platform's sort kernel (numpy 2.4's
+        AVX-512 one does not keep their input order)."""
+        got = np.array(_sorted_rows(list(block))).reshape(block.shape)
+        want = np.sort(block, axis=0)
+        assert np.array_equal(got, want)
+        zero = block == 0.0
+        mixed = ((zero & np.signbit(block)).any(axis=0)
+                 & (zero & ~np.signbit(block)).any(axis=0))
+        assert got[:, ~mixed].tobytes() == want[:, ~mixed].tobytes()
+
+    def test_zero_signs_never_reach_the_crisp_output(self):
+        """So the network and np.sort give the same scores even where they
+        place 0.0 and -0.0 differently: strengths with -0.0, and with 0.0
+        in its place, combine to the same bytes under every operator."""
+        rules = two_input_config().rules  # one per consequent set
+        rng = np.random.default_rng(43)
+        fields = [field for field, _ in OPERATORS.values()]
+        for combo in itertools.product(
+                *(methods for _, methods in OPERATORS.values())):
+            config = two_input_config(**dict(zip(fields, combo)))
+            for _ in range(20):
+                picked = [rules[i]
+                          for i in rng.integers(0, 2, rng.integers(1, 9))]
+                signed = rng.choice([0.0, -0.0, 5e-324, 0.3, 1.0],
+                                    size=(len(picked), 7))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    assert (_combine(config, picked, list(signed), 7).tobytes()
+                            == _combine(config, picked, list(signed + 0.0),
+                                        7).tobytes()), combo

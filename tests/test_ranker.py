@@ -7,6 +7,7 @@ import itertools
 import math
 import random
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -452,6 +453,55 @@ class TestColumnScoring:
         finally:
             tracemalloc.stop()
         assert peak < 2 << 20
+
+    def test_every_strength_row_count_is_evaluate_bit_for_bit(self):
+        """Queries of t = 1..7 terms give each consequent set t + 1 strength
+        rows under the default template: every sorting network of 2 to 6
+        rows and the np.sort above them.  Doc ids and score bytes equal the
+        paper's expansion scored as columns, with its rules in any
+        order."""
+        index = random_index()
+        template = default_template()
+        shuffler = random.Random(47)
+        for t in range(1, 8):
+            terms = [f"w{i}" for i in range(1, t + 1)]
+            ranked = score_fis(index, template, " ".join(terms), k=150)
+            candidates = np.unique(np.concatenate(
+                [index.postings(term)[0] for term in terms]))
+            features = extract_features(index, terms, candidates)
+            inputs = {"overlap": features.overlap}
+            for i in range(t):
+                inputs[f"tf_{i + 1}"] = features.tf[i]
+                inputs[f"idf_{i + 1}"] = features.idf[i]
+            config = instantiate_fis(template, t)
+            scores = evaluate(config, inputs)
+            for _ in range(3):
+                rules = list(config.rules)
+                shuffler.shuffle(rules)
+                shuffled = dataclasses.replace(config, rules=tuple(rules))
+                assert evaluate(shuffled, inputs).tobytes() == \
+                    scores.tobytes()
+            doc_ids = [index.doc_ids[c] for c in candidates]
+            order = sorted(range(len(candidates)),
+                           key=lambda c: (-scores[c], doc_ids[c]))[:150]
+            assert ranked.entries.doc_ids == tuple(doc_ids[c] for c in order)
+            assert ranked.entries.scores.tobytes() == scores[order].tobytes()
+
+    @pytest.mark.parametrize("implication", ["prod", "min"],
+                             ids=["moment path", "grid path"])
+    def test_all_zero_warning_points_at_the_caller(self, index20,
+                                                   implication):
+        """A one-term query has overlap 1 everywhere, so the one rule never
+        fires and every candidate scores the midpoint."""
+        template = template_variant(implication=implication, rules=(
+            "if (overlap is not high) -> (relevance is high)",))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ranked = score_fis(index20, template, "river")
+        assert ranked.entries
+        assert set(ranked.entries.scores.tolist()) == {0.5}
+        assert [(w.category, str(w.message)[:8], w.filename)
+                for w in caught] == [(RuntimeWarning, "all-zero", __file__)]
 
     def test_scores_without_building_a_config(self, index20, monkeypatch):
         template = TEMPLATES["weighted"]
