@@ -3,8 +3,8 @@
 Run:  python3 demos/05_evaluation.py
 """
 
-from frank import (RankedList, diff_runs, evaluate_run, format_diff,
-                   format_report, format_run, parse_qrels, run_from_ranked)
+from frank import (RankedList, evaluate_run, format_diff, format_report,
+                   format_run, parse_qrels, run_from_ranked)
 
 # Judgments: topic, ignored column, document, graded relevance (>=1 counts).
 qrels = parse_qrels("""
@@ -40,6 +40,5 @@ for topic, metrics in report_a.per_topic.items():
 print()
 
 print(format_report(report_a, "system-a"))
-print(format_diff(report_a, diff_runs(report_a, report_b),
-                  "system-a", "system-b"))
+print(format_diff(report_a, report_b, "system-a", "system-b"))
 print("(second row is the signed delta of system-b over system-a)")

@@ -7,11 +7,11 @@ vector scorer and a TREC-style evaluation harness.
 
 from .errors import (ConfigError, CorpusError, EvalError, FrankError,
                      IndexFormatError, QueryError, RunFormatError, UsageError)
-from .evaluation import (MetricsDiff, MetricsReport, Qrels, RunFile,
-                         TopicMetrics, average_precision, diff_runs,
-                         evaluate_run, format_diff, format_report, format_run,
-                         load_qrels, load_run, parse_qrels, parse_run,
-                         precision_at_10, report_jsonl, run_from_ranked)
+from .evaluation import (MetricsReport, Qrels, RunFile, TopicMetrics,
+                         average_precision, evaluate_run, format_diff,
+                         format_report, format_run, load_qrels, load_run,
+                         parse_qrels, parse_run, precision_at_10, report_jsonl,
+                         run_from_ranked)
 from .fis import (FisConfig, LinguisticVariable, aggregate, default_variable,
                   defuzzify, evaluate, fire_rule, fuzzify, imply,
                   rule_strengths)

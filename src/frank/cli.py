@@ -20,9 +20,8 @@ import numpy as np
 
 from .errors import (FrankError, QueryError, RunFormatError, UsageError,
                      read_text)
-from .evaluation import (diff_runs, evaluate_run, format_diff, format_report,
-                         format_run, load_qrels, load_run, report_jsonl,
-                         run_from_ranked)
+from .evaluation import (evaluate_run, format_diff, format_report, format_run,
+                         load_qrels, load_run, report_jsonl, run_from_ranked)
 from .fis import MAX_RESOLUTION, evaluate, rule_strengths
 from .fisfile import load_fis_config, load_template
 from .index import InvertedIndex, build_index, read_corpus_jsonl, tokenize
@@ -117,10 +116,9 @@ def cmd_diff(args) -> int:
     run_a = load_run(args.run_a)
     run_b = load_run(args.run_b)
     qrels = load_qrels(args.qrels)
-    report_a = evaluate_run(run_a, qrels)
-    report_b = evaluate_run(run_b, qrels)
-    diff = diff_runs(report_a, report_b)
-    sys.stdout.write(format_diff(report_a, diff, run_a.tag, run_b.tag))
+    sys.stdout.write(format_diff(evaluate_run(run_a, qrels),
+                                 evaluate_run(run_b, qrels),
+                                 run_a.tag, run_b.tag))
     return 0
 
 

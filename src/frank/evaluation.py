@@ -79,14 +79,6 @@ class MetricsReport:
         return len(self.per_topic)
 
 
-@dataclass(frozen=True)
-class MetricsDiff:
-    per_topic: dict[str, tuple[float, float]]
-    delta_map: float
-    delta_p10: float
-    delta_pct_no: float
-
-
 def parse_qrels(text: str) -> Qrels:
     judgments: dict[tuple[str, str], int] = {}
     for number, raw in enumerate(text.splitlines(), start=1):
@@ -282,29 +274,6 @@ def evaluate_run(run: RunFile, qrels: Qrels) -> MetricsReport:
     )
 
 
-def diff_runs(report_a: MetricsReport, report_b: MetricsReport) -> MetricsDiff:
-    """Per-topic and aggregate metric deltas (b minus a)."""
-    if set(report_a.per_topic) != set(report_b.per_topic):
-        only_a = sorted(set(report_a.per_topic) - set(report_b.per_topic))
-        only_b = sorted(set(report_b.per_topic) - set(report_a.per_topic))
-        raise EvalError(
-            f"topic sets differ (only in a: {only_a}, only in b: {only_b})"
-        )
-    per_topic = {
-        topic: (
-            report_b.per_topic[topic].ap - report_a.per_topic[topic].ap,
-            report_b.per_topic[topic].p10 - report_a.per_topic[topic].p10,
-        )
-        for topic in sorted(report_a.per_topic)
-    }
-    return MetricsDiff(
-        per_topic=per_topic,
-        delta_map=report_b.mean_ap - report_a.mean_ap,
-        delta_p10=report_b.mean_p10 - report_a.mean_p10,
-        delta_pct_no=report_b.pct_no - report_a.pct_no,
-    )
-
-
 _HEADER = f"{'Tag':<16} {'Topic Set':<10} {'MAP':>8} {'P10':>8} {'%no':>8}"
 
 
@@ -317,12 +286,21 @@ def format_report(report: MetricsReport, tag: str) -> str:
     return f"{_HEADER}\n{row}\n"
 
 
-def format_diff(report_a: MetricsReport, diff: MetricsDiff, tag_a: str,
-                tag_b: str) -> str:
-    """The report of ``report_a``, then a row of signed deltas."""
+def format_diff(report_a: MetricsReport, report_b: MetricsReport,
+                tag_a: str, tag_b: str) -> str:
+    """The report of ``report_a``, then a row of signed deltas (b minus a)
+    of the aggregate metrics; both reports must cover the same topics."""
+    only_a = sorted(set(report_a.per_topic) - set(report_b.per_topic))
+    only_b = sorted(set(report_b.per_topic) - set(report_a.per_topic))
+    if only_a or only_b:
+        raise EvalError(
+            f"topic sets differ (only in a: {only_a}, only in b: {only_b})"
+        )
     delta = (
-        f"{tag_b:<16} {'all':<10} {diff.delta_map:>+8.4f} "
-        f"{diff.delta_p10:>+8.4f} {diff.delta_pct_no * 100:>+7.2f}%"
+        f"{tag_b:<16} {'all':<10} "
+        f"{report_b.mean_ap - report_a.mean_ap:>+8.4f} "
+        f"{report_b.mean_p10 - report_a.mean_p10:>+8.4f} "
+        f"{(report_b.pct_no - report_a.pct_no) * 100:>+7.2f}%"
     )
     return f"{format_report(report_a, tag_a)}{delta}\n"
 

@@ -121,6 +121,27 @@ def default_variable(name: str) -> LinguisticVariable:
     )
 
 
+def _check_rule(rule: RuleAst, inputs: Mapping[str, LinguisticVariable],
+                output: LinguisticVariable) -> None:
+    """Reject a rule over variables or sets that ``inputs`` (by name) and
+    ``output`` lack, or with a weight outside (0, 1]."""
+    for clause in rule.antecedent:
+        if clause.variable not in inputs:
+            raise ConfigError(f"rule references unknown input variable "
+                              f"{clause.variable!r}")
+        if clause.label not in inputs[clause.variable].sets:
+            raise ConfigError(f"variable {clause.variable!r} has no set "
+                              f"{clause.label!r}")
+    consequent = rule.consequent
+    if consequent.variable != output.name:
+        raise ConfigError(f"rule consequent references {consequent.variable!r}"
+                          f", expected output {output.name!r}")
+    if consequent.label not in output.sets:
+        raise ConfigError(f"output variable has no set {consequent.label!r}")
+    if not 0.0 < rule.weight <= 1.0:
+        raise ConfigError(f"rule weight {rule.weight} outside (0, 1]")
+
+
 @dataclass(frozen=True)
 class FisConfig:
     inputs: tuple[LinguisticVariable, ...]
@@ -151,32 +172,9 @@ class FisConfig:
             )
         if not self.rules:
             raise ConfigError("a fuzzy system needs at least one rule")
-        by_name = {v.name: v for v in self.inputs}
+        by_name = dict(zip(names, self.inputs))
         for rule in self.rules:
-            for clause in rule.antecedent:
-                variable = by_name.get(clause.variable)
-                if variable is None:
-                    raise ConfigError(
-                        f"rule references unknown input variable "
-                        f"{clause.variable!r}"
-                    )
-                if clause.label not in variable.sets:
-                    raise ConfigError(
-                        f"variable {clause.variable!r} has no set "
-                        f"{clause.label!r}"
-                    )
-            consequent = rule.consequent
-            if consequent.variable != self.output.name:
-                raise ConfigError(
-                    f"rule consequent references {consequent.variable!r}, "
-                    f"expected output {self.output.name!r}"
-                )
-            if consequent.label not in self.output.sets:
-                raise ConfigError(
-                    f"output variable has no set {consequent.label!r}"
-                )
-            if not 0.0 < rule.weight <= 1.0:
-                raise ConfigError(f"rule weight {rule.weight} outside (0, 1]")
+            _check_rule(rule, by_name, self.output)
         # the aggregate is at most len(rules), so this bounds both sums of
         # the centroid over the grid
         lo, hi = self.output.universe
@@ -271,15 +269,24 @@ def _degree_columns(config: FisConfig,
     return degrees, (shape[0] if shape else None)
 
 
-def fuzzify(config: FisConfig, inputs: Mapping[str, float]) -> dict[tuple[str, str], float]:
+def fuzzify(config: FisConfig, inputs: Mapping[str, float | np.ndarray]
+            ) -> dict[tuple[str, str], float | np.ndarray]:
     """Degrees of membership of each crisp input in each of its fuzzy sets.
 
     Inputs outside a variable's universe are clamped to it; non-finite
     inputs are rejected.  The map must name every input variable exactly
-    once.
+    once.  As for :func:`evaluate`, numbers give floats and 1-D columns
+    give columns, one row per row of the call.
     """
-    degrees, _ = _degree_columns(config, inputs)
-    return {key: float(column[0]) for key, column in degrees.items()}
+    degrees, rows = _degree_columns(config, inputs)
+    return {key: _per_row(column, rows) for key, column in degrees.items()}
+
+
+def _per_row(column: np.ndarray, rows: int | None) -> float | np.ndarray:
+    """A one-row column as a float, or ``column`` broadcast to ``rows``."""
+    if rows is None:
+        return float(column[0])
+    return np.broadcast_to(column, (rows,)).copy()
 
 
 def fire_rule(rule: RuleAst,
@@ -393,10 +400,13 @@ def _defuzzify(samples: np.ndarray, universe: tuple[float, float],
     return float(crisp[0]) if samples.ndim == 1 else crisp
 
 
-def rule_strengths(config: FisConfig, inputs: Mapping[str, float]) -> list[float]:
-    """Firing strength of every rule, in rule order."""
-    memberships, _ = _degree_columns(config, inputs)
-    return [float(fire_rule(rule, memberships, config.and_method)[0])
+def rule_strengths(config: FisConfig,
+                   inputs: Mapping[str, float | np.ndarray]
+                   ) -> list[float | np.ndarray]:
+    """Firing strength of every rule, in rule order: a float per rule for
+    numbers, a column per rule for columns, as :func:`fuzzify` gives."""
+    memberships, rows = _degree_columns(config, inputs)
+    return [_per_row(fire_rule(rule, memberships, config.and_method), rows)
             for rule in config.rules]
 
 

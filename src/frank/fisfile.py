@@ -10,8 +10,8 @@ A config file is a sequence of sections::
     [rules]             one rule per line, in the rule grammar
 
 ``KIND`` is one of ``trimf``, ``trapmf``, ``gaussmf``, ``sigmf``.  Blank
-lines and ``#`` comments are ignored.  Unknown sections or keys fail with
-the offending line number.
+lines and ``#`` comments are ignored.  Unknown sections or keys, and
+rules over unknown variables or sets, fail with the offending line number.
 
 A template file is a config file over input variables named exactly
 ``tf``, ``idf`` and ``overlap`` (which must share one prototype definition)
@@ -23,7 +23,8 @@ from __future__ import annotations
 from pathlib import Path
 
 from .errors import ConfigError, read_text
-from .fis import MAX_RESOLUTION, OPERATORS, FisConfig, LinguisticVariable
+from .fis import (MAX_RESOLUTION, OPERATORS, FisConfig, LinguisticVariable,
+                  _check_rule)
 from .membership import MembershipFunction
 from .ranker import FisTemplate, _check_placeholder_names
 from .rules import RuleAst, parse_rule, print_rule
@@ -48,10 +49,6 @@ class _VariableDraft:
         if self.universe is None:
             raise ConfigError(
                 f"variable {self.name!r} has no universe", line=self.line
-            )
-        if not self.sets:
-            raise ConfigError(
-                f"variable {self.name!r} has no sets", line=self.line
             )
         try:
             return LinguisticVariable(self.name, self.universe, self.sets)
@@ -78,7 +75,7 @@ def _parse(text: str, template: bool) -> tuple[FisConfig, dict[str, float]]:
     output: _VariableDraft | None = None
     system: dict[str, object] = {}
     template_fields: dict[str, float] = {}
-    rules: list[RuleAst] = []
+    rules: list[tuple[int, RuleAst]] = []
     current: _VariableDraft | None = None
     section: str | None = None
 
@@ -116,7 +113,7 @@ def _parse(text: str, template: bool) -> tuple[FisConfig, dict[str, float]]:
             continue
 
         if section == "rules":
-            rules.append(parse_rule(raw, line=number))
+            rules.append((number, parse_rule(raw, line=number)))
             continue
         if section is None:
             raise ConfigError(
@@ -186,8 +183,16 @@ def _parse(text: str, template: bool) -> tuple[FisConfig, dict[str, float]]:
         raise ConfigError("missing [output] section")
     if template:
         _check_placeholder_names(draft.name for draft in inputs)
-    config = FisConfig(inputs=tuple(draft.build() for draft in inputs),
-                       output=output.build(), rules=tuple(rules), **system)
+    variables = {draft.name: draft.build() for draft in inputs}
+    output_variable = output.build()
+    for number, rule in rules:
+        try:
+            _check_rule(rule, variables, output_variable)
+        except ConfigError as exc:
+            raise ConfigError(str(exc), line=number) from None
+    config = FisConfig(inputs=tuple(variables.values()),
+                       output=output_variable,
+                       rules=tuple(rule for _, rule in rules), **system)
     return config, template_fields
 
 

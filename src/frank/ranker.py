@@ -37,7 +37,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, QueryError
+from .errors import ConfigError, QueryError, RunFormatError
 # ``evaluate`` is unused here; perfbench's traced run patches it by this name
 from .fis import (FisConfig, LinguisticVariable, _combine, _memberships,
                   default_variable, evaluate, fire_rule)  # noqa: F401
@@ -95,10 +95,10 @@ class FisTemplate:
                 )
         if not self.overlap_weight_ratio > 0:
             raise ConfigError("overlap_weight_ratio must be positive")
-        # weights at t = 1 are the largest; per-term ones equal the config's
-        at_one_term = self.query_rules(1)[len(self.per_term_rules):]
-        for rule, weighted in zip(self.global_rules, at_one_term):
-            if not 0.0 < weighted.weight <= 1.0:
+        # weights at t = 1 are the largest: w for per-term rules, the
+        # config's, and w * ratio for overlap rules
+        for rule in self.global_rules:
+            if not 0.0 < rule.weight * self.overlap_weight_ratio <= 1.0:
                 raise ConfigError(f"overlap rule weight {rule.weight} * "
                                   "overlap_weight_ratio outside (0, 1]")
 
@@ -191,12 +191,17 @@ class RankedEntries(Sequence):
     Indexing builds one :class:`RankedEntry`, a slice a tuple of them, and
     the list equals (and hashes as) the tuple of its entries.  It holds no
     object per entry, so the garbage collector has nothing to walk.
+    Columns of different lengths raise :class:`RunFormatError`.
     """
 
     __slots__ = ("doc_ids", "scores", "ranks")
 
     def __init__(self, doc_ids: tuple[str, ...], scores: np.ndarray,
                  ranks: Sequence[int]):
+        if not len(doc_ids) == len(scores) == len(ranks):
+            raise RunFormatError(
+                f"ranked columns differ in length: {len(doc_ids)} doc ids, "
+                f"{len(scores)} scores, {len(ranks)} ranks")
         scores.flags.writeable = False
         self.doc_ids = doc_ids
         self.scores = scores

@@ -412,7 +412,8 @@ class TestSearch:
             "--template", str(template), "--query", "river"])
         assert rc == 2
         assert out == ""
-        assert err == "frank: error: variable 'tf' has no set 'low'\n"
+        assert err == (
+            "frank: error: line 31: variable 'tf' has no set 'low'\n")
 
     def test_overweighted_overlap_template_exits_2(self, capsys, index_path,
                                                    data_dir, tmp_path):
@@ -583,6 +584,13 @@ class TestFisEval:
         assert rc == 1
         assert out == ""
         assert err == f"frank: error: --in tf: not a finite number: {value!r}\n"
+
+    def test_non_numeric_input_exits_1(self, capsys, data_dir):
+        rc, out, err = run_cli(capsys, [
+            "fis-eval", "--config", str(data_dir / "fis_basic.cfg"),
+            "--in", "tf=abc", "--in", "idf=0.6"])
+        assert (rc, out) == (1, "")
+        assert err == "frank: error: --in tf: not a number: 'abc'\n"
 
     def test_resolution_override_applies(self, capsys, data_dir, tmp_path):
         config = tmp_path / "fine.cfg"

@@ -13,6 +13,7 @@ The 3-topic fixture below was scored by hand before the harness existed:
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,10 +21,10 @@ from hypothesis import given, settings, strategies as st
 
 from frank.errors import EvalError, RunFormatError
 from frank.evaluation import (MetricsReport, Qrels, RunFile,
-                              average_precision, diff_runs, evaluate_run,
-                              format_diff, format_report, format_run,
-                              parse_qrels, parse_run, precision_at_10,
-                              report_jsonl, run_from_ranked)
+                              average_precision, evaluate_run, format_diff,
+                              format_report, format_run, parse_qrels,
+                              parse_run, precision_at_10, report_jsonl,
+                              run_from_ranked)
 from frank.ranker import RankedEntries, RankedEntry, RankedList
 
 from oracles import (ReferenceRunError, reference_format_run,
@@ -165,14 +166,18 @@ class TestEvaluateRun:
         assert first == second
 
 
+def delta_row(text):
+    """The signed-delta row of a ``format_diff`` table, as (tag, floats)."""
+    tag, _, *values = text.splitlines()[-1].split()
+    return tag, [float(value.rstrip("%")) for value in values]
+
+
 class TestDiff:
     def test_self_diff_is_zero(self):
         report = evaluate_run(FIXTURE_RUN, FIXTURE_QRELS)
-        diff = diff_runs(report, report)
-        assert diff.delta_map == 0.0
-        assert diff.delta_p10 == 0.0
-        assert diff.delta_pct_no == 0.0
-        assert all(d == (0.0, 0.0) for d in diff.per_topic.values())
+        text = format_diff(report, report, "a", "b")
+        assert text.splitlines()[-1].split() == [
+            "b", "all", "+0.0000", "+0.0000", "+0.00%"]
 
     def test_known_fixture_deltas(self):
         qrels = Qrels({("t1", "r1"): 1, ("t2", "r2"): 1})
@@ -180,11 +185,9 @@ class TestDiff:
         run_b = make_run("b", {"t1": ["x", "r1"], "t2": ["r2"]})
         report_a = evaluate_run(run_a, qrels)
         report_b = evaluate_run(run_b, qrels)
-        diff = diff_runs(report_a, report_b)
         # t1: 1.0 -> 0.5, t2: 0.5 -> 1.0; MAP unchanged
-        assert diff.per_topic["t1"][0] == pytest.approx(-0.5)
-        assert diff.per_topic["t2"][0] == pytest.approx(0.5)
-        assert diff.delta_map == pytest.approx(0.0)
+        assert delta_row(format_diff(report_a, report_b, "a", "b")) == (
+            "b", [0.0, 0.0, 0.0])
 
     def test_antisymmetry(self):
         qrels = Qrels({("t1", "r1"): 1, ("t2", "r2"): 1})
@@ -192,17 +195,18 @@ class TestDiff:
         run_b = make_run("b", {"t1": ["x", "r1"], "t2": ["r2"]})
         report_a = evaluate_run(run_a, qrels)
         report_b = evaluate_run(run_b, qrels)
-        forward = diff_runs(report_a, report_b)
-        backward = diff_runs(report_b, report_a)
-        assert forward.delta_map == -backward.delta_map
-        assert forward.delta_p10 == -backward.delta_p10
+        _, forward = delta_row(format_diff(report_a, report_b, "a", "b"))
+        _, backward = delta_row(format_diff(report_b, report_a, "b", "a"))
+        assert forward == [-value for value in backward]
 
     def test_topic_mismatch_rejected(self):
         report = evaluate_run(FIXTURE_RUN, FIXTURE_QRELS)
         other = evaluate_run(
             make_run("o", {"t1": ["a1"]}), Qrels({("t1", "a1"): 1}))
-        with pytest.raises(EvalError, match="topic sets differ"):
-            diff_runs(report, other)
+        with pytest.raises(EvalError, match=re.escape(
+                "topic sets differ (only in a: ['t2', 't3'], "
+                "only in b: [])")):
+            format_diff(report, other, "a", "o")
 
 
 class TestQrelsParsing:
@@ -459,8 +463,7 @@ class TestReports:
         run_a = make_run("a", {"t1": ["r1"]})
         run_b = make_run("b", {"t1": ["x", "r1"]})
         report_a = evaluate_run(run_a, qrels)
-        diff = diff_runs(report_a, evaluate_run(run_b, qrels))
-        text = format_diff(report_a, diff, "a", "b")
+        text = format_diff(report_a, evaluate_run(run_b, qrels), "a", "b")
         assert "-0.5000" in text
         assert "+0.0000" in text or "-0.1000" in text
 

@@ -335,6 +335,45 @@ class TestStageChecks:
 REFERENCE_TWO_TERM_SCORE = 0.5644580110626152
 
 
+RELEVANCE_HIGH = "if (tf is high) -> (relevance is high)"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: LinguisticVariable("", (0.0, 1.0),
+                                default_variable("x").sets),
+     "variable name must be nonempty"),
+    (lambda: LinguisticVariable("x", (0.0, 1.0), {}),
+     "variable 'x' has no fuzzy sets"),
+    (lambda: two_input_config(resolution=1),
+     "resolution must be >= 2, got 1"),
+    (lambda: two_input_config(
+        inputs=(default_variable("tf"), default_variable("tf"))),
+     "duplicate input variable names in ['tf', 'tf']"),
+    (lambda: two_input_config(output=default_variable("idf")),
+     "output variable 'idf' clashes with an input"),
+    (lambda: two_input_config(rules=()),
+     "a fuzzy system needs at least one rule"),
+    (lambda: two_input_config(
+        rules=(parse_rule("if (df is high) -> (relevance is high)"),)),
+     "rule references unknown input variable 'df'"),
+    (lambda: two_input_config(rules=(dataclasses.replace(
+        parse_rule(RELEVANCE_HIGH), weight=1.5),)),
+     "rule weight 1.5 outside (0, 1]"),
+    (lambda: two_input_config(rules=(dataclasses.replace(
+        parse_rule(RELEVANCE_HIGH), weight=0.0),)),
+     "rule weight 0.0 outside (0, 1]"),
+    (lambda: evaluate(two_input_config(),
+                      {"tf": np.zeros((2, 2)), "idf": 0.5}),
+     "inputs must be numbers or 1-D columns"),
+], ids=["empty name", "no sets", "resolution 1", "duplicate inputs",
+        "output clash", "no rules", "unknown variable", "weight 1.5",
+        "weight 0", "2-D input"])
+def test_config_rejections(build, message):
+    with pytest.raises(ConfigError) as excinfo:
+        build()
+    assert str(excinfo.value) == message
+
+
 def row_defuzzify(universe, samples, method):
     """One 1-D row defuzzified the straightforward way, one formula per
     method: the reference the block form must equal bit for bit."""
@@ -592,6 +631,48 @@ class TestColumns:
             [tf, np.full(3, 0.3)], [np.full(3, 0.6), np.full(3, 0.2)],
             np.full(3, 0.5)))
         assert mixed.tolist() == full.tolist()
+
+    @pytest.mark.parametrize("inputs", [
+        {"tf": 0.1, "idf": 0.5},
+        {"tf": np.array([0.1, 0.9]), "idf": 0.5},
+        {"tf": 0.7, "idf": np.array([0.2, 0.4, 0.6])},
+        {"tf": np.array([0.3, 1.2]), "idf": np.array([0.5, -0.1])},
+        {"tf": np.array([]), "idf": 0.5},
+        {"tf": np.array([]), "idf": np.array([])},
+    ], ids=["numbers", "tf column", "idf column", "both columns",
+            "empty column", "empty columns"])
+    def test_fuzzify_and_strengths_take_evaluates_shapes(self, inputs):
+        """Numbers give floats and columns give columns, one entry per row,
+        as ``evaluate`` returns; row r holds the bits of a scalar call."""
+        config = two_input_config()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            crisp = evaluate(config, inputs)
+        degrees = fuzzify(config, inputs)
+        strengths = rule_strengths(config, inputs)
+        assert len(degrees) == 4 and len(strengths) == len(config.rules)
+        if isinstance(crisp, float):
+            assert all(type(value) is float
+                       for value in [*degrees.values(), *strengths])
+            return
+        rows = len(crisp)
+        for value in [*degrees.values(), *strengths]:
+            assert isinstance(value, np.ndarray)
+            assert value.shape == (rows,) and value.dtype == np.float64
+        for row in range(rows):
+            scalar = {name: float(np.broadcast_to(value, (rows,))[row])
+                      for name, value in inputs.items()}
+            assert {key: column[row] for key, column in degrees.items()} == (
+                fuzzify(config, scalar))
+            assert [column[row] for column in strengths] == (
+                rule_strengths(config, scalar))
+
+    def test_strengths_keep_every_row(self):
+        config = two_input_config()
+        strengths = rule_strengths(
+            config, {"tf": np.array([0.1, 0.9]), "idf": 0.5})
+        assert [column.tolist() for column in strengths] == [
+            [0.1 * 0.5, 0.9 * 0.5], [(1.0 - 0.1) * 0.5, (1.0 - 0.9) * 0.5]]
 
     def test_columns_of_different_lengths_rejected(self):
         config = two_input_config()

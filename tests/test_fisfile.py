@@ -154,6 +154,32 @@ if (x is bell) -> (y is high)
         with pytest.raises(Exception, match=f"line {BASIC.count(chr(10)) + 1}"):
             parse_fis_config(text)
 
+    @pytest.mark.parametrize("rule, message", [
+        ("if (tff is high) -> (relevance is high)",
+         "rule references unknown input variable 'tff'"),
+        ("if (tf is hi) -> (relevance is high)",
+         "variable 'tf' has no set 'hi'"),
+        ("if (tf is high) and (tf is not low) -> (relevance is high)",
+         "variable 'tf' has no set 'low'"),
+        ("if (tf is high) -> (relevance is hi)",
+         "output variable has no set 'hi'"),
+        ("if (tf is high) -> (rel is high)",
+         "rule consequent references 'rel', expected output 'relevance'"),
+    ])
+    def test_rule_checks_name_the_rule_line(self, rule, message):
+        """Between valid rules, and with ``[rules]`` ahead of the variables
+        the rule names."""
+        good = "if (tf is not_high) -> (relevance is not_high)"
+        text = BASIC + f"{good}\n{rule}\n{good}\n"
+        with pytest.raises(ConfigError) as excinfo:
+            parse_fis_config(text)
+        assert str(excinfo.value) == (
+            f"line {BASIC.count(chr(10)) + 2}: {message}")
+        rules_first = f"[rules]\n{good}\n{rule}\n" + BASIC.split("[rules]")[0]
+        with pytest.raises(ConfigError) as excinfo:
+            parse_fis_config(rules_first)
+        assert str(excinfo.value) == f"line 3: {message}"
+
     def test_bad_mf_parameters_keep_line_number(self):
         text = BASIC.replace("set high trimf 0 1 1", "set high trimf 1 0 1", 1)
         with pytest.raises(ConfigError, match="line 3"):
@@ -273,11 +299,44 @@ class TestTemplates:
     def test_unknown_set_rejected_at_load(self, data_dir):
         text = (data_dir / "template_default.cfg").read_text()
         text += "if (tf is low) -> (relevance is high)\n"
-        with pytest.raises(ConfigError, match="'tf' has no set 'low'"):
+        with pytest.raises(ConfigError) as excinfo:
             parse_template(text)
+        assert str(excinfo.value) == (
+            f"line {text.count(chr(10))}: variable 'tf' has no set 'low'")
 
     def test_mixed_placeholder_rule_rejected(self, data_dir):
         text = (data_dir / "template_default.cfg").read_text()
         text += "if (tf is high) and (overlap is high) -> (relevance is high)\n"
         with pytest.raises(ConfigError, match="mixes"):
             parse_template(text)
+
+
+TF_SETS = "set high trimf 0 1 1\nset not_high trimf 0 0 1\n"
+RATIO = "overlap_weight_ratio 0.16666666666666666"
+
+
+@pytest.mark.parametrize("parse, old, new, message", [
+    (parse_fis_config, "universe 0 1\n" + TF_SETS + "[output",
+     TF_SETS + "[output", "line 1: variable 'tf' has no universe"),
+    (parse_fis_config, TF_SETS + "[output", "[output",
+     "line 1: variable 'tf' has no fuzzy sets"),
+    (parse_fis_config, TF_SETS + "[system", "[system",
+     "line 5: variable 'relevance' has no fuzzy sets"),
+    (parse_fis_config, "set high trimf 0 1 1", "set high",
+     "line 3: set takes a label, a kind, and parameters"),
+    (parse_fis_config, "set high trimf 0 1 1", "set",
+     "line 3: set takes a label, a kind, and parameters"),
+    (parse_template, RATIO, "overlap_weight_ratio 0.1 0.2",
+     "line 25: overlap_weight_ratio takes one number"),
+    (parse_template, RATIO, "overlap_weight_ratio",
+     "line 25: overlap_weight_ratio takes one number"),
+], ids=["no universe", "no input sets", "no output sets", "set of 1 value",
+        "set of 0 values", "ratio of 2 values", "ratio of 0 values"])
+def test_file_rejections(data_dir, parse, old, new, message):
+    source = BASIC if parse is parse_fis_config else (
+        data_dir / "template_default.cfg").read_text()
+    text = source.replace(old, new, 1)
+    assert text != source
+    with pytest.raises(ConfigError) as excinfo:
+        parse(text)
+    assert str(excinfo.value) == message

@@ -707,6 +707,19 @@ class TestColumnarEntries:
         assert hash(rebuilt) == hash(first)
         assert len({first, again, rebuilt}) == 1
 
+    @pytest.mark.parametrize("columns, lengths", [
+        ((("a", "b"), np.array([1.0]), range(1, 3)), (2, 1, 2)),
+        ((("a",), np.array([1.0, 0.5]), range(1, 3)), (1, 2, 2)),
+        ((("a", "b"), np.array([1.0, 0.5]), (1,)), (2, 2, 1)),
+        (((), np.array([1.0]), ()), (0, 1, 0)),
+    ])
+    def test_unequal_columns_rejected(self, columns, lengths):
+        with pytest.raises(RunFormatError) as caught:
+            RankedEntries(*columns)
+        assert str(caught.value) == (
+            "ranked columns differ in length: {} doc ids, {} scores, "
+            "{} ranks".format(*lengths))
+
     def test_scores_are_read_only(self, index20, template):
         for ranked in (score_baseline(index20, "river flood"),
                        score_fis(index20, template, "river flood"),

@@ -1,0 +1,42 @@
+"""Public names removed in favour of one path per concept stay removed, and
+the README says where their callers go instead."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+import frank
+import frank.evaluation
+import frank.fis
+import frank.index
+from frank.evaluation import RunFile
+from frank.ranker import FisTemplate, default_template
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# name as the README writes it -> the objects it was once read from
+REMOVED = {
+    "AggregateSet": (frank, frank.fis),
+    "tf_norm": (frank, frank.index),
+    "FisTemplate.output": (FisTemplate, default_template()),
+    "RunFile.ranked_doc_ids": (RunFile, RunFile("t", {})),
+    "diff_runs": (frank, frank.evaluation),
+    "MetricsDiff": (frank, frank.evaluation),
+}
+
+
+def removed_names_paragraph() -> str:
+    text = README.read_text(encoding="utf-8")
+    match = re.search(r"^Removed public names.*?(?=\n\n)", text,
+                      re.MULTILINE | re.DOTALL)
+    assert match, "README has no 'Removed public names' paragraph"
+    return match.group()
+
+
+@pytest.mark.parametrize("name", REMOVED)
+def test_removed_name_is_documented_and_gone(name):
+    assert f"`{name}`" in removed_names_paragraph()
+    attribute = name.rpartition(".")[2]
+    for owner in REMOVED[name]:
+        assert not hasattr(owner, attribute), (owner, attribute)
