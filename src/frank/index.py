@@ -7,6 +7,10 @@ frequency, and query overlap.
 Tokenization is fixed so every downstream number is reproducible:
 lowercase, split on any non-alphanumeric ASCII character, drop tokens
 shorter than 2 characters, remove the 30 stopwords below, no stemming.
+Queries and the build share one byte-level tokenizer: the lowercased
+text's UTF-8 bytes, every byte but ``0-9a-z`` translated to a space, split
+on the spaces.  It keeps the stopwords and one-character words, which the
+build drops as the first ids of its vocabulary and queries by set lookup.
 
 An :class:`InvertedIndex` is its FRIX1 bytes, all integers little-endian
 uint32 and strings length-prefixed UTF-8::
@@ -51,7 +55,15 @@ STOPWORDS = frozenset((
     "on", "or", "that", "the", "this", "to", "was", "were", "will", "with",
 ))
 
-_TOKEN_RE = re.compile(r"[a-z0-9]{2,}", re.ASCII)
+_WORD_BYTES = b"0123456789abcdefghijklmnopqrstuvwxyz"
+#: every byte but a word byte to a space, for ``bytes.split``
+_TABLE = bytes(c if c in _WORD_BYTES else 32 for c in range(256))
+#: the words that are never tokens: the stopwords and every one-character
+#: word ("a" is both)
+_DROPPED = frozenset([*(word.encode() for word in STOPWORDS),
+                      *(bytes((c,)) for c in _WORD_BYTES)])
+#: whitespace as ``str.isspace`` has it, which a doc id may not contain
+_SPACE = re.compile(r"\s")
 
 _MAGIC = b"FRIX1"
 _VERSION = 1
@@ -89,9 +101,17 @@ class QueryFeatures:
     overlap: np.ndarray
 
 
+def _words(text: str) -> list[bytes]:
+    """Every maximal run of ASCII letters and digits in the lowercased text,
+    as bytes: the index tokens, plus the dropped words among them."""
+    # lone surrogates pass through as bytes >= 0x80, which become spaces
+    return text.lower().encode("utf-8", "surrogatepass").translate(
+        _TABLE).split()
+
+
 def tokenize(text: str) -> list[str]:
     """Split text into index tokens under the fixed policy above."""
-    return [w for w in _TOKEN_RE.findall(text.lower()) if w not in STOPWORDS]
+    return [w.decode() for w in _words(text) if w not in _DROPPED]
 
 
 def _u32(data: bytes, offset: int) -> tuple[int, int]:
@@ -154,6 +174,21 @@ def _decode(data: bytes, starts: np.ndarray,
     return decoded
 
 
+def _first_malformed(doc_ids: list[str], starts: np.ndarray,
+                     stops: np.ndarray) -> int:
+    """The position of the first of ``doc_ids``, decoded from ``starts`` to
+    ``stops``, that is empty or contains whitespace; ``len(doc_ids)`` if
+    none is."""
+    n = len(doc_ids)
+    empty = np.flatnonzero(starts[:n] == stops[:n])
+    first = int(empty[0]) if empty.size else n
+    space = _SPACE.search("".join(doc_ids))
+    if space:
+        ends = np.cumsum(list(map(len, doc_ids)))  # in characters
+        first = min(first, int(np.searchsorted(ends, space.start(), "right")))
+    return first
+
+
 def _check_complete(starts: np.ndarray, decoded: list[str], truncated: bool,
                     what: str) -> None:
     """Raise for the first string that is not UTF-8, else for bytes that
@@ -176,11 +211,12 @@ class InvertedIndex:
     doc ids as objects), by doc ordinal.
     Construction raises :class:`IndexFormatError` unless every count and
     length fits the bytes with none left over, doc ids and tokens are
-    UTF-8, doc ids unique, tokens strictly ascending, each df and tf >= 1,
-    each token's doc ordinals < N and strictly ascending, and each
-    document's token count the sum of its postings' term frequencies and
-    its max term frequency their maximum.  Where the bytes break several
-    of these, the first break in byte order is the one reported.
+    UTF-8, doc ids non-empty, free of whitespace and unique, tokens
+    strictly ascending, each df and tf >= 1, each token's doc ordinals < N
+    and strictly ascending, and each document's token count the sum of its
+    postings' term frequencies and its max term frequency their maximum.
+    Where the bytes break several of these, the first break in byte order
+    is the one reported.
     """
 
     def __init__(self, data: bytes):
@@ -196,12 +232,18 @@ class InvertedIndex:
         starts, stops, offset, truncated = _scan(data, offset, n_docs, False)
         doc_ids = _decode(data, starts, stops)
         ordinals = dict(zip(doc_ids, range(n_docs)))
+        malformed = _first_malformed(doc_ids, starts, stops)
         if len(ordinals) < len(doc_ids):
             seen: set[str] = set()
-            duplicate = next(doc_id for doc_id in doc_ids
-                             if doc_id in seen or seen.add(doc_id))
+            duplicate = next((doc_id for doc_id in doc_ids[:malformed]
+                              if doc_id in seen or seen.add(doc_id)), None)
+            if duplicate is not None:
+                raise IndexFormatError(
+                    f"corrupt index: duplicate doc id {duplicate!r}")
+        if malformed < len(doc_ids):
             raise IndexFormatError(
-                f"corrupt index: duplicate doc id {duplicate!r}")
+                f"corrupt index: doc id at byte {starts[malformed]} is empty "
+                f"or contains whitespace")
         _check_complete(starts, doc_ids, truncated, "doc id")
         per_doc = _gather(data, stops, 8)
 
@@ -356,7 +398,7 @@ def _doc_id_bytes(document: Document, seen: set[str]) -> bytes:
     """The next document's doc id as UTF-8, checked: non-empty, free of
     whitespace (run files split their fields on it) and unique."""
     doc_id = document.doc_id
-    if not doc_id or any(map(str.isspace, doc_id)):
+    if not doc_id or _SPACE.search(doc_id):
         raise CorpusError(f"doc_id {doc_id!r} is empty or contains "
                           "whitespace", line=document.line)
     if doc_id in seen:
@@ -378,11 +420,14 @@ def build_index(corpus: Iterable[Document]) -> InvertedIndex:
     empty stay in the document table and count toward the corpus size.
 
     The inversion sorts instead of merging per-token lists (Witten, Moffat
-    & Bell, *Managing Gigabytes*, ch. 5): every token of every document
-    becomes an id of one vocabulary in one int32 column, and one
-    ``np.unique`` over term rank * N + doc ordinal yields each posting, in
-    FRIX1 order, with its term frequency.  ``np.bincount`` gives the dfs
-    and ``np.maximum.at`` each document's max term frequency.
+    & Bell, *Managing Gigabytes*, chs. 3 and 5): every word the byte
+    tokenizer finds in every document becomes an id of one vocabulary,
+    keyed by the word's bytes, in one int32 column.  The vocabulary's first
+    ids are the dropped words (stopwords and one-character words), so one
+    comparison drops them all.  One ``np.unique`` over term rank * N + doc
+    ordinal yields each posting, in FRIX1 order, with its term frequency.
+    ``np.bincount`` gives the dfs and ``np.maximum.at`` each document's max
+    term frequency.  Token names are written as the bytes they are keyed by.
     """
     return InvertedIndex(_invert(corpus))
 
@@ -390,10 +435,9 @@ def build_index(corpus: Iterable[Document]) -> InvertedIndex:
 def _invert(corpus: Iterable[Document]) -> bytes:
     """The FRIX1 bytes of a document stream, for :func:`build_index`, whose
     constructor then runs after every column here has been freed."""
-    # ids 0 .. len(STOPWORDS) - 1 are the stopwords', dropped below
+    # ids 0 .. len(_DROPPED) - 1 are the dropped words', dropped below
     next_id = count()
-    vocabulary = defaultdict(next_id.__next__, zip(STOPWORDS, next_id))
-    find = _TOKEN_RE.findall
+    vocabulary = defaultdict(next_id.__next__, zip(_DROPPED, next_id))
     words = array("i")  # every document's token ids, one after another
     lengths = array("i")  # how many of them each document has
     doc_ids: list[bytes] = []
@@ -401,7 +445,7 @@ def _invert(corpus: Iterable[Document]) -> bytes:
     for document in corpus:
         doc_ids.append(_doc_id_bytes(document, seen))
         before = len(words)
-        words.extend(map(vocabulary.__getitem__, find(document.text.lower())))
+        words.extend(map(vocabulary.__getitem__, _words(document.text)))
         lengths.append(len(words) - before)
     if not doc_ids:
         raise CorpusError("empty corpus")
@@ -409,12 +453,12 @@ def _invert(corpus: Iterable[Document]) -> bytes:
 
     ids = np.frombuffer(words, np.int32)
     ordinals = np.repeat(np.arange(n_docs, dtype=np.uint32), lengths)
-    kept = ids >= len(STOPWORDS)
+    kept = ids >= len(_DROPPED)
     ids, ordinals = ids[kept], ordinals[kept]
     del words, kept
     token_counts = np.bincount(ordinals, minlength=n_docs)
     names = list(vocabulary)
-    order = sorted(range(len(STOPWORDS), len(names)), key=names.__getitem__)
+    order = sorted(range(len(_DROPPED), len(names)), key=names.__getitem__)
     n_terms = len(order)
     key_type = np.uint32 if n_terms * n_docs <= 1 << 32 else np.uint64
     ranks = np.zeros(len(names), key_type)
@@ -448,7 +492,7 @@ def _invert(corpus: Iterable[Document]) -> bytes:
     write(_UINT.pack(n_terms))
     end = 0
     for term, df in zip(order, dfs.tolist()):
-        raw = names[term].encode("utf-8")
+        raw = names[term]
         write(_UINT.pack(len(raw)))
         write(raw)
         write(_UINT.pack(df))

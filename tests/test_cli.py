@@ -16,7 +16,7 @@ from frank.cli import main
 from frank.errors import RunFormatError, read_text
 from frank.evaluation import evaluate_run, format_report, load_qrels, load_run
 from frank.fis import MAX_RESOLUTION
-from frank.index import Document, build_index, read_corpus_jsonl
+from frank.index import Document, InvertedIndex, build_index, read_corpus_jsonl
 
 
 @pytest.fixture()
@@ -81,6 +81,22 @@ CORRUPT_INDEXES = {
     "tokens_out_of_order": (
         [D1, D2], [BANANA, APPLE],
         "token 'apple' is out of order"),
+    # a doc id the build rejects would split or vanish in a run file
+    "doc_id_trailing_space": (
+        [(b"d ", 3, 2), D2], [APPLE, BANANA],
+        "doc id at byte 14 is empty or contains whitespace"),
+    "doc_id_no_break_space": (
+        [D1, ("\u00a0".encode(), 1, 1)], [APPLE, BANANA],
+        "doc id at byte 28 is empty or contains whitespace"),
+    "doc_id_empty": (
+        [D1, (b"", 1, 1)], [APPLE, BANANA],
+        "doc id at byte 28 is empty or contains whitespace"),
+    "whitespace_doc_id_before_duplicate": (
+        [(b"d\t1", 3, 2), D2, D2], [APPLE, BANANA],
+        "doc id at byte 14 is empty or contains whitespace"),
+    "whitespace_doc_id_after_duplicate": (
+        [D1, D1, (b"d 2", 1, 1)], [APPLE, BANANA],
+        "duplicate doc id 'd1'"),
     "doc_id_not_utf8": (
         [(b"d\xff", 3, 2), D2], [APPLE, BANANA],
         "doc id at byte 14 is not valid UTF-8"),
@@ -159,7 +175,8 @@ class TestIndex:
         assert err == ("frank: error: line 1: doc_id '\\ud800' is not "
                        "valid Unicode\n")
 
-    @pytest.mark.parametrize("doc_id", ["a b", "a\tb", " ", ""])
+    @pytest.mark.parametrize("doc_id",
+                             ["a b", "a\tb", " ", "", "a\u00a0b", "\x1f"])
     def test_doc_id_not_one_run_field_exits_2(self, capsys, tmp_path,
                                               doc_id):
         corpus = tmp_path / "bad.jsonl"
@@ -170,6 +187,17 @@ class TestIndex:
         assert out == ""
         assert err == (f"frank: error: line 1: doc_id {doc_id!r} is empty "
                        "or contains whitespace\n")
+
+    def test_lone_surrogate_in_text_splits_words(self, capsys, tmp_path):
+        """JSON can escape a lone surrogate into a text, which UTF-8 cannot
+        encode: it splits words as any non-ASCII character does."""
+        corpus = tmp_path / "surrogate.jsonl"
+        corpus.write_text('{"doc_id": "d1", "text": "river \\ud800flood"}\n')
+        path = tmp_path / "o.idx"
+        rc, _, err = run_cli(capsys, [
+            "index", "--corpus", str(corpus), "--out", str(path)])
+        assert (rc, err) == (0, "")
+        assert InvertedIndex.load(path).terms == ["flood", "river"]
 
     def test_malformed_line_reports_number(self, capsys, tmp_path):
         corpus = tmp_path / "bad.jsonl"

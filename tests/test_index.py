@@ -33,12 +33,16 @@ from oracles import (ReferenceCorpus, reference_extract_features,
                      reference_frix, reference_tokenize)
 
 # Words and fragments that exercise the tokenizer's edges: one-character
-# tokens, digits, hyphens, stopwords in any case, and the two characters
-# whose lowercase forms leave ASCII (Kelvin sign) or grow (dotted capital I).
+# tokens, digits, hyphens, stopwords in any case, the two characters whose
+# lowercase forms leave ASCII (Kelvin sign) or grow (dotted capital I),
+# lone surrogates, which UTF-8 cannot encode, and separators that
+# str.isspace knows but bytes.split does not.
 _PIECES = st.one_of(
     st.sampled_from(["a", "x", "7", "ab", "Ab", "AB", "the", "The", "OF",
                      "e-mail", "tf-idf", "2006", "x1", "09", "\u212a",
-                     "\u212ai", "\u0130", "\u0130t", "naïve", "-", "--"]),
+                     "\u212ai", "\u0130", "\u0130t", "naïve", "-", "--",
+                     "\ud800", "x\udfffy", "ab\x1ccd", "\x1d", "x\x1ey",
+                     "\x1f", "ab\x85cd", "ab\u00a0cd", "ab\u2028cd"]),
     st.text(alphabet="abkK019-_ .,\n\t\u212a\u0130\u00e9", max_size=8),
 )
 _TEXTS = st.lists(_PIECES, max_size=10).map(" ".join)
@@ -133,6 +137,7 @@ class TestBuildMatchesReference:
     @example(["The AND of", "a b c 1 2"])
     @example(["single document"])
     @example(["K-9 \u212a9 \u0130stanbul istanbul", "k9 KK \u0130\u0130"])
+    @example(["river \ud800flood"])
     def test_bytes_equal_reference(self, texts):
         docs = [(f"d{i}\u00e9", text) for i, text in enumerate(texts)]
         built = build_index(Document(*doc) for doc in docs)
