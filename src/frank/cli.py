@@ -24,7 +24,8 @@ from .evaluation import (evaluate_run, format_diff, format_report, format_run,
                          load_qrels, load_run, report_jsonl, run_from_ranked)
 from .fis import MAX_RESOLUTION, evaluate, rule_strengths
 from .fisfile import load_fis_config, load_template
-from .index import InvertedIndex, build_index, read_corpus_jsonl, tokenize
+from .index import (InvertedIndex, build_index, one_word, read_corpus_jsonl,
+                    tokenize)
 from .ranker import DEFAULT_CUTOFF, score_baseline, score_fis
 from .rules import print_rule
 
@@ -57,7 +58,7 @@ def _read_queries_tsv(path: str) -> list[tuple[str, str]]:
             raise RunFormatError(
                 "expected 'topic<TAB>query text'", line=number
             )
-        if any(map(str.isspace, topic)):  # parse_run splits fields on it
+        if not one_word(topic):
             raise RunFormatError(f"whitespace in topic {topic!r}", line=number)
         if topic in queries:  # a run holds one ranked list per topic
             raise RunFormatError(f"duplicate topic {topic}", line=number)
@@ -76,7 +77,7 @@ def cmd_search(args) -> int:
     if (args.query is None) == (args.queries is None):
         raise UsageError("exactly one of --query or --queries is required")
     for flag, value in (("--topic", args.topic), ("--tag", args.tag)):
-        if not value or any(map(str.isspace, value)):
+        if not one_word(value):
             raise UsageError(f"{flag} must be one word, got {value!r}")
     if args.query is not None:
         queries = [(args.topic, args.query)]

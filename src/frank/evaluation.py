@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EvalError, RunFormatError, read_text
+from .index import one_word
 from .ranker import RankedEntries, RankedList
 
 
@@ -54,10 +55,23 @@ class Qrels:
 
 @dataclass(frozen=True)
 class RunFile:
-    """One system's ranked output: topic -> its ranked entries."""
+    """One system's ranked output: topic -> its ranked entries.
+
+    The tag and every topic are one word each (see
+    :func:`frank.index.one_word`), or :class:`RunFormatError` is raised.
+    """
 
     tag: str
     topics: dict[str, RankedEntries]
+
+    def __post_init__(self):
+        if not one_word(self.tag):
+            raise RunFormatError(
+                f"run tag {self.tag!r} is empty or contains whitespace")
+        for topic in self.topics:
+            if not one_word(topic):
+                raise RunFormatError(
+                    f"topic {topic!r} is empty or contains whitespace")
 
 
 @dataclass(frozen=True)
@@ -175,8 +189,7 @@ def parse_run(text: str) -> RunFile:
     if tag is None:
         raise RunFormatError("empty run file")
     return RunFile(tag, {
-        topic: RankedEntries(tuple(doc_ids), np.array(scores),
-                             range(1, len(doc_ids) + 1))
+        topic: RankedEntries(tuple(doc_ids), np.array(scores))
         for topic, (doc_ids, scores) in topics.items()})
 
 
@@ -189,14 +202,14 @@ def format_run(run: RunFile) -> str:
     for a run without lines.
 
     Each topic is one ``%`` of its line pattern, repeated once per entry,
-    over a flat list of (doc id, rank, score) fields; the ranks are fields,
-    so hand-built ranks print as they are."""
+    over a flat list of (doc id, rank, score) fields; ranks are positions,
+    1 to n."""
     tag = run.tag.replace("%", "%%")
     texts = []
     for topic, entries in sorted(run.topics.items()):
         fields = [None] * (3 * len(entries))
         fields[0::3] = entries.doc_ids
-        fields[1::3] = entries.ranks
+        fields[1::3] = range(1, len(entries) + 1)
         fields[2::3] = entries.scores.tolist()
         pattern = f"{topic.replace('%', '%%')} Q0 %s %s %.6f {tag}\n"
         texts.append(pattern * len(entries) % tuple(fields))

@@ -41,7 +41,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -121,6 +121,22 @@ def default_variable(name: str) -> LinguisticVariable:
     )
 
 
+def _check_resolution(resolution: int) -> None:
+    """Reject a grid of fewer than 2 or more than MAX_RESOLUTION points."""
+    if resolution < 2:
+        raise ConfigError(f"resolution must be >= 2, got {resolution}")
+    if resolution > MAX_RESOLUTION:
+        raise ConfigError(f"resolution must be <= {MAX_RESOLUTION}, "
+                          f"got {resolution}")
+
+
+def _check_output_name(output: LinguisticVariable,
+                       input_names: Collection[str]) -> None:
+    if output.name in input_names:
+        raise ConfigError(
+            f"output variable {output.name!r} clashes with an input")
+
+
 def _check_rule(rule: RuleAst, inputs: Mapping[str, LinguisticVariable],
                 output: LinguisticVariable) -> None:
     """Reject a rule over variables or sets that ``inputs`` (by name) and
@@ -158,18 +174,11 @@ class FisConfig:
         object.__setattr__(self, "rules", tuple(self.rules))
         for family, (field, _) in OPERATORS.items():
             _check_method(family, getattr(self, field))
-        if self.resolution < 2:
-            raise ConfigError(f"resolution must be >= 2, got {self.resolution}")
-        if self.resolution > MAX_RESOLUTION:
-            raise ConfigError(f"resolution must be <= {MAX_RESOLUTION}, "
-                              f"got {self.resolution}")
+        _check_resolution(self.resolution)
         names = [v.name for v in self.inputs]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate input variable names in {names}")
-        if self.output.name in names:
-            raise ConfigError(
-                f"output variable {self.output.name!r} clashes with an input"
-            )
+        _check_output_name(self.output, names)
         if not self.rules:
             raise ConfigError("a fuzzy system needs at least one rule")
         by_name = dict(zip(names, self.inputs))

@@ -10,8 +10,13 @@ A config file is a sequence of sections::
     [rules]             one rule per line, in the rule grammar
 
 ``KIND`` is one of ``trimf``, ``trapmf``, ``gaussmf``, ``sigmf``.  Blank
-lines and ``#`` comments are ignored.  Unknown sections or keys, and
-rules over unknown variables or sets, fail with the offending line number.
+lines and ``#`` comments are ignored.  Unknown sections or keys, bad
+values, and rules over unknown variables or sets fail with the offending
+line number.  The parser runs :class:`FisConfig`'s and
+:class:`FisTemplate`'s own checks at the line of the key, rule or section
+they concern.  No rules, or an output universe too wide for the centroid
+sums, names the first ``[rules]`` header, or the last line without one; a
+file without ``[output]`` names its last line.
 
 A template file is a config file over input variables named exactly
 ``tf``, ``idf`` and ``overlap`` (which must share one prototype definition)
@@ -20,13 +25,16 @@ plus an optional ``[system]`` key ``overlap_weight_ratio``.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import ConfigError, read_text
 from .fis import (MAX_RESOLUTION, OPERATORS, FisConfig, LinguisticVariable,
-                  _check_rule)
+                  _check_output_name, _check_resolution, _check_rule)
 from .membership import MembershipFunction
-from .ranker import FisTemplate, _check_placeholder_names
+from .ranker import (DEFAULT_OVERLAP_WEIGHT_RATIO, FisTemplate,
+                     _check_placeholder_names, _check_prototype, _check_ratio,
+                     _check_template_rule)
 from .rules import RuleAst, parse_rule, print_rule
 
 _KIND_BY_KEYWORD = {
@@ -36,6 +44,15 @@ _KIND_BY_KEYWORD = {
     "sigmf": "sigmoid",
 }
 _KEYWORD_BY_KIND = {v: k for k, v in _KIND_BY_KEYWORD.items()}
+
+
+@contextmanager
+def _at_line(number: int | None):
+    """Name ``number`` in a :class:`ConfigError` raised in the block."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(str(exc), line=number) from None
 
 
 class _VariableDraft:
@@ -50,10 +67,8 @@ class _VariableDraft:
             raise ConfigError(
                 f"variable {self.name!r} has no universe", line=self.line
             )
-        try:
+        with _at_line(self.line):
             return LinguisticVariable(self.name, self.universe, self.sets)
-        except ConfigError as exc:
-            raise ConfigError(str(exc), line=self.line) from None
 
 
 def _parse_floats(values: list[str], line: int) -> list[float]:
@@ -78,8 +93,12 @@ def _parse(text: str, template: bool) -> tuple[FisConfig, dict[str, float]]:
     rules: list[tuple[int, RuleAst]] = []
     current: _VariableDraft | None = None
     section: str | None = None
+    lines = text.splitlines()
+    # a fault of the whole file names the first [rules] header, else the
+    # last line
+    rules_line = None
 
-    for number, raw in enumerate(text.splitlines(), start=1):
+    for number, raw in enumerate(lines, start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -106,6 +125,7 @@ def _parse(text: str, template: bool) -> tuple[FisConfig, dict[str, float]]:
             elif header == ["rules"]:
                 section = "rules"
                 current = None
+                rules_line = rules_line or number
             else:
                 raise ConfigError(
                     f"unknown section {stripped!r}", line=number
@@ -146,10 +166,8 @@ def _parse(text: str, template: bool) -> tuple[FisConfig, dict[str, float]]:
                         f"{current.name!r}", line=number
                     )
                 params = _parse_floats(values[2:], number)
-                try:
+                with _at_line(number):
                     current.sets[label] = MembershipFunction(kind, tuple(params))
-                except ConfigError as exc:
-                    raise ConfigError(str(exc), line=number)
             else:
                 raise ConfigError(f"unknown key {key!r}", line=number)
         elif section == "system":
@@ -171,28 +189,42 @@ def _parse(text: str, template: bool) -> tuple[FisConfig, dict[str, float]]:
                     raise ConfigError(
                         f"resolution must be <= {MAX_RESOLUTION}", line=number
                     ) from None
+                with _at_line(number):
+                    _check_resolution(system[key])
             elif key == "overlap_weight_ratio" and template:
                 if len(values) != 1:
                     raise ConfigError("overlap_weight_ratio takes one number",
                                       line=number)
                 (template_fields[key],) = _parse_floats(values, number)
+                with _at_line(number):
+                    _check_ratio(template_fields[key])
             else:
                 raise ConfigError(f"unknown key {key!r}", line=number)
 
+    last_line = len(lines) or None  # an empty file has no line to name
     if output is None:
-        raise ConfigError("missing [output] section")
+        raise ConfigError("missing [output] section", line=last_line)
     if template:
         _check_placeholder_names(draft.name for draft in inputs)
     variables = {draft.name: draft.build() for draft in inputs}
     output_variable = output.build()
+    with _at_line(output.line):
+        _check_output_name(output_variable, variables)
+    if template:
+        for draft in inputs:
+            with _at_line(draft.line):
+                _check_prototype(variables[draft.name], variables["tf"])
+    ratio = template_fields.get("overlap_weight_ratio",
+                                DEFAULT_OVERLAP_WEIGHT_RATIO)
     for number, rule in rules:
-        try:
+        with _at_line(number):
             _check_rule(rule, variables, output_variable)
-        except ConfigError as exc:
-            raise ConfigError(str(exc), line=number) from None
-    config = FisConfig(inputs=tuple(variables.values()),
-                       output=output_variable,
-                       rules=tuple(rule for _, rule in rules), **system)
+            if template:
+                _check_template_rule(rule, ratio)
+    with _at_line(rules_line or last_line):
+        config = FisConfig(inputs=tuple(variables.values()),
+                           output=output_variable,
+                           rules=tuple(rule for _, rule in rules), **system)
     return config, template_fields
 
 

@@ -65,6 +65,14 @@ _DROPPED = frozenset([*(word.encode() for word in STOPWORDS),
 #: whitespace as ``str.isspace`` has it, which a doc id may not contain
 _SPACE = re.compile(r"\s")
 
+
+def one_word(text: str) -> bool:
+    """Whether ``text`` is non-empty and free of whitespace: what a run
+    file's doc id, topic or tag must be, as ``parse_run`` splits its lines
+    on whitespace."""
+    return bool(text) and not _SPACE.search(text)
+
+
 _MAGIC = b"FRIX1"
 _VERSION = 1
 _U32 = np.dtype("<u4")
@@ -398,7 +406,7 @@ def _doc_id_bytes(document: Document, seen: set[str]) -> bytes:
     """The next document's doc id as UTF-8, checked: non-empty, free of
     whitespace (run files split their fields on it) and unique."""
     doc_id = document.doc_id
-    if not doc_id or _SPACE.search(doc_id):
+    if not one_word(doc_id):
         raise CorpusError(f"doc_id {doc_id!r} is empty or contains "
                           "whitespace", line=document.line)
     if doc_id in seen:

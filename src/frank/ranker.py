@@ -19,10 +19,11 @@ postings: documents matching no term are never scored) and the ranking
 order: descending score, ties broken by ascending doc_id.
 
 A :class:`RankedList`'s ``entries`` is a :class:`RankedEntries`: a
-sequence backed by three columns (doc ids, a read-only float64 score array
-and the ranks) whose :class:`RankedEntry` items are built on access.
-Indexing, slicing and iterating it read as a tuple of entries would, and
-comparing it with one holds; a scorer builds no object per entry.
+sequence backed by two columns (doc ids and a read-only float64 score
+array) whose :class:`RankedEntry` items are built on access, each with its
+position from 1 as its rank.  Indexing, slicing and iterating it read as a
+tuple of entries would, and comparing it with one holds; a scorer builds
+no object per entry.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -41,7 +43,8 @@ from .errors import ConfigError, QueryError, RunFormatError
 # ``evaluate`` is unused here; perfbench's traced run patches it by this name
 from .fis import (FisConfig, LinguisticVariable, _combine, _memberships,
                   default_variable, evaluate, fire_rule)  # noqa: F401
-from .index import InvertedIndex, extract_features, idf_raw, tokenize
+from .index import (InvertedIndex, extract_features, idf_raw, one_word,
+                    tokenize)
 from .rules import RuleAst, RuleClause, parse_rule
 
 DEFAULT_OVERLAP_WEIGHT_RATIO = 1.0 / 6.0
@@ -63,6 +66,38 @@ def _check_placeholder_names(names: Iterable[str]) -> None:
         )
 
 
+def _check_prototype(variable: LinguisticVariable,
+                     prototype: LinguisticVariable) -> None:
+    if (variable.universe != prototype.universe
+            or variable.sets != prototype.sets):
+        raise ConfigError(
+            f"placeholder variable {variable.name!r} differs from 'tf'; "
+            "all placeholders must share one prototype definition"
+        )
+
+
+def _check_ratio(overlap_weight_ratio: float) -> None:
+    if not overlap_weight_ratio > 0:
+        raise ConfigError("overlap_weight_ratio must be positive")
+
+
+def _check_template_rule(rule: RuleAst, overlap_weight_ratio: float) -> None:
+    """Reject a rule over both tf/idf and overlap, or an overlap rule whose
+    weight for a one-term query, the largest it gets (weight *
+    ``overlap_weight_ratio``), is outside (0, 1]."""
+    mentioned = _mentioned(rule)
+    if mentioned <= _PER_TERM:
+        return
+    if mentioned != {"overlap"}:
+        raise ConfigError(
+            f"template rule mixes placeholders {sorted(mentioned)}; "
+            "a rule may use tf/idf or overlap, not both"
+        )
+    if not 0.0 < rule.weight * overlap_weight_ratio <= 1.0:
+        raise ConfigError(f"overlap rule weight {rule.weight} * "
+                          "overlap_weight_ratio outside (0, 1]")
+
+
 @dataclass(frozen=True)
 class FisTemplate:
     """Per-query blueprint for the fuzzy ranker.
@@ -78,29 +113,11 @@ class FisTemplate:
 
     def __post_init__(self):
         _check_placeholder_names(v.name for v in self.config.inputs)
-        prototype = self.variable_prototype
-        for other in self.config.inputs:
-            if (other.universe != prototype.universe
-                    or other.sets != prototype.sets):
-                raise ConfigError(
-                    f"placeholder variable {other.name!r} differs from 'tf'; "
-                    "all placeholders must share one prototype definition"
-                )
+        for variable in self.config.inputs:
+            _check_prototype(variable, self.variable_prototype)
+        _check_ratio(self.overlap_weight_ratio)
         for rule in self.config.rules:
-            mentioned = _mentioned(rule)
-            if not (mentioned <= _PER_TERM or mentioned == {"overlap"}):
-                raise ConfigError(
-                    f"template rule mixes placeholders {sorted(mentioned)}; "
-                    "a rule may use tf/idf or overlap, not both"
-                )
-        if not self.overlap_weight_ratio > 0:
-            raise ConfigError("overlap_weight_ratio must be positive")
-        # weights at t = 1 are the largest: w for per-term rules, the
-        # config's, and w * ratio for overlap rules
-        for rule in self.global_rules:
-            if not 0.0 < rule.weight * self.overlap_weight_ratio <= 1.0:
-                raise ConfigError(f"overlap rule weight {rule.weight} * "
-                                  "overlap_weight_ratio outside (0, 1]")
+            _check_template_rule(rule, self.overlap_weight_ratio)
 
     @cached_property
     def per_term_rules(self) -> tuple[RuleAst, ...]:
@@ -185,8 +202,9 @@ class RankedEntry(NamedTuple):
 
 
 class RankedEntries(Sequence):
-    """A ranked list's entries as columns: ``doc_ids`` (a tuple of str),
-    ``scores`` (a read-only float64 array) and ``ranks``.
+    """A ranked list's entries as columns: ``doc_ids`` (a tuple of str) and
+    ``scores`` (a read-only float64 array); an entry's rank is its position
+    from 1.
 
     Indexing builds one :class:`RankedEntry`, a slice a tuple of them, and
     the list equals (and hashes as) the tuple of its entries.  It holds no
@@ -194,18 +212,16 @@ class RankedEntries(Sequence):
     Columns of different lengths raise :class:`RunFormatError`.
     """
 
-    __slots__ = ("doc_ids", "scores", "ranks")
+    __slots__ = ("doc_ids", "scores")
 
-    def __init__(self, doc_ids: tuple[str, ...], scores: np.ndarray,
-                 ranks: Sequence[int]):
-        if not len(doc_ids) == len(scores) == len(ranks):
+    def __init__(self, doc_ids: tuple[str, ...], scores: np.ndarray):
+        if len(doc_ids) != len(scores):
             raise RunFormatError(
                 f"ranked columns differ in length: {len(doc_ids)} doc ids, "
-                f"{len(scores)} scores, {len(ranks)} ranks")
+                f"{len(scores)} scores")
         scores.flags.writeable = False
         self.doc_ids = doc_ids
         self.scores = scores
-        self.ranks = ranks
 
     def __len__(self) -> int:
         return len(self.doc_ids)
@@ -214,10 +230,10 @@ class RankedEntries(Sequence):
         if isinstance(i, slice):
             return tuple(map(self.__getitem__, range(len(self))[i]))
         return RankedEntry(self.doc_ids[i], float(self.scores[i]),
-                           self.ranks[i])
+                           range(1, len(self) + 1)[i])
 
     def __iter__(self):
-        return map(RankedEntry, self.doc_ids, self.scores.tolist(), self.ranks)
+        return map(RankedEntry, self.doc_ids, self.scores.tolist(), count(1))
 
     def __eq__(self, other):
         if not isinstance(other, Sequence):
@@ -236,19 +252,35 @@ class RankedList:
     """Ranked retrieval output for one query.
 
     Scores are non-increasing; ties are broken by ascending doc_id; ranks
-    run contiguously from 1.  ``entries`` given as any sequence of entries
-    is stored as their :class:`RankedEntries` columns.
+    run contiguously from 1.  ``entries`` given as any other sequence of
+    ``(doc_id, score, rank)`` entries is checked and stored as their
+    :class:`RankedEntries` columns: ranks must be 1..n in entry order,
+    scores finite and doc ids one word each, or :class:`RunFormatError`
+    names the topic.  Score order and distinct doc ids are ``parse_run``'s
+    checks, not this one's.
     """
 
     query_id: str
     entries: Sequence[RankedEntry]
 
     def __post_init__(self):
-        if not isinstance(self.entries, RankedEntries):
-            # hand-built (doc_id, score, rank) entries keep their ranks
-            doc_ids, scores, ranks = tuple(zip(*self.entries)) or ((), (), ())
-            object.__setattr__(self, "entries", RankedEntries(
-                doc_ids, np.array(scores, dtype=np.float64), ranks))
+        if isinstance(self.entries, RankedEntries):
+            return
+        doc_ids, scores, ranks = tuple(zip(*self.entries)) or ((), (), ())
+        scores = np.array(scores, dtype=np.float64)
+        topic = f"topic {self.query_id}: "
+        for position, (doc_id, score, rank) in enumerate(
+                zip(doc_ids, scores.tolist(), ranks), start=1):
+            if rank != position:
+                raise RunFormatError(f"{topic}rank {rank} out of order "
+                                     f"(expected {position})")
+            if not math.isfinite(score):
+                raise RunFormatError(f"{topic}score {score} at rank {rank} "
+                                     "is not finite")
+            if not one_word(doc_id):
+                raise RunFormatError(f"{topic}doc id {doc_id!r} is empty or "
+                                     "contains whitespace")
+        object.__setattr__(self, "entries", RankedEntries(doc_ids, scores))
 
 
 def _distinct_query_terms(query_text: str, k: int) -> list[str]:
@@ -275,8 +307,7 @@ def _to_ranked_list(index: InvertedIndex, query_id: str,
                     k: int) -> RankedList:
     order = np.lexsort((index.doc_id_ranks[candidates], -scores))[:k]
     doc_ids = tuple(index.doc_id_array[candidates[order]].tolist())
-    return RankedList(query_id, RankedEntries(doc_ids, scores[order],
-                                              range(1, len(order) + 1)))
+    return RankedList(query_id, RankedEntries(doc_ids, scores[order]))
 
 
 def score_fis(index: InvertedIndex, template: FisTemplate, query_text: str,

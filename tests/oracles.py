@@ -326,11 +326,11 @@ def reference_parse_run(text: str) -> tuple[str, dict[str, list]]:
 
 def reference_format_run(run) -> str:
     """The run-file formatter as it was written line by line, one f-string
-    per line, over a ``RunFile``'s ``tag`` and per-topic ``doc_ids``,
-    ``ranks`` and ``scores`` columns."""
+    per line, over a ``RunFile``'s ``tag`` and per-topic ``doc_ids`` and
+    ``scores`` columns; ranks are positions from 1."""
     lines = []
     for topic, entries in sorted(run.topics.items()):
-        for doc_id, rank, score in zip(entries.doc_ids, entries.ranks,
-                                       entries.scores.tolist()):
+        for rank, (doc_id, score) in enumerate(
+                zip(entries.doc_ids, entries.scores.tolist()), start=1):
             lines.append(f"{topic} Q0 {doc_id} {rank} {score:.6f} {run.tag}")
     return "\n".join(lines) + "\n" if lines else ""

@@ -443,6 +443,20 @@ class TestSearch:
         assert err == (
             "frank: error: line 31: variable 'tf' has no set 'low'\n")
 
+    def test_mixed_placeholder_rule_names_its_line(self, capsys, index_path,
+                                                   data_dir, tmp_path):
+        template = tmp_path / "template.cfg"
+        template.write_text(
+            (data_dir / "template_default.cfg").read_text()
+            + "if (tf is high) and (overlap is high) -> (relevance is high)\n")
+        rc, out, err = run_cli(capsys, [
+            "search", "--index", str(index_path), "--ranker", "fis",
+            "--template", str(template), "--query", "river"])
+        assert (rc, out) == (2, "")
+        assert err == (
+            "frank: error: line 31: template rule mixes placeholders "
+            "['overlap', 'tf']; a rule may use tf/idf or overlap, not both\n")
+
     def test_overweighted_overlap_template_exits_2(self, capsys, index_path,
                                                    data_dir, tmp_path):
         """Rejected at load, so a two-term query (overlap weight 2 / 2 = 1,
@@ -457,7 +471,7 @@ class TestSearch:
             "--template", str(template), "--query", "ice core"])
         assert rc == 2
         assert out == ""
-        assert err == ("frank: error: overlap rule weight 1.0 * "
+        assert err == ("frank: error: line 29: overlap rule weight 1.0 * "
                        "overlap_weight_ratio outside (0, 1]\n")
 
 
@@ -696,6 +710,17 @@ class TestFisEval:
         assert out == ""
         assert err == f"frank: error: line 4: {message}\n"
 
+    def test_resolution_below_two_names_its_line(self, capsys, data_dir,
+                                                 tmp_path):
+        config = tmp_path / "system.cfg"
+        config.write_text((data_dir / "fis_basic.cfg").read_text().replace(
+            "resolution 1001", "resolution 1"))
+        rc, out, err = run_cli(capsys, [
+            "fis-eval", "--config", str(config),
+            "--in", "tf=0.7", "--in", "idf=0.6"])
+        assert (rc, out) == (2, "")
+        assert err == "frank: error: line 19: resolution must be >= 2, got 1\n"
+
     @pytest.mark.parametrize("implication", ["prod", "min"])
     def test_overflowing_centroid_universe_exits_2(self, capsys, data_dir,
                                                    tmp_path, implication):
@@ -711,9 +736,10 @@ class TestFisEval:
             "--in", "tf=0.7", "--in", "idf=0.6"])
         assert rc == 2
         assert out == ""
-        assert err == ("frank: error: output universe (0.0, 1e+308) is too "
-                       "wide for 2 rules at resolution 1001: the centroid "
-                       "sums overflow\n")
+        # a whole-file fault names the [rules] header
+        assert err == ("frank: error: line 20: output universe (0.0, 1e+308) "
+                       "is too wide for 2 rules at resolution 1001: the "
+                       "centroid sums overflow\n")
 
     def test_universe_error_names_its_section_line(self, capsys, data_dir,
                                                    tmp_path):

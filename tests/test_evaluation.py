@@ -293,29 +293,63 @@ def run_texts(draw):
     return "\n".join(separator.join(fields) for fields in lines)
 
 
-# text that a %-pattern or an f-string could misread, and non-ASCII
-_RUN_TEXT = st.text(st.sampled_from("a1_%{}\u00e9\u2603 "), max_size=4)
-_ANY_SCORE = st.floats() | st.sampled_from((
-    -0.0, 0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300, math.nan, math.inf,
-    -math.inf))
+# one-word text that a %-pattern or an f-string could misread, and
+# non-ASCII; then text that may be empty or hold whitespace, such as U+00A0,
+# or a line break to str.splitlines, such as U+2028 and \x1c
+_WORD = st.text(st.sampled_from("a1_%{}\u00e9\u2603"), min_size=1,
+                max_size=4)
+_ANY_TEXT = st.text(st.sampled_from("a1_%{} \u00a0\u2028\x1c"), max_size=4)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    (-0.0, 0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300))
+_NON_FINITE = st.sampled_from((math.nan, math.inf, -math.inf))
 
 
 @st.composite
-def run_files(draw):
-    """Runs as hand-built lists can make them: any text in topics, tag and
-    doc ids, ranks that are not 1..n, any float score (``format_run`` does
-    not check them), topics without lines and runs without topics."""
-    topics = {}
-    for topic in draw(st.lists(_RUN_TEXT, unique=True, max_size=4)):
+def hand_built_runs(draw, faulty: bool):
+    """A tag and, per topic, ``(doc_id, score, rank)`` entries as a
+    hand-made run gives them to :func:`build`: one-word text, finite scores
+    in any order, ranks by position, repeated doc ids, topics without
+    entries and runs without topics.  With ``faulty``, three runs in four
+    pick one kind of field, in which about one field in four breaks what
+    construction checks: text that is empty or holds whitespace, a
+    non-finite score, ranks that are not 1..n."""
+    fault = draw(st.sampled_from((None, "text", "score", "rank"))
+                 if faulty else st.none())
+    text = st.one_of(_WORD, _WORD, _WORD, _ANY_TEXT) if fault == "text" \
+        else _WORD
+    score = st.one_of(_FINITE, _FINITE, _FINITE, _NON_FINITE) \
+        if fault == "score" else _FINITE
+    lists = {}
+    for topic in draw(st.lists(text, unique=True, max_size=4)):
         n = draw(st.integers(0, 5))
         column = {"min_size": n, "max_size": n}
-        ranks = draw(st.just(range(1, n + 1)) | st.lists(
-            st.integers(-5, 10**12), **column).map(tuple))
-        topics[topic] = RankedEntries(
-            tuple(draw(st.lists(_RUN_TEXT, **column))),
-            np.array(draw(st.lists(_ANY_SCORE, **column)), dtype=np.float64),
-            ranks)
-    return RunFile(draw(_RUN_TEXT), topics)
+        doc_ids = draw(st.lists(text, **column))
+        scores = draw(st.lists(score, **column))
+        if draw(st.booleans()):
+            scores.sort(reverse=True)
+        ranks = range(1, n + 1)
+        if fault == "rank" and draw(st.integers(0, 3)) == 0:
+            ranks = draw(st.lists(st.integers(-5, 10**12), **column))
+        lists[topic] = list(zip(doc_ids, scores, ranks))
+    return draw(text), lists
+
+
+def build(tag, lists) -> RunFile:
+    return run_from_ranked([RankedList(topic, entries)
+                            for topic, entries in lists.items()], tag)
+
+
+def constructs(tag, lists) -> bool:
+    """Whether :func:`build` accepts the run, as ``str.split`` sees it: the
+    tag, topics and doc ids one word each, scores finite, ranks 1..n."""
+    def one_word(text):
+        return text.split() == [text]
+
+    return one_word(tag) and all(
+        one_word(topic) and all(
+            one_word(doc_id) and math.isfinite(score) and rank == position
+            for position, (doc_id, score, rank) in enumerate(entries, 1))
+        for topic, entries in lists.items())
 
 
 class TestRunFileParsing:
@@ -342,11 +376,77 @@ class TestRunFileParsing:
         assert format_run(run_from_ranked([empty], "t")) == ""
 
     @settings(max_examples=400, deadline=None, derandomize=True)
-    @given(run_files())
-    def test_format_run_matches_line_by_line_reference(self, run):
+    @given(hand_built_runs(faulty=False))
+    def test_format_run_matches_line_by_line_reference(self, drawn):
         """The same text as the per-line f-string formatter in
-        ``tests/oracles.py``, whatever the run holds."""
+        ``tests/oracles.py``, whatever a built run holds."""
+        run = build(*drawn)
         assert format_run(run) == reference_format_run(run)
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(hand_built_runs(faulty=True))
+    def test_built_runs_read_back(self, drawn):
+        """A hand-made run constructs exactly when its fields are what a
+        run file's lines can hold.  Then ``parse_run`` reads its text back
+        exactly when it has a line and every topic's scores, as written to
+        6 places, do not rise and its doc ids are distinct; and it reads
+        back the same doc ids and those scores."""
+        tag, lists = drawn
+        if not constructs(tag, lists):
+            with pytest.raises(RunFormatError):
+                build(tag, lists)
+            return
+        text = format_run(build(tag, lists))
+        doc_ids = {topic: tuple(doc_id for doc_id, _, _ in entries)
+                   for topic, entries in lists.items() if entries}
+        scores = {topic: [float(f"{score:.6f}") for _, score, _ in entries]
+                  for topic, entries in lists.items() if entries}
+        readable = bool(doc_ids) and all(
+            len(set(doc_ids[topic])) == len(doc_ids[topic])
+            and all(a >= b for a, b in zip(column, column[1:]))
+            for topic, column in scores.items())
+        if not readable:
+            with pytest.raises(RunFormatError):
+                parse_run(text)
+            return
+        run = parse_run(text)
+        assert run.tag == tag
+        assert {t: e.doc_ids for t, e in run.topics.items()} == doc_ids
+        assert {t: e.scores.tolist() for t, e in run.topics.items()} == \
+            scores
+
+    @pytest.mark.parametrize("tag, topic, entries, message", [
+        ("x", "1", [("a b", 0.5, 1)],
+         "topic 1: doc id 'a b' is empty or contains whitespace"),
+        ("x", "1", [("a", 0.5, 1), ("", 0.25, 2)],
+         "topic 1: doc id '' is empty or contains whitespace"),
+        ("x", "1", [("a\u00a0b", 0.5, 1)],
+         "topic 1: doc id 'a\\xa0b' is empty or contains whitespace"),
+        ("x", "1", [("a", math.nan, 1)],
+         "topic 1: score nan at rank 1 is not finite"),
+        ("x", "1", [("a", 0.5, 1), ("b", -math.inf, 2)],
+         "topic 1: score -inf at rank 2 is not finite"),
+        ("x", "1", [("a", 0.5, 5)],
+         "topic 1: rank 5 out of order (expected 1)"),
+        ("x", "1", [("a", 0.5, 2), ("b", 0.25, 1)],
+         "topic 1: rank 2 out of order (expected 1)"),
+        ("x", "1", [("a", 0.5, 1), ("b", 0.25, 3)],
+         "topic 1: rank 3 out of order (expected 2)"),
+        ("", "1", [("a", 0.5, 1)],
+         "run tag '' is empty or contains whitespace"),
+        ("x y", "1", [("a", 0.5, 1)],
+         "run tag 'x y' is empty or contains whitespace"),
+        ("x", "", [("a", 0.5, 1)],
+         "topic '' is empty or contains whitespace"),
+        ("x", "1 2", [],
+         "topic '1 2' is empty or contains whitespace"),
+    ])
+    def test_construction_rejects_what_a_run_line_cannot_hold(
+            self, tag, topic, entries, message):
+        with pytest.raises(RunFormatError) as caught:
+            run_from_ranked([RankedList(topic, entries)], tag)
+        assert str(caught.value) == message
+        assert caught.value.line is None
 
     def test_topics_sorted_in_output(self):
         run = run_from_ranked([

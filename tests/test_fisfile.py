@@ -330,8 +330,39 @@ RATIO = "overlap_weight_ratio 0.16666666666666666"
      "line 25: overlap_weight_ratio takes one number"),
     (parse_template, RATIO, "overlap_weight_ratio",
      "line 25: overlap_weight_ratio takes one number"),
+    (parse_fis_config, "resolution 1001", "resolution 1",
+     "line 14: resolution must be >= 2, got 1"),
+    (parse_fis_config, "resolution 1001", f"resolution {MAX_RESOLUTION + 1}",
+     f"line 14: resolution must be <= {MAX_RESOLUTION}, got "
+     f"{MAX_RESOLUTION + 1}"),
+    (parse_fis_config, "[output relevance]", "[output tf]",
+     "line 5: output variable 'tf' clashes with an input"),
+    (parse_fis_config, "[output relevance]\nuniverse 0 1\n" + TF_SETS, "",
+     "line 12: missing [output] section"),
+    (parse_fis_config, "if (tf is high) -> (relevance is high)\n", "",
+     "line 15: a fuzzy system needs at least one rule"),
+    (parse_fis_config, "[rules]\nif (tf is high) -> (relevance is high)\n",
+     "", "line 14: a fuzzy system needs at least one rule"),
+    (parse_template, "[variable idf]\nuniverse 0 1",
+     "[variable idf]\nuniverse 0 2",
+     "line 7: placeholder variable 'idf' differs from 'tf'; all "
+     "placeholders must share one prototype definition"),
+    (parse_template, RATIO, "overlap_weight_ratio 0",
+     "line 25: overlap_weight_ratio must be positive"),
+    (parse_template, RATIO, "overlap_weight_ratio 2.0",
+     "line 29: overlap rule weight 1.0 * overlap_weight_ratio outside "
+     "(0, 1]"),
+    (parse_template, "(relevance is not high)\n",
+     "(relevance is not high)\n"
+     "if (idf is high) and (overlap is high) -> (relevance is high)\n",
+     "line 29: template rule mixes placeholders ['idf', 'overlap']; a rule "
+     "may use tf/idf or overlap, not both"),
 ], ids=["no universe", "no input sets", "no output sets", "set of 1 value",
-        "set of 0 values", "ratio of 2 values", "ratio of 0 values"])
+        "set of 0 values", "ratio of 2 values", "ratio of 0 values",
+        "resolution 1", "resolution too large", "output named as an input",
+        "no output section", "no rules under the header", "no rules header",
+        "prototype differs", "ratio 0", "overweight overlap rule",
+        "mixed placeholders"])
 def test_file_rejections(data_dir, parse, old, new, message):
     source = BASIC if parse is parse_fis_config else (
         data_dir / "template_default.cfg").read_text()

@@ -595,10 +595,18 @@ class TestRankedListContract:
         for rank, entry in enumerate(ranked.entries, start=1):
             assert type(entry) is RankedEntry
             assert entry == RankedEntry(entry.doc_id, entry.score, rank)
+        # a slice keeps each entry's rank, so reversed ranks run n..1
         reversed_entries = ranked.entries[::-1]
-        swapped = dataclasses.replace(ranked, entries=reversed_entries)
-        assert swapped == RankedList("q9", reversed_entries)
-        assert ranked.entries[0] == reversed_entries[-1]
+        with pytest.raises(RunFormatError) as caught:
+            dataclasses.replace(ranked, entries=reversed_entries)
+        assert str(caught.value) == (
+            f"topic q9: rank {len(ranked.entries)} out of order (expected 1)")
+        renumbered = tuple(RankedEntry(doc_id, score, rank)
+                           for rank, (doc_id, score, _) in
+                           enumerate(reversed_entries, start=1))
+        swapped = dataclasses.replace(ranked, entries=renumbered)
+        assert swapped == RankedList("q9", renumbered)
+        assert swapped.entries.doc_ids == ranked.entries.doc_ids[::-1]
         with pytest.raises(AttributeError):
             ranked.entries = ()
 
@@ -708,17 +716,17 @@ class TestColumnarEntries:
         assert len({first, again, rebuilt}) == 1
 
     @pytest.mark.parametrize("columns, lengths", [
-        ((("a", "b"), np.array([1.0]), range(1, 3)), (2, 1, 2)),
-        ((("a",), np.array([1.0, 0.5]), range(1, 3)), (1, 2, 2)),
-        ((("a", "b"), np.array([1.0, 0.5]), (1,)), (2, 2, 1)),
-        (((), np.array([1.0]), ()), (0, 1, 0)),
+        ((("a", "b"), np.array([1.0])), (2, 1)),
+        ((("a",), np.array([1.0, 0.5])), (1, 2)),
+        ((("a", "b"), np.array([1.0, 0.5, 0.25])), (2, 3)),
+        (((), np.array([1.0])), (0, 1)),
     ])
     def test_unequal_columns_rejected(self, columns, lengths):
         with pytest.raises(RunFormatError) as caught:
             RankedEntries(*columns)
         assert str(caught.value) == (
-            "ranked columns differ in length: {} doc ids, {} scores, "
-            "{} ranks".format(*lengths))
+            "ranked columns differ in length: {} doc ids, {} scores"
+            .format(*lengths))
 
     def test_scores_are_read_only(self, index20, template):
         for ranked in (score_baseline(index20, "river flood"),
@@ -732,24 +740,36 @@ class TestColumnarEntries:
                 scores[:1] = 2.0
 
     def test_ill_formed_lists_keep_their_run_bytes(self, index20):
+        """A hand-built list whose scores rise or that repeats a doc still
+        constructs and formats, each entry's rank its position: score order
+        and distinct docs are checked where a run is read, at its line."""
         ranked = score_baseline(index20, "river flood", query_id="q9")
+        top = ranked.entries[0]
 
         def swap_first_two(entries):
             first, second, *rest = entries
             return (RankedEntry(second.doc_id, second.score, 1),
                     RankedEntry(first.doc_id, first.score, 2), *rest)
 
+        def repeat_first(entries):
+            return (*entries, RankedEntry(top.doc_id, entries[-1].score,
+                                          len(entries) + 1))
+
         cases = {
             "swapped first two": (swap_first_two,
                                   "line 2: topic q9: score increases at "
                                   "rank 2"),
+            "repeated first": (repeat_first,
+                               f"line 4: topic q9: duplicate doc "
+                               f"{top.doc_id}"),
             "dropped last": (lambda entries: entries[:-1], None),
-            "reversed": (lambda entries: entries[::-1],
-                         "line 1: topic q9: rank 3 out of order "
-                         "(expected 1)"),
         }
         for name, (change, message) in cases.items():
             bad = dataclasses.replace(ranked, entries=change(ranked.entries))
+            n = len(bad.entries)
+            assert [e.rank for e in bad.entries] == list(range(1, n + 1)), \
+                name
+            assert bad.entries[-1].rank == n, name
             text = format_run(run_from_ranked([bad], "t"))
             assert text == run_lines_of(bad, "t"), name
             if message is None:

@@ -4,6 +4,7 @@ the README says where their callers go instead."""
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import frank
@@ -11,7 +12,7 @@ import frank.evaluation
 import frank.fis
 import frank.index
 from frank.evaluation import RunFile
-from frank.ranker import FisTemplate, default_template
+from frank.ranker import FisTemplate, RankedEntries, default_template
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -23,6 +24,7 @@ REMOVED = {
     "RunFile.ranked_doc_ids": (RunFile, RunFile("t", {})),
     "diff_runs": (frank, frank.evaluation),
     "MetricsDiff": (frank, frank.evaluation),
+    "RankedEntries.ranks": (RankedEntries, RankedEntries((), np.array([]))),
 }
 
 
