@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (FrankError, QueryError, RunFormatError, UsageError,
-                     read_text)
+                     read_text, split_lines)
 from .evaluation import (evaluate_run, format_diff, format_report, format_run,
                          load_qrels, load_run, report_jsonl, run_from_ranked)
 from .fis import MAX_RESOLUTION, evaluate, rule_strengths
@@ -49,7 +49,7 @@ def cmd_index(args) -> int:
 def _read_queries_tsv(path: str) -> list[tuple[str, str]]:
     queries: dict[str, str] = {}
     for number, raw in enumerate(
-            read_text(path, RunFormatError).splitlines(), start=1):
+            split_lines(read_text(path, RunFormatError)), start=1):
         if not raw.strip():
             continue
         topic, sep, text = raw.partition("\t")

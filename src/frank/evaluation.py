@@ -4,7 +4,8 @@ File formats follow the TREC exchange conventions.  Qrels lines are
 ``topic_id 0 doc_id relevance`` (the second field is ignored, ``#``
 comments allowed).  Run lines are ``topic_id Q0 doc_id rank score tag``
 with scores printed to exactly 6 decimal places and lines ordered by
-(topic ascending, rank ascending).
+(topic ascending, rank ascending).  A line ends at ``\\n``, ``\\r\\n`` or
+``\\r``.
 
 Relevance is binarized at judgment >= 1.  Topics present in the qrels but
 with no relevant documents are excluded from averages, with a warning;
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EvalError, RunFormatError, read_text
+from .errors import EvalError, RunFormatError, read_text, split_lines
 from .index import one_word
 from .ranker import RankedEntries, RankedList
 
@@ -95,7 +96,7 @@ class MetricsReport:
 
 def parse_qrels(text: str) -> Qrels:
     judgments: dict[tuple[str, str], int] = {}
-    for number, raw in enumerate(text.splitlines(), start=1):
+    for number, raw in enumerate(split_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -140,7 +141,7 @@ def parse_run(text: str) -> RunFile:
     current: str | None = None
     docs: set[str] = set()
     interleaved: dict[str, set[str]] = {}
-    for number, raw in enumerate(text.splitlines(), start=1):
+    for number, raw in enumerate(split_lines(text), start=1):
         line = raw.strip()
         if not line:
             continue

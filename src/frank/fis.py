@@ -39,9 +39,9 @@ sorted order, to the same end.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Collection, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -92,6 +92,8 @@ class LinguisticVariable:
     name: str
     universe: tuple[float, float]
     sets: dict[str, MembershipFunction]
+    #: the line of the variable's section header, for error messages
+    line: int | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.name:
@@ -130,34 +132,6 @@ def _check_resolution(resolution: int) -> None:
                           f"got {resolution}")
 
 
-def _check_output_name(output: LinguisticVariable,
-                       input_names: Collection[str]) -> None:
-    if output.name in input_names:
-        raise ConfigError(
-            f"output variable {output.name!r} clashes with an input")
-
-
-def _check_rule(rule: RuleAst, inputs: Mapping[str, LinguisticVariable],
-                output: LinguisticVariable) -> None:
-    """Reject a rule over variables or sets that ``inputs`` (by name) and
-    ``output`` lack, or with a weight outside (0, 1]."""
-    for clause in rule.antecedent:
-        if clause.variable not in inputs:
-            raise ConfigError(f"rule references unknown input variable "
-                              f"{clause.variable!r}")
-        if clause.label not in inputs[clause.variable].sets:
-            raise ConfigError(f"variable {clause.variable!r} has no set "
-                              f"{clause.label!r}")
-    consequent = rule.consequent
-    if consequent.variable != output.name:
-        raise ConfigError(f"rule consequent references {consequent.variable!r}"
-                          f", expected output {output.name!r}")
-    if consequent.label not in output.sets:
-        raise ConfigError(f"output variable has no set {consequent.label!r}")
-    if not 0.0 < rule.weight <= 1.0:
-        raise ConfigError(f"rule weight {rule.weight} outside (0, 1]")
-
-
 @dataclass(frozen=True)
 class FisConfig:
     inputs: tuple[LinguisticVariable, ...]
@@ -178,19 +152,40 @@ class FisConfig:
         names = [v.name for v in self.inputs]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate input variable names in {names}")
-        _check_output_name(self.output, names)
+        output = self.output
+        if output.name in names:
+            raise ConfigError(f"output variable {output.name!r} clashes with "
+                              "an input", line=output.line)
         if not self.rules:
             raise ConfigError("a fuzzy system needs at least one rule")
-        by_name = dict(zip(names, self.inputs))
+        sets = {v.name: v.sets for v in self.inputs}
         for rule in self.rules:
-            _check_rule(rule, by_name, self.output)
+            for clause in rule.antecedent:
+                if clause.variable not in sets:
+                    raise ConfigError(f"rule references unknown input "
+                                      f"variable {clause.variable!r}",
+                                      line=rule.line)
+                if clause.label not in sets[clause.variable]:
+                    raise ConfigError(f"variable {clause.variable!r} has no "
+                                      f"set {clause.label!r}", line=rule.line)
+            consequent = rule.consequent
+            if consequent.variable != output.name:
+                raise ConfigError(
+                    f"rule consequent references {consequent.variable!r}, "
+                    f"expected output {output.name!r}", line=rule.line)
+            if consequent.label not in output.sets:
+                raise ConfigError(f"output variable has no set "
+                                  f"{consequent.label!r}", line=rule.line)
+            if not 0.0 < rule.weight <= 1.0:
+                raise ConfigError(f"rule weight {rule.weight} outside (0, 1]",
+                                  line=rule.line)
         # the aggregate is at most len(rules), so this bounds both sums of
         # the centroid over the grid
-        lo, hi = self.output.universe
+        lo, hi = output.universe
         if not np.isfinite(self.resolution * len(self.rules)
                            * max(abs(lo), abs(hi))):
             raise ConfigError(
-                f"output universe {self.output.universe} is too wide for "
+                f"output universe {output.universe} is too wide for "
                 f"{len(self.rules)} rules at resolution {self.resolution}: "
                 f"the centroid sums overflow"
             )

@@ -9,14 +9,30 @@ A config file is a sequence of sections::
     [system]            operator selections, optional
     [rules]             one rule per line, in the rule grammar
 
-``KIND`` is one of ``trimf``, ``trapmf``, ``gaussmf``, ``sigmf``.  Blank
-lines and ``#`` comments are ignored.  Unknown sections or keys, bad
-values, and rules over unknown variables or sets fail with the offending
-line number.  The parser runs :class:`FisConfig`'s and
-:class:`FisTemplate`'s own checks at the line of the key, rule or section
-they concern.  No rules, or an output universe too wide for the centroid
-sums, names the first ``[rules]`` header, or the last line without one; a
-file without ``[output]`` names its last line.
+``KIND`` is one of ``trimf``, ``trapmf``, ``gaussmf``, ``sigmf``.  A line
+ends at ``\\n``, ``\\r\\n`` or ``\\r``; blank lines and ``#`` comments are
+ignored.  Every fault names a line:
+
+- a bad header, key or value, including a ``resolution`` or
+  ``overlap_weight_ratio`` out of range: its own line;
+- a variable's universe or sets, a placeholder that differs from ``tf``,
+  an output named as an input: the variable's section header;
+- a rule's syntax, variables, sets or weight: the rule's line;
+- a template input that is not a placeholder: its ``[variable NAME]``
+  header; a placeholder that is only missing: the last line;
+- no rules, or an output universe too wide for the centroid sums: the
+  first ``[rules]`` header, or the last line without one; no ``[output]``:
+  the last line.
+
+The parser checks only what it reads itself, line by line, and a
+template's input names.  :class:`FisConfig` and :class:`FisTemplate` make
+every other check once, as they are built, and name the line that each
+parsed rule and variable carries.  So in a file with several faults the
+first line-by-line fault wins, then a missing ``[output]``, the input
+names, each variable, :class:`FisConfig`'s checks (the output name, no
+rules, each rule, the centroid bound) and :class:`FisTemplate`'s (each
+prototype, each rule): a rule naming an unknown set comes before a
+differing prototype or a rule mixing placeholders.
 
 A template file is a config file over input variables named exactly
 ``tf``, ``idf`` and ``overlap`` (which must share one prototype definition)
@@ -28,13 +44,12 @@ from __future__ import annotations
 from contextlib import contextmanager
 from pathlib import Path
 
-from .errors import ConfigError, read_text
+from .errors import ConfigError, read_text, split_lines
 from .fis import (MAX_RESOLUTION, OPERATORS, FisConfig, LinguisticVariable,
-                  _check_output_name, _check_resolution, _check_rule)
+                  _check_resolution)
 from .membership import MembershipFunction
-from .ranker import (DEFAULT_OVERLAP_WEIGHT_RATIO, FisTemplate,
-                     _check_placeholder_names, _check_prototype, _check_ratio,
-                     _check_template_rule)
+from .ranker import (_PLACEHOLDERS, FisTemplate, _check_placeholder_names,
+                     _check_ratio)
 from .rules import RuleAst, parse_rule, print_rule
 
 _KIND_BY_KEYWORD = {
@@ -48,10 +63,13 @@ _KEYWORD_BY_KIND = {v: k for k, v in _KIND_BY_KEYWORD.items()}
 
 @contextmanager
 def _at_line(number: int | None):
-    """Name ``number`` in a :class:`ConfigError` raised in the block."""
+    """Name ``number`` in a :class:`ConfigError` raised in the block that
+    names no line of its own."""
     try:
         yield
     except ConfigError as exc:
+        if exc.line is not None:
+            raise
         raise ConfigError(str(exc), line=number) from None
 
 
@@ -68,7 +86,8 @@ class _VariableDraft:
                 f"variable {self.name!r} has no universe", line=self.line
             )
         with _at_line(self.line):
-            return LinguisticVariable(self.name, self.universe, self.sets)
+            return LinguisticVariable(self.name, self.universe, self.sets,
+                                      self.line)
 
 
 def _parse_floats(values: list[str], line: int) -> list[float]:
@@ -78,9 +97,8 @@ def _parse_floats(values: list[str], line: int) -> list[float]:
         raise ConfigError(str(exc), line=line)
 
 
-def _parse(text: str, template: bool) -> tuple[FisConfig, dict[str, float]]:
-    """The config a config or template file defines, and the template-only
-    ``[system]`` settings it gives (``overlap_weight_ratio``).
+def _parse(text: str, template: bool) -> FisConfig | FisTemplate:
+    """The config, or with ``template`` the template, a file defines.
 
     With ``template``, the ratio key is accepted and the input names are
     checked before the config is built, so a missing placeholder is
@@ -90,10 +108,10 @@ def _parse(text: str, template: bool) -> tuple[FisConfig, dict[str, float]]:
     output: _VariableDraft | None = None
     system: dict[str, object] = {}
     template_fields: dict[str, float] = {}
-    rules: list[tuple[int, RuleAst]] = []
+    rules: list[RuleAst] = []
     current: _VariableDraft | None = None
     section: str | None = None
-    lines = text.splitlines()
+    lines = split_lines(text)
     # a fault of the whole file names the first [rules] header, else the
     # last line
     rules_line = None
@@ -133,7 +151,7 @@ def _parse(text: str, template: bool) -> tuple[FisConfig, dict[str, float]]:
             continue
 
         if section == "rules":
-            rules.append((number, parse_rule(raw, line=number)))
+            rules.append(parse_rule(raw, line=number))
             continue
         if section is None:
             raise ConfigError(
@@ -205,27 +223,16 @@ def _parse(text: str, template: bool) -> tuple[FisConfig, dict[str, float]]:
     if output is None:
         raise ConfigError("missing [output] section", line=last_line)
     if template:
-        _check_placeholder_names(draft.name for draft in inputs)
-    variables = {draft.name: draft.build() for draft in inputs}
-    output_variable = output.build()
-    with _at_line(output.line):
-        _check_output_name(output_variable, variables)
-    if template:
-        for draft in inputs:
-            with _at_line(draft.line):
-                _check_prototype(variables[draft.name], variables["tf"])
-    ratio = template_fields.get("overlap_weight_ratio",
-                                DEFAULT_OVERLAP_WEIGHT_RATIO)
-    for number, rule in rules:
-        with _at_line(number):
-            _check_rule(rule, variables, output_variable)
-            if template:
-                _check_template_rule(rule, ratio)
+        # a stray input names its header; a placeholder only missing, the
+        # last line
+        with _at_line(next((draft.line for draft in inputs
+                            if draft.name not in _PLACEHOLDERS), last_line)):
+            _check_placeholder_names(draft.name for draft in inputs)
     with _at_line(rules_line or last_line):
-        config = FisConfig(inputs=tuple(variables.values()),
-                           output=output_variable,
-                           rules=tuple(rule for _, rule in rules), **system)
-    return config, template_fields
+        config = FisConfig(inputs=tuple(draft.build() for draft in inputs),
+                           output=output.build(), rules=tuple(rules),
+                           **system)
+        return FisTemplate(config, **template_fields) if template else config
 
 
 def parse_fis_config(text: str) -> FisConfig:
@@ -234,7 +241,7 @@ def parse_fis_config(text: str) -> FisConfig:
     Operators left out of ``[system]`` take the :class:`FisConfig`
     defaults.
     """
-    return _parse(text, template=False)[0]
+    return _parse(text, template=False)
 
 
 def parse_template(text: str) -> FisTemplate:
@@ -244,8 +251,7 @@ def parse_template(text: str) -> FisTemplate:
     may also set ``overlap_weight_ratio``.  :class:`FisTemplate` checks the
     rest of what makes a valid template.
     """
-    config, template_fields = _parse(text, template=True)
-    return FisTemplate(config, **template_fields)
+    return _parse(text, template=True)
 
 
 def load_fis_config(path: str | Path) -> FisConfig:

@@ -66,36 +66,9 @@ def _check_placeholder_names(names: Iterable[str]) -> None:
         )
 
 
-def _check_prototype(variable: LinguisticVariable,
-                     prototype: LinguisticVariable) -> None:
-    if (variable.universe != prototype.universe
-            or variable.sets != prototype.sets):
-        raise ConfigError(
-            f"placeholder variable {variable.name!r} differs from 'tf'; "
-            "all placeholders must share one prototype definition"
-        )
-
-
 def _check_ratio(overlap_weight_ratio: float) -> None:
     if not overlap_weight_ratio > 0:
         raise ConfigError("overlap_weight_ratio must be positive")
-
-
-def _check_template_rule(rule: RuleAst, overlap_weight_ratio: float) -> None:
-    """Reject a rule over both tf/idf and overlap, or an overlap rule whose
-    weight for a one-term query, the largest it gets (weight *
-    ``overlap_weight_ratio``), is outside (0, 1]."""
-    mentioned = _mentioned(rule)
-    if mentioned <= _PER_TERM:
-        return
-    if mentioned != {"overlap"}:
-        raise ConfigError(
-            f"template rule mixes placeholders {sorted(mentioned)}; "
-            "a rule may use tf/idf or overlap, not both"
-        )
-    if not 0.0 < rule.weight * overlap_weight_ratio <= 1.0:
-        raise ConfigError(f"overlap rule weight {rule.weight} * "
-                          "overlap_weight_ratio outside (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -105,7 +78,10 @@ class FisTemplate:
     ``config`` is a fuzzy system over the inputs ``tf``, ``idf`` and
     ``overlap``, which share one prototype definition (same universe, same
     sets): every instantiated input variable is a copy of it.  A rule may
-    reference tf/idf (a per-term rule) or overlap (a global rule), not both.
+    reference tf/idf (a per-term rule) or overlap (a global rule), not both,
+    and an overlap rule's weight for a one-term query, the largest it gets
+    (weight * ``overlap_weight_ratio``), lies in (0, 1].  A fault of a
+    variable or rule names its ``line``.
     """
 
     config: FisConfig
@@ -113,11 +89,28 @@ class FisTemplate:
 
     def __post_init__(self):
         _check_placeholder_names(v.name for v in self.config.inputs)
+        prototype = self.variable_prototype
         for variable in self.config.inputs:
-            _check_prototype(variable, self.variable_prototype)
+            if (variable.universe, variable.sets) != (prototype.universe,
+                                                      prototype.sets):
+                raise ConfigError(
+                    f"placeholder variable {variable.name!r} differs from "
+                    "'tf'; all placeholders must share one prototype "
+                    "definition", line=variable.line)
         _check_ratio(self.overlap_weight_ratio)
         for rule in self.config.rules:
-            _check_template_rule(rule, self.overlap_weight_ratio)
+            mentioned = _mentioned(rule)
+            if mentioned <= _PER_TERM:
+                continue
+            if mentioned != {"overlap"}:
+                raise ConfigError(
+                    f"template rule mixes placeholders {sorted(mentioned)}; "
+                    "a rule may use tf/idf or overlap, not both",
+                    line=rule.line)
+            if not 0.0 < rule.weight * self.overlap_weight_ratio <= 1.0:
+                raise ConfigError(f"overlap rule weight {rule.weight} * "
+                                  "overlap_weight_ratio outside (0, 1]",
+                                  line=rule.line)
 
     @cached_property
     def per_term_rules(self) -> tuple[RuleAst, ...]:

@@ -16,9 +16,9 @@ no ``or`` connective and no antecedent-level negation.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .errors import FrankError
+from .errors import FrankError, split_lines
 
 KEYWORDS = {
     "if": "kw_if",
@@ -57,6 +57,8 @@ class RuleAst:
     antecedent: tuple[RuleClause, ...]
     consequent: RuleClause
     weight: float = 1.0
+    #: the source line the rule came from, for error messages
+    line: int | None = field(default=None, compare=False, repr=False)
 
 
 class ParseError(FrankError):
@@ -95,10 +97,12 @@ def _lex(source: str, line: int) -> list[RuleToken]:
 
 
 class _Parser:
-    def __init__(self, source: str, line: int):
+    def __init__(self, source: str, line: int | None):
         self.source = source
-        self.line = line
-        self.tokens = _lex(source, line)
+        self.source_line = line
+        # positions in a ParseError count from line 1 without a source line
+        self.line = line or 1
+        self.tokens = _lex(source, self.line)
         self.pos = 0
 
     def _peek(self) -> RuleToken | None:
@@ -156,11 +160,15 @@ class _Parser:
                 )
         if self._peek() is not None:
             raise self._fail(("end of line",))
-        return RuleAst(tuple(antecedent), consequent, weight)
+        return RuleAst(tuple(antecedent), consequent, weight, self.source_line)
 
 
-def parse_rule(source: str, line: int = 1) -> RuleAst:
-    """Parse one rule line; raises :class:`ParseError` on any deviation."""
+def parse_rule(source: str, line: int | None = None) -> RuleAst:
+    """Parse one rule line; raises :class:`ParseError` on any deviation.
+
+    ``line`` is the rule's source line: the rule carries it, and a
+    :class:`ParseError` names it (line 1 without one).
+    """
     return _Parser(source, line).rule()
 
 
@@ -168,9 +176,10 @@ def parse_rules_block(source: str) -> list[RuleAst]:
     """Parse a multi-line block, one rule per non-empty, non-comment line.
 
     All-or-nothing: the first error aborts, carrying its real line number.
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r``.
     """
     rules = []
-    for number, raw in enumerate(source.splitlines(), start=1):
+    for number, raw in enumerate(split_lines(source), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue

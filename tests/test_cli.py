@@ -13,10 +13,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from frank import cli
 from frank.cli import main
-from frank.errors import RunFormatError, read_text
-from frank.evaluation import evaluate_run, format_report, load_qrels, load_run
+from frank.errors import FrankError, RunFormatError, read_text
+from frank.evaluation import (evaluate_run, format_report, load_qrels,
+                              load_run, parse_qrels, parse_run)
 from frank.fis import MAX_RESOLUTION
+from frank.fisfile import parse_fis_config, parse_template
 from frank.index import Document, InvertedIndex, build_index, read_corpus_jsonl
+from frank.rules import parse_rules_block
 
 
 @pytest.fixture()
@@ -336,6 +339,20 @@ class TestSearch:
             "--queries", str(batch)])
         assert rc == 2
         assert "line 1" in err
+
+    @pytest.mark.parametrize("inside", ["\u2028", "\f"])
+    def test_query_line_ends_only_at_a_newline(self, capsys, index_path,
+                                               tmp_path, inside):
+        runs = []
+        for text in (f"river{inside}flood", "river flood"):
+            batch = tmp_path / "queries.tsv"
+            batch.write_text(f"1\t{text}\n", encoding="utf-8")
+            rc, out, err = run_cli(capsys, [
+                "search", "--index", str(index_path), "--ranker", "baseline",
+                "--queries", str(batch)])
+            assert (rc, err) == (0, "")
+            runs.append(out)
+        assert runs[0] == runs[1] != ""
 
     def test_topic_with_whitespace_exits_2(self, capsys, index_path, tmp_path):
         batch = tmp_path / "queries.tsv"
@@ -792,6 +809,55 @@ class TestTextInputs:
         assert rc == 2
         assert out == ""
         assert err == f"frank: error: line {line}: invalid UTF-8 at byte 3\n"
+
+    @pytest.mark.parametrize("kind", sorted(CASES))
+    def test_leading_byte_order_mark_is_dropped(self, capsys, tmp_path,
+                                                index_path, kind):
+        name, _, argv = self.CASES[kind]
+        tests = Path(__file__).parent
+        bom = tmp_path / "bom"
+        bom.write_bytes(b"\xef\xbb\xbf" + (tests / name).read_bytes())
+        results = [run_cli(capsys, [
+            arg.format(bad=path, tests=tests, index=index_path)
+            for arg in argv]) for path in (tests / name, bom)]
+        assert results[0][0] == 0
+        assert results[1] == results[0]
+
+    @pytest.mark.parametrize("data, message", [
+        # the byte counts the mark, as the file holds it
+        (b"\xef\xbb\xbfab\xff", "line 1: invalid UTF-8 at byte 5"),
+        # breaks that str.splitlines knows, but a line does not end at
+        (b"a\xe2\x80\xa8b\x0b\n\x0cc\xc2\x85\x1c\xff",
+         "line 2: invalid UTF-8 at byte 5"),
+    ])
+    def test_invalid_utf8_names_the_line_the_parsers_count(self, tmp_path,
+                                                          data, message):
+        path = tmp_path / "input.txt"
+        path.write_bytes(data)
+        with pytest.raises(RunFormatError) as excinfo:
+            read_text(path, RunFormatError)
+        assert str(excinfo.value) == message
+
+    # every character str.splitlines breaks at, besides \n and \r
+    BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+    @pytest.mark.parametrize("parse, good, bad, line", [
+        (parse_qrels, "1 0 a 1", "1 0 b x",
+         "line 2: relevance must be an integer, got 'x'"),
+        (parse_run, "1 Q0 a 1 0.5 t", "1 Q0 b 2 0.4 u",
+         "line 2: conflicting run tags 't' and 'u'"),
+        (parse_rules_block, "if (x is a) -> (y is b)", "if (x is) -> (y is b)",
+         "line 2, column 9: found ')', expected identifier"),
+        (parse_fis_config, "[variable x]", "[bogus]",
+         "line 2: unknown section '[bogus]'"),
+        (parse_template, "[variable x]", "[bogus]",
+         "line 2: unknown section '[bogus]'"),
+    ], ids=["qrels", "run", "rules", "config", "template"])
+    def test_parsers_end_lines_only_at_newlines(self, parse, good, bad, line):
+        for newline in ("\n", "\r\n", "\r"):
+            with pytest.raises(FrankError) as excinfo:
+                parse(f"{good}{self.BREAKS}{newline}{bad}{newline}")
+            assert str(excinfo.value) == line
 
     def test_line_counts_every_line_break(self, tmp_path):
         path = tmp_path / "run.txt"

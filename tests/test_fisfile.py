@@ -2,8 +2,11 @@
 
 import dataclasses
 import itertools
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frank.errors import ConfigError
 from frank.fis import (MAX_RESOLUTION, OPERATORS, FisConfig,
@@ -11,7 +14,7 @@ from frank.fis import (MAX_RESOLUTION, OPERATORS, FisConfig,
 from frank.fisfile import (format_fis_config, format_template, load_template,
                            parse_fis_config, parse_template)
 from frank.membership import MembershipFunction
-from frank.rules import parse_rule
+from frank.rules import ParseError, parse_rule
 
 BASIC = """\
 [variable tf]
@@ -357,12 +360,19 @@ RATIO = "overlap_weight_ratio 0.16666666666666666"
      "if (idf is high) and (overlap is high) -> (relevance is high)\n",
      "line 29: template rule mixes placeholders ['idf', 'overlap']; a rule "
      "may use tf/idf or overlap, not both"),
+    (parse_template, "[variable overlap]", "[variable coverage]",
+     "line 11: template requires input variables named exactly tf, idf, "
+     "overlap; got ['coverage', 'idf', 'tf']"),
+    (parse_template, "[variable overlap]\nuniverse 0 1\n" + TF_SETS, "",
+     "line 26: template requires input variables named exactly tf, idf, "
+     "overlap; got ['idf', 'tf']"),
 ], ids=["no universe", "no input sets", "no output sets", "set of 1 value",
         "set of 0 values", "ratio of 2 values", "ratio of 0 values",
         "resolution 1", "resolution too large", "output named as an input",
         "no output section", "no rules under the header", "no rules header",
         "prototype differs", "ratio 0", "overweight overlap rule",
-        "mixed placeholders"])
+        "mixed placeholders", "input not a placeholder",
+        "placeholder missing"])
 def test_file_rejections(data_dir, parse, old, new, message):
     source = BASIC if parse is parse_fis_config else (
         data_dir / "template_default.cfg").read_text()
@@ -371,3 +381,50 @@ def test_file_rejections(data_dir, parse, old, new, message):
     with pytest.raises(ConfigError) as excinfo:
         parse(text)
     assert str(excinfo.value) == message
+
+
+DATA = Path(__file__).parent / "data"
+# lines that break a config or template where they replace another line
+LINE_POOL = (
+    "[variable x]", "[variable tf]", "[variable overlap]", "[output x]",
+    "[output relevance]", "[system]", "[rules]", "[bogus]", "[variable",
+    "universe 1 0", "universe 0 inf", "universe 0", "universe 0 1e308",
+    "set high trimf 0 1 1", "set low gaussmf 0 0.5", "resolution 1",
+    "overlap_weight_ratio 2", "and min",
+    "if (tf is high) and (overlap is high) -> (relevance is high)",
+    "if (x is high) -> (relevance is high)",
+    "if (tf is low) -> (relevance is high)",
+    "if (overlap is high) -> (relevance is high) weight 0.5",
+    "if (tf is high) -> (relevance",
+)
+
+
+@st.composite
+def mutated_files(draw):
+    """A shipped config or template with one line dropped, duplicated or
+    replaced by a line of ``LINE_POOL``, and the parser that reads it."""
+    name, parse = draw(st.sampled_from((
+        ("fis_basic.cfg", parse_fis_config),
+        ("template_default.cfg", parse_template))))
+    lines = (DATA / name).read_text().splitlines()
+    at = draw(st.integers(0, len(lines) - 1))
+    edit = draw(st.sampled_from(("drop", "duplicate", "replace")))
+    if edit == "drop":
+        del lines[at]
+    elif edit == "duplicate":
+        lines.insert(at, lines[at])
+    else:
+        lines[at] = draw(st.sampled_from(LINE_POOL))
+    return parse, lines
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mutated_files())
+def test_every_fault_of_a_mutated_file_names_its_line(case):
+    parse, lines = case
+    try:
+        parse("\n".join(lines) + "\n")
+    except (ConfigError, ParseError) as exc:
+        match = re.match(r"line (\d+)[,:] ", str(exc))
+        assert match, str(exc)
+        assert 1 <= int(match[1]) <= len(lines)
