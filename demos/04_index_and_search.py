@@ -26,12 +26,14 @@ print(f"indexed {index.total_docs} docs, {len(index.terms)} distinct terms")
 print()
 
 query = "coffee grounds"
-brew = index.ordinal_of("brew")
-features = extract_features(index, query.split(), [brew])
+# the candidates are the documents holding a query term; take brew's column
+features = extract_features(index, query.split())
+brew = features.candidates.tolist().index(index.ordinal_of("brew"))
 print(f"features of doc 'brew' for query {query!r}:")
-for token, tf, idf in zip(features.terms, features.tf[:, 0], features.idf):
+for token, tf, idf in zip(features.terms, features.tf[:, brew],
+                          features.idf):
     print(f"  {token:<8} tf_norm {tf:.3f}  idf_norm {idf:.3f}")
-print(f"  overlap {features.overlap[0]:.3f}")
+print(f"  overlap {features.overlap[brew]:.3f}")
 print()
 
 template = default_template()

@@ -54,28 +54,30 @@ class EvalError(FrankError):
 
 
 def read_text(path: str | Path, error: type[FrankError]) -> str:
-    """A UTF-8 text file's contents without a leading byte order mark, with
-    ``\\r\\n`` and ``\\r`` read as ``\\n``, as
-    ``Path.read_text(encoding="utf-8")`` reads them.
+    """A UTF-8 text file's contents, with ``\\r\\n`` and ``\\r`` read as
+    ``\\n``, as ``Path.read_text(encoding="utf-8")`` reads them.
 
     Invalid UTF-8 raises ``error`` with the line, as :func:`split_lines`
     numbers the text before it, and the byte within that line as the file
-    holds it.
+    holds it, a leading byte order mark included.
     """
     data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        lines = split_lines(data[:exc.start].decode("utf-8") + "?")
-        raise error(f"invalid UTF-8 at byte {len(lines[-1].encode()) - 1}",
+        lines = _universal_newlines(data[:exc.start].decode("utf-8")).split(
+            "\n")
+        raise error(f"invalid UTF-8 at byte {len(lines[-1].encode())}",
                     line=len(lines)) from None
-    return _universal_newlines(text.removeprefix("\ufeff"))
+    return _universal_newlines(text)
 
 
 def split_lines(text: str) -> list[str]:
     """``text``'s lines, as ``str.splitlines`` gives them, except that a
-    line ends only at ``\\n``, ``\\r\\n`` or ``\\r``: a form feed, U+2028 and
-    the other breaks ``str.splitlines`` knows stay inside their line."""
+    leading byte order mark is dropped and a line ends only at ``\\n``,
+    ``\\r\\n`` or ``\\r``: a form feed, U+2028 and the other breaks
+    ``str.splitlines`` knows stay inside their line."""
+    text = text.removeprefix("\ufeff")
     if "\r" in text:
         text = _universal_newlines(text)
     lines = text.split("\n")

@@ -21,10 +21,10 @@ Tokens ascend, and so do each token's doc ordinals: the bytes are a
 canonical function of the contents.  :func:`build_index` writes them by
 sorting every (token, document) occurrence at once, not by growing a list
 per token.  The one constructor checks the bytes once (see
-:class:`InvertedIndex`): one sequential pass over the length prefixes
-finds every doc id and token, which are then decoded and checked in bulk,
-into a token -> (df, offset) table, the doc ids and per-document arrays
-gathered from the bytes in one step.  A token's postings are read-only
+:class:`InvertedIndex`): one sequential pass per table over the length
+prefixes finds and decodes every doc id and token, which are then checked
+in bulk, into a token -> (df, offset) table, the doc ids and per-document
+arrays gathered from the bytes in one step.  A token's postings are read-only
 ``np.frombuffer`` views of the bytes, never copies.
 """
 
@@ -95,11 +95,12 @@ class QueryFeatures:
     """Ranking features of one query's candidate documents, as columns.
 
     ``terms`` holds the distinct query tokens in first-occurrence order and
-    ``idf`` their idf_norm.  Row i of ``tf`` holds the term frequency of
-    ``terms[i]`` in each of the ``candidates`` (doc ordinals, ascending)
+    ``idf`` their idf_norm.  ``candidates`` are the ordinals of the
+    documents holding at least one of the terms, ascending.  Row i of
+    ``tf`` holds the term frequency of ``terms[i]`` in each candidate
     divided by that document's max term frequency, 0 where the document
-    lacks the token.  ``overlap`` holds, per candidate, the number
-    of distinct tokens it contains divided by ``len(terms)``.
+    lacks the token.  ``overlap`` holds, per candidate, the number of
+    distinct tokens it contains divided by ``len(terms)``.
     """
 
     terms: tuple[str, ...]
@@ -129,28 +130,39 @@ def _u32(data: bytes, offset: int) -> tuple[int, int]:
     return _UINT.unpack_from(data, offset)[0], offset + 4
 
 
-def _scan(data: bytes, offset: int, records: int,
-          postings: bool) -> tuple[np.ndarray, np.ndarray, int, bool]:
+def _scan(data: bytes, offset: int, records: int, postings: bool
+          ) -> tuple[list[str], np.ndarray, np.ndarray, int, str | None]:
     """One pass over ``records`` records from ``offset`` on, each a
-    length-prefixed string followed by a document's 8 bytes of statistics
-    or, with ``postings``, by a token's df and its df postings of 8 bytes.
+    length-prefixed UTF-8 string followed by a document's 8 bytes of
+    statistics or, with ``postings``, by a token's df and its df postings
+    of 8 bytes.
 
-    Returns where each record's string starts and stops, the offset after
-    the last record and whether the bytes ran out first.  A token whose
-    postings run out is still returned, so that its own checks come
-    before the truncation, as they do in byte order.
+    Returns the strings, decoded as they are found, where each starts and
+    stops, the offset after the last record and the fault that stopped the
+    pass, if any: a string that is not UTF-8, or bytes that ran out.  A
+    token whose postings run out is still returned, so that its own checks
+    come before the truncation, as they do in byte order.
     """
     unpack = _UINT.unpack_from
     size = len(data)
     trailer = 4 if postings else 8
+    strings: list[str] = []
     starts = array("q")
-    truncated = True
+    fault: str | None = _TRUNCATED
     for _ in range(records):
         start = offset + 4
         if start > size:
             break
-        offset = start + unpack(data, offset)[0] + trailer
+        stop = start + unpack(data, offset)[0]
+        offset = stop + trailer
         if offset > size:
+            break
+        try:
+            strings.append(data[start:stop].decode("utf-8"))
+        except UnicodeDecodeError:
+            what = "token" if postings else "doc id"
+            fault = (f"corrupt index: {what} at byte {start} is not valid "
+                     "UTF-8")
             break
         starts.append(start)
         if postings:
@@ -158,9 +170,10 @@ def _scan(data: bytes, offset: int, records: int,
             if offset > size:
                 break
     else:
-        truncated = False
+        fault = None
     begin = np.frombuffer(starts, np.int64)
-    return begin, begin + _gather(data, begin - 4, 4)[:, 0], offset, truncated
+    return (strings, begin, begin + _gather(data, begin - 4, 4)[:, 0],
+            offset, fault)
 
 
 def _gather(data: bytes, positions: np.ndarray, width: int) -> np.ndarray:
@@ -169,44 +182,18 @@ def _gather(data: bytes, positions: np.ndarray, width: int) -> np.ndarray:
         positions].view(_U32)
 
 
-def _decode(data: bytes, starts: np.ndarray,
-            stops: np.ndarray) -> list[str]:
-    """The UTF-8 strings from ``starts`` to ``stops``, up to the first
-    that is not UTF-8."""
-    decoded: list[str] = []
-    for start, stop in zip(starts.tolist(), stops.tolist()):
-        try:
-            decoded.append(data[start:stop].decode("utf-8"))
-        except UnicodeDecodeError:
-            break
-    return decoded
-
-
 def _first_malformed(doc_ids: list[str], starts: np.ndarray,
                      stops: np.ndarray) -> int:
     """The position of the first of ``doc_ids``, decoded from ``starts`` to
     ``stops``, that is empty or contains whitespace; ``len(doc_ids)`` if
     none is."""
-    n = len(doc_ids)
-    empty = np.flatnonzero(starts[:n] == stops[:n])
-    first = int(empty[0]) if empty.size else n
+    empty = np.flatnonzero(starts == stops)
+    first = int(empty[0]) if empty.size else len(doc_ids)
     space = _SPACE.search("".join(doc_ids))
     if space:
         ends = np.cumsum(list(map(len, doc_ids)))  # in characters
         first = min(first, int(np.searchsorted(ends, space.start(), "right")))
     return first
-
-
-def _check_complete(starts: np.ndarray, decoded: list[str], truncated: bool,
-                    what: str) -> None:
-    """Raise for the first string that is not UTF-8, else for bytes that
-    ran out before the last record."""
-    if len(decoded) < len(starts):
-        raise IndexFormatError(
-            f"corrupt index: {what} at byte {starts[len(decoded)]} is not "
-            f"valid UTF-8")
-    if truncated:
-        raise IndexFormatError(_TRUNCATED)
 
 
 class InvertedIndex:
@@ -237,8 +224,8 @@ class InvertedIndex:
         # that passes these checks can size a large allocation
         if n_docs > (len(data) - offset) // 12:
             raise IndexFormatError(_TRUNCATED)
-        starts, stops, offset, truncated = _scan(data, offset, n_docs, False)
-        doc_ids = _decode(data, starts, stops)
+        doc_ids, starts, stops, offset, fault = _scan(data, offset, n_docs,
+                                                      False)
         ordinals = dict(zip(doc_ids, range(n_docs)))
         malformed = _first_malformed(doc_ids, starts, stops)
         if len(ordinals) < len(doc_ids):
@@ -252,14 +239,15 @@ class InvertedIndex:
             raise IndexFormatError(
                 f"corrupt index: doc id at byte {starts[malformed]} is empty "
                 f"or contains whitespace")
-        _check_complete(starts, doc_ids, truncated, "doc id")
+        if fault:
+            raise IndexFormatError(fault)
         per_doc = _gather(data, stops, 8)
 
         n_terms, offset = _u32(data, offset)
         if n_terms > (len(data) - offset) // 8:
             raise IndexFormatError(_TRUNCATED)
-        starts, stops, offset, truncated = _scan(data, offset, n_terms, True)
-        tokens = _decode(data, starts, stops)
+        tokens, starts, stops, offset, fault = _scan(data, offset, n_terms,
+                                                     True)
         dfs = _gather(data, stops, 4)[:, 0]
         # UTF-8 keeps code point order, so the strings compare as the bytes
         unordered = next(compress(count(1), map(
@@ -275,7 +263,8 @@ class InvertedIndex:
                     f"corrupt index: token {token!r} is {problem}")
             raise IndexFormatError(
                 f"corrupt index: token {token!r} has no postings")
-        _check_complete(starts, tokens, truncated, "token")
+        if fault:
+            raise IndexFormatError(fault)
         if offset != len(data):
             raise IndexFormatError("trailing bytes after index data")
 
@@ -528,42 +517,33 @@ def idf_raw(index: InvertedIndex, token: str) -> float:
     return math.log(index.total_docs / n)
 
 
-def extract_features(index: InvertedIndex, query_tokens: list[str],
-                     candidates: np.ndarray) -> QueryFeatures:
-    """Ranking features of the candidate documents for the query tokens.
+def extract_features(index: InvertedIndex,
+                     query_tokens: list[str]) -> QueryFeatures:
+    """Ranking features of every document holding a query token.
 
-    ``candidates`` are doc ordinals in ascending order.  Every distinct
-    token's postings are read at once: one ``searchsorted`` finds each
-    posting's candidate column, one gather and compare keeps the postings of
-    candidates, and one scatter fills the tf matrix, whatever the number of
-    tokens.  Distinct query tokens
-    (first-occurrence order) set the overlap denominator; duplicates are
-    collapsed.  A document with no tokens (maximum 0) has tf 0 for every
-    token.
+    This is the one candidate generator (Witten, Moffat & Bell, *Managing
+    Gigabytes*, ch. 4): each distinct token's postings are read once, and
+    one ``np.unique`` over their doc ordinals gives both the candidates and
+    each posting's column, so one scatter fills the tf matrix, whatever the
+    number of tokens.  Distinct query tokens (first-occurrence order) set
+    the overlap denominator; duplicates are collapsed.  A document holding
+    no query token is not a candidate: all its features are 0.
     """
     if not query_tokens:
         raise QueryError("no query tokens")
     distinct = list(dict.fromkeys(query_tokens))
-    candidates = np.asarray(candidates, dtype=np.intp)
     pairs = [index._pairs(token) for token in distinct]
     rows = np.repeat(np.arange(len(distinct)), list(map(len, pairs)))
     ordinals, frequencies = np.concatenate(pairs).T
-    n = len(candidates)
-    columns = np.searchsorted(candidates, ordinals)
-    # an ordinal past the last candidate is compared with the last one
-    hit = (candidates[np.minimum(columns, n - 1)] == ordinals if n
-           else np.zeros(len(ordinals), dtype=bool))
-    if not hit.all():  # every posting hits when candidates are their union
-        rows, columns, frequencies = rows[hit], columns[hit], frequencies[hit]
-    counts = np.zeros((len(distinct), n), dtype=np.int64)
+    candidates, columns = np.unique(ordinals, return_inverse=True)
+    counts = np.zeros((len(distinct), len(candidates)), dtype=np.int64)
     counts[rows, columns] = frequencies
-    max_tf = index.max_term_frequencies[candidates]
     return QueryFeatures(
         terms=tuple(distinct),
         idf=tuple(idf_norm(index, token) for token in distinct),
         candidates=candidates,
-        tf=np.divide(counts, max_tf, out=np.zeros(counts.shape),
-                     where=max_tf > 0),
+        # a candidate holds a posting, so its max term frequency is >= 1
+        tf=counts / index.max_term_frequencies[candidates],
         overlap=np.count_nonzero(counts, axis=0) / len(distinct),
     )
 

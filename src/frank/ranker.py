@@ -14,9 +14,11 @@ clones are t rows of its strengths; it equals
 ``evaluate(instantiate_fis(...), ...)`` bit for bit.  The numpy calls per
 query do not grow with the number of terms or placeholders.
 
-Both scorers share candidate generation (the union of the query terms'
-postings: documents matching no term are never scored) and the ranking
-order: descending score, ties broken by ascending doc_id.
+Both scorers read their candidates and features from one
+:func:`extract_features` call per query, which reads each query term's
+postings once: the candidates are the documents holding any query term
+(documents matching no term are never scored).  Both rank in one order:
+descending score, ties broken by ascending doc_id.
 
 A :class:`RankedList`'s ``entries`` is a :class:`RankedEntries`: a
 sequence backed by two columns (doc ids and a read-only float64 score
@@ -43,8 +45,8 @@ from .errors import ConfigError, QueryError, RunFormatError
 # ``evaluate`` is unused here; perfbench's traced run patches it by this name
 from .fis import (FisConfig, LinguisticVariable, _combine, _memberships,
                   default_variable, evaluate, fire_rule)  # noqa: F401
-from .index import (InvertedIndex, extract_features, idf_raw, one_word,
-                    tokenize)
+from .index import (InvertedIndex, QueryFeatures, extract_features, idf_raw,
+                    one_word, tokenize)
 from .rules import RuleAst, RuleClause, parse_rule
 
 DEFAULT_OVERLAP_WEIGHT_RATIO = 1.0 / 6.0
@@ -287,12 +289,9 @@ def _distinct_query_terms(query_text: str, k: int) -> list[str]:
     return list(dict.fromkeys(tokens))
 
 
-def _candidates(index: InvertedIndex, terms: list[str]) -> np.ndarray:
-    """Ordinals of the documents that contain any of the terms, ascending."""
-    matches = np.zeros(index.total_docs, dtype=bool)
-    for term in terms:
-        matches[index.postings(term)[0]] = True
-    return np.flatnonzero(matches)
+# a name of its own only so that perfbench's traced run can count candidates
+def _candidates(features: QueryFeatures) -> np.ndarray:
+    return features.candidates
 
 
 def _to_ranked_list(index: InvertedIndex, query_id: str,
@@ -317,8 +316,8 @@ def score_fis(index: InvertedIndex, template: FisTemplate, query_text: str,
     """
     terms = _distinct_query_terms(query_text, k)
     rules = template.query_rules(len(terms))
-    candidates = _candidates(index, terms)
-    features = extract_features(index, terms, candidates)
+    features = extract_features(index, terms)
+    candidates = _candidates(features)
     # the placeholders share one prototype, so one pass fuzzifies them all
     t, n = features.tf.shape
     values = np.concatenate((features.tf.ravel(), features.idf,
@@ -351,8 +350,8 @@ def score_baseline(index: InvertedIndex, query_text: str,
     idf_values = [idf_raw(index, t) for t in terms]
     norm_sq = sum(v * v for v in idf_values)
     query_norm = 1.0 / math.sqrt(norm_sq) if norm_sq > 0 else 1.0
-    candidates = _candidates(index, terms)
-    features = extract_features(index, terms, candidates)
+    features = extract_features(index, terms)
+    candidates = _candidates(features)
     counts = index.token_counts[candidates].astype(np.float64)
     length_norm = np.zeros_like(counts)
     np.divide(1.0, np.sqrt(counts), out=length_norm, where=counts > 0)

@@ -167,14 +167,16 @@ def _distinct(tokens: list[str]) -> list[str]:
     return seen
 
 
-def reference_extract_features(index, query_tokens: list[str],
-                               candidates) -> tuple[list[list[float]],
-                                                    list[float]]:
-    """The tf matrix and overlap column of ``extract_features``, one token
-    and one candidate at a time: a dict of each distinct token's postings,
-    read through ``index.postings``, looked up per candidate document."""
+def reference_extract_features(index, query_tokens: list[str]
+                               ) -> tuple[list[int], list[list[float]],
+                                          list[float]]:
+    """The candidates, tf matrix and overlap column of ``extract_features``,
+    one token and one document at a time: the candidates are the documents
+    some distinct token's postings name, read through ``index.postings``,
+    and each is looked up in a dict of each token's postings."""
     terms = _distinct(query_tokens)
-    candidates = [int(ordinal) for ordinal in candidates]
+    candidates = sorted({ordinal for token in terms
+                         for ordinal in index.postings(token)[0].tolist()})
     tf = []
     matched = [0] * len(candidates)
     for token in terms:
@@ -187,7 +189,7 @@ def reference_extract_features(index, query_tokens: list[str],
             row.append(count / top if count and top else 0.0)
             matched[column] += count > 0
         tf.append(row)
-    return tf, [m / len(terms) for m in matched]
+    return candidates, tf, [m / len(terms) for m in matched]
 
 
 def reference_rank_fis(corpus: ReferenceCorpus, query: str, k: int = 1000,

@@ -106,6 +106,13 @@ CORRUPT_INDEXES = {
     "token_not_utf8": (
         [D1, D2], [(b"appl\xff", [(0, 1)]), BANANA],
         "token at byte 46 is not valid UTF-8"),
+    # a string's own checks come before a later string's UTF-8 fault
+    "duplicate_doc_id_before_non_utf8": (
+        [D1, D1, (b"d\xff", 1, 1)], [APPLE, BANANA],
+        "duplicate doc id 'd1'"),
+    "tokens_out_of_order_before_non_utf8": (
+        [D1, D2], [BANANA, APPLE, (b"\xff", [(0, 1)])],
+        "token 'apple' is out of order"),
     "max_tf_mismatch": (
         [D1, (b"d2", 1, 2)], [APPLE, BANANA],
         "document 'd2' has max term frequency 2, inconsistent with its "
@@ -854,10 +861,18 @@ class TestTextInputs:
          "line 2: unknown section '[bogus]'"),
     ], ids=["qrels", "run", "rules", "config", "template"])
     def test_parsers_end_lines_only_at_newlines(self, parse, good, bad, line):
-        for newline in ("\n", "\r\n", "\r"):
-            with pytest.raises(FrankError) as excinfo:
-                parse(f"{good}{self.BREAKS}{newline}{bad}{newline}")
-            assert str(excinfo.value) == line
+        """Also with a leading byte order mark, which every parser drops as
+        it splits the text, not only when it reads a file."""
+        for bom in ("", "\ufeff"):
+            for newline in ("\n", "\r\n", "\r"):
+                with pytest.raises(FrankError) as excinfo:
+                    parse(f"{bom}{good}{self.BREAKS}{newline}{bad}{newline}")
+                assert str(excinfo.value) == line
+
+    def test_text_passed_in_drops_a_leading_bom(self):
+        """The byte order mark is not part of the first topic."""
+        assert list(parse_run("\ufeff1 Q0 a 1 0.5 t\n").topics) == ["1"]
+        assert parse_qrels("\ufeff1 0 a 1\n").judgments == {("1", "a"): 1}
 
     def test_line_counts_every_line_break(self, tmp_path):
         path = tmp_path / "run.txt"

@@ -213,20 +213,23 @@ class TestNormalizedFeatures:
 
     def test_tf_norm_by_max_frequency(self):
         index = build_index([Document("d", "aa aa aa bb")])
-        tf = extract_features(index, ["aa", "bb"], [0]).tf[:, 0]
+        tf = extract_features(index, ["aa", "bb"]).tf[:, 0]
         assert tf[0] == 1.0
         assert tf[1] == pytest.approx(1 / 3)
 
     def test_tf_norm_absent_token(self, index5):
-        assert extract_features(index5, ["fig"], [0]).tf.tolist() == [[0.0]]
+        """d1 holds apple but not fig, so its fig tf is 0."""
+        features = extract_features(index5, ["apple", "fig"])
+        column = features.candidates.tolist().index(index5.ordinal_of("d1"))
+        assert features.tf[:, column].tolist() == [0.5, 0.0]
 
     def test_every_nonempty_doc_has_a_unit_tf(self, index20):
-        features = extract_features(index20, index20.terms,
-                                    np.arange(index20.total_docs))
-        for ordinal, token_count in enumerate(index20.token_counts):
-            if token_count == 0:
-                continue
-            assert features.tf[:, ordinal].max() == 1.0
+        """Over every term, the candidates are the documents with a token,
+        and each reaches its max term frequency."""
+        features = extract_features(index20, index20.terms)
+        assert features.candidates.tolist() == np.flatnonzero(
+            index20.token_counts).tolist()
+        assert (features.tf.max(axis=0) == 1.0).all()
 
 
 class TestExtractFeatures:
@@ -237,8 +240,7 @@ class TestExtractFeatures:
         idf_cherry = ln(5 / 2) / ln(5)
         query = ["apple", "cherry", "grape"]
 
-        features = extract_features(index5, query,
-                                    np.arange(index5.total_docs))
+        features = extract_features(index5, query)
         assert features.terms == ("apple", "cherry", "grape")
         assert features.idf == (pytest.approx(idf_apple),
                                 pytest.approx(idf_cherry), 0.0)
@@ -266,74 +268,68 @@ class TestExtractFeatures:
         assert tf("d4") == [0.5, 0.0, 0.0]
         assert overlap("d4") == pytest.approx(1 / 3)
 
-        assert tf("d5") == [0.0, 0.0, 0.0]
-        assert overlap("d5") == 0.0
+        # d5 holds none of the query tokens, so it is not a candidate
+        assert "d5" not in by_doc
 
     def test_full_overlap(self, index5):
-        features = extract_features(index5, ["apple", "cherry"],
-                                    [index5.ordinal_of("d3")])
-        assert features.overlap.tolist() == [1.0]
+        features = extract_features(index5, ["apple", "cherry"])
+        column = features.candidates.tolist().index(index5.ordinal_of("d3"))
+        assert features.overlap[column] == 1.0
 
     def test_duplicate_query_tokens_collapse(self, index5):
-        features = extract_features(index5, ["apple", "apple", "cherry"],
-                                    [index5.ordinal_of("d3")])
+        features = extract_features(index5, ["apple", "apple", "cherry"])
         assert len(features.terms) == 2
-        assert features.tf.shape == (2, 1)
-        assert features.overlap.tolist() == [1.0]
+        assert features.tf.shape == (2, 4)
+        column = features.candidates.tolist().index(index5.ordinal_of("d3"))
+        assert features.overlap[column] == 1.0
 
     def test_empty_query_rejected(self, index5):
         with pytest.raises(QueryError):
-            extract_features(index5, [], [0])
+            extract_features(index5, [])
 
-    def test_document_without_tokens_has_zero_tf(self):
+    def test_document_without_tokens_is_not_a_candidate(self):
         """A document with no tokens records max term frequency 0; that is a
-        valid index, not a corrupt one."""
+        valid index, not a corrupt one, and the document is never scored."""
         index = build_index([Document("d1", "apple"), Document("d2", "of the")])
-        features = extract_features(index, ["apple"], [0, 1])
-        assert features.tf.tolist() == [[1.0, 0.0]]
-        assert features.overlap.tolist() == [1.0, 0.0]
+        features = extract_features(index, ["apple"])
+        assert features.candidates.tolist() == [0]
+        assert features.tf.tolist() == [[1.0]]
+        assert features.overlap.tolist() == [1.0]
 
-    def test_subset_of_candidates_matches_per_document_tf_norm(
-            self, index20, data_dir):
-        """Each column equals the reference tf_norm of that document, for
-        any ascending subset of ordinals, including documents matching no
-        token."""
+    def test_candidates_match_per_document_tf_norm(self, index20, data_dir):
+        """Each column equals the reference tf_norm of its document, and the
+        candidates are exactly the documents with a nonzero tf_norm."""
         reference = ReferenceCorpus([
             (d.doc_id, d.text)
             for d in read_corpus_jsonl(data_dir / "corpus20.jsonl")])
         query = ["river", "flood", "ice", "nosuchterm"]
-        subset = np.arange(0, index20.total_docs, 3)
-        features = extract_features(index20, query, subset)
-        assert features.tf.any()
-        for column, ordinal in enumerate(subset.tolist()):
-            doc_id = index20.doc_ids[ordinal]
-            assert features.tf[:, column].tolist() == [
-                reference.tf_norm(doc_id, token) for token in query]
+        features = extract_features(index20, query)
+        columns = dict(zip(features.candidates.tolist(), features.tf.T))
+        for ordinal, doc_id in enumerate(index20.doc_ids):
+            expected = [reference.tf_norm(doc_id, token) for token in query]
+            assert (ordinal in columns) == any(expected), doc_id
+            if ordinal in columns:
+                assert columns[ordinal].tolist() == expected
 
 
-@pytest.mark.parametrize("query, subset", [
-    (["river", "flood", "river", "ice", "flood"], "all"),
-    (["river", "nosuchterm", "ice"], "all"),
-    (["nosuchterm"], "all"),
-    (["river", "flood", "ice", "nosuchterm"], "every third"),
-    (["water", "river", "water"], "first half"),
-    (["river", "flood"], "one"),
-    (["river", "flood"], "none"),
-], ids=["duplicate-tokens", "absent-token", "only-absent", "every-third",
-        "first-half-duplicates", "one-candidate", "no-candidates"])
-def test_extract_features_equals_the_per_token_loop(index20, query, subset):
-    """The one postings gather fills the tf matrix and overlap column the
-    per-token reference loop does, bit for bit."""
-    n = index20.total_docs
-    candidates = {"all": np.arange(n), "every third": np.arange(0, n, 3),
-                  "first half": np.arange(n // 2), "one": np.array([n - 1]),
-                  "none": np.array([], dtype=np.intp)}[subset]
-    features = extract_features(index20, query, candidates)
-    tf, overlap = reference_extract_features(index20, query, candidates)
+@pytest.mark.parametrize("query", [
+    ["river", "flood", "river", "ice", "flood"],
+    ["river", "nosuchterm", "ice"],
+    ["nosuchterm"],
+    ["river", "flood", "ice", "nosuchterm"],
+    ["water", "river", "water"],
+    ["river", "flood"],
+], ids=["duplicate-tokens", "absent-token", "only-absent",
+        "absent-among-three", "leading-duplicate", "two-terms"])
+def test_extract_features_equals_the_per_token_loop(index20, query):
+    """The one postings gather finds the candidates and fills the tf matrix
+    and overlap column the per-token reference loop does, bit for bit."""
+    candidates, tf, overlap = reference_extract_features(index20, query)
+    features = extract_features(index20, query)
     distinct = list(dict.fromkeys(query))
     assert features.terms == tuple(distinct)
     assert features.idf == tuple(idf_norm(index20, t) for t in distinct)
-    assert features.candidates.tolist() == candidates.tolist()
+    assert features.candidates.tolist() == candidates
     assert features.tf.shape == (len(distinct), len(candidates))
     assert features.tf.tolist() == tf
     assert features.overlap.tolist() == overlap
@@ -423,6 +419,17 @@ class TestSerialization:
         with pytest.raises(IndexFormatError, match="truncated"):
             InvertedIndex.from_bytes(b"FRIX1")
 
+    def test_first_fault_in_byte_order_is_reported(self, index5):
+        """A doc id that is not UTF-8 comes before a token table cut short,
+        so it is the fault named."""
+        data = index5.to_bytes()
+        assert data[14:16] == b"d1"
+        data = data[:14] + b"d\xff" + data[16:-4]
+        with pytest.raises(IndexFormatError) as excinfo:
+            InvertedIndex.from_bytes(data)
+        assert str(excinfo.value) == ("corrupt index: doc id at byte 14 is "
+                                      "not valid UTF-8")
+
 
 FIXTURE_BYTES = build_index(read_corpus_jsonl(
     Path(__file__).parent / "data" / "corpus5.jsonl")).to_bytes()
@@ -443,11 +450,9 @@ def assert_loads_or_rejects(data: bytes) -> None:
     assert index.to_bytes() == data
     if not index.terms:
         return
-    features = extract_features(index, index.terms,
-                                np.arange(index.total_docs))
-    matched = features.overlap > 0
-    # every matched document reaches its recorded max term frequency
-    assert (features.tf.max(axis=0)[matched] == 1.0).all()
+    features = extract_features(index, index.terms)
+    # every candidate reaches its recorded max term frequency
+    assert (features.tf.max(axis=0) == 1.0).all()
     assert (features.tf >= 0).all()
 
 

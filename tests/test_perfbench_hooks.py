@@ -8,6 +8,8 @@ Entering ``spans.instrument`` looks each name up in its owner's
 import importlib
 from pathlib import Path
 
+import numpy as np
+
 from frank import evaluation, fis, fisfile, index, ranker
 from frank.index import InvertedIndex
 
@@ -41,6 +43,10 @@ def test_instrumented_scorers_run_and_every_name_is_restored(
     assert ranked == expected
     calls, _, _ = tracer.totals()
     assert calls["ranker.score"] == calls["index.extract_features"] == 2
+    # both scorers rank the documents holding either term
+    union = np.union1d(index20.postings("river")[0],
+                       index20.postings("flood")[0])
+    assert tracer.counters["ranker.candidates"] == 2 * len(union) > 0
     assert tracer.counters["ranker.returned"] == sum(
         len(ranked_list.entries) for ranked_list in expected) > 0
     after = namespace()

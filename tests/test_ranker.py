@@ -18,8 +18,9 @@ from frank.evaluation import RunFile, format_run, parse_run, run_from_ranked
 from frank.fis import (AGGREGATIONS, AND_METHODS, DEFUZZIFICATIONS,
                        IMPLICATIONS, FisConfig, LinguisticVariable, aggregate,
                        defuzzify, evaluate, fire_rule, fuzzify, imply)
-from frank.index import (Document, build_index, extract_features, idf_raw,
-                         read_corpus_jsonl, tokenize)
+from frank.index import (Document, InvertedIndex, build_index,
+                         extract_features, idf_raw, read_corpus_jsonl,
+                         tokenize)
 from frank.membership import MembershipFunction
 from frank.ranker import (FisTemplate, RankedEntries, RankedEntry,
                           RankedList, default_template, instantiate_fis, score_baseline,
@@ -227,6 +228,26 @@ class TestRankingProperties:
                              score_baseline(index20, query).entries}
             assert fis_docs == baseline_docs
 
+    @pytest.mark.parametrize("query", ["river flood river levee",
+                                       "ice nosuchterm"])
+    def test_each_score_reads_each_term_postings_once(
+            self, monkeypatch, index20, template, query):
+        """``extract_features`` is the one candidate generator: a score call
+        reads each distinct query term's postings exactly once."""
+        reads = {}
+        pairs = InvertedIndex._pairs
+
+        def counted(index, token):
+            reads[token] = reads.get(token, 0) + 1
+            return pairs(index, token)
+
+        monkeypatch.setattr(InvertedIndex, "_pairs", counted)
+        for score in (lambda: score_fis(index20, template, query),
+                      lambda: score_baseline(index20, query)):
+            reads.clear()
+            assert score().entries
+            assert reads == dict.fromkeys(tokenize(query), 1)
+
     def test_ordering_is_total(self, index20, template):
         ranked = score_fis(index20, template, "river flood levee ice water")
         doc_ids = [e.doc_id for e in ranked.entries]
@@ -364,12 +385,13 @@ GRID_OPERATORS = [
 ]
 
 
-def candidate_inputs(index, terms, ordinal):
-    """The instantiated system's inputs for one candidate."""
-    features = extract_features(index, terms, [ordinal])
-    inputs = {"overlap": float(features.overlap[0])}
-    for i, term in enumerate(terms):
-        inputs[f"tf_{i + 1}"] = float(features.tf[i, 0])
+def candidate_inputs(index, features, doc_id):
+    """The instantiated system's inputs for one candidate: its column of
+    the query's features."""
+    column = features.candidates.tolist().index(index.ordinal_of(doc_id))
+    inputs = {"overlap": float(features.overlap[column])}
+    for i in range(len(features.terms)):
+        inputs[f"tf_{i + 1}"] = float(features.tf[i, column])
         inputs[f"idf_{i + 1}"] = features.idf[i]
     return inputs
 
@@ -404,13 +426,12 @@ class TestColumnScoring:
         at a time, bit for bit, under every template."""
         for name, template in TEMPLATES.items():
             for index, query in self.cases(index20):
-                terms = list(dict.fromkeys(tokenize(query)))
-                config = instantiate_fis(template, len(terms))
+                features = extract_features(index, tokenize(query))
+                config = instantiate_fis(template, len(features.terms))
                 ranked = score_fis(index, template, query)
                 assert ranked.entries
                 for entry in ranked.entries:
-                    inputs = candidate_inputs(
-                        index, terms, index.ordinal_of(entry.doc_id))
+                    inputs = candidate_inputs(index, features, entry.doc_id)
                     assert entry.score == evaluate(config, inputs), \
                         (name, query, entry.doc_id)
 
@@ -427,13 +448,12 @@ class TestColumnScoring:
                 (index20, "river flood levee ice water", 1),
                 (index20, "ice", 1),
                 (random_index(), "w4 w5 w6 w7 w8", 3)]:
-            terms = list(dict.fromkeys(tokenize(query)))
-            config = instantiate_fis(template, len(terms))
+            features = extract_features(index, tokenize(query))
+            config = instantiate_fis(template, len(features.terms))
             ranked = score_fis(index, template, query)
             assert ranked.entries
             for entry in ranked.entries[::stride]:
-                inputs = candidate_inputs(
-                    index, terms, index.ordinal_of(entry.doc_id))
+                inputs = candidate_inputs(index, features, entry.doc_id)
                 assert entry.score == grid_pipeline(config, inputs), \
                     (query, entry.doc_id)
 
@@ -466,9 +486,10 @@ class TestColumnScoring:
         for t in range(1, 8):
             terms = [f"w{i}" for i in range(1, t + 1)]
             ranked = score_fis(index, template, " ".join(terms), k=150)
-            candidates = np.unique(np.concatenate(
-                [index.postings(term)[0] for term in terms]))
-            features = extract_features(index, terms, candidates)
+            features = extract_features(index, terms)
+            candidates = features.candidates
+            assert candidates.tolist() == np.unique(np.concatenate(
+                [index.postings(term)[0] for term in terms])).tolist()
             inputs = {"overlap": features.overlap}
             for i in range(t):
                 inputs[f"tf_{i + 1}"] = features.tf[i]

@@ -1,6 +1,7 @@
-"""Public names removed in favour of one path per concept stay removed, and
-the README says where their callers go instead."""
+"""Public names and parameters removed in favour of one path per concept
+stay removed, and the README says where their callers go instead."""
 
+import inspect
 import re
 from pathlib import Path
 
@@ -27,6 +28,11 @@ REMOVED = {
     "RankedEntries.ranks": (RankedEntries, RankedEntries((), np.array([]))),
 }
 
+# function -> the parameters it no longer takes
+REMOVED_PARAMETERS = {
+    frank.extract_features: ("candidates",),
+}
+
 
 def removed_names_paragraph() -> str:
     text = README.read_text(encoding="utf-8")
@@ -42,3 +48,13 @@ def test_removed_name_is_documented_and_gone(name):
     attribute = name.rpartition(".")[2]
     for owner in REMOVED[name]:
         assert not hasattr(owner, attribute), (owner, attribute)
+
+
+@pytest.mark.parametrize("function, parameter", [
+    (function, parameter)
+    for function, parameters in REMOVED_PARAMETERS.items()
+    for parameter in parameters])
+def test_removed_parameter_is_documented_and_gone(function, parameter):
+    assert (f"`{function.__name__}`'s `{parameter}` parameter"
+            in removed_names_paragraph())
+    assert parameter not in inspect.signature(function).parameters
