@@ -358,7 +358,8 @@ def defuzzify(samples: np.ndarray, universe: tuple[float, float],
     """Collapse each row of an aggregate set, sampled on the uniform
     inclusive grid over ``universe``, to one crisp value inside it: a float
     for 1-D samples, a column for a (rows x grid) block.  Samples may exceed
-    1 under sum aggregation; they may not be negative.
+    1 under sum aggregation; they must be finite and not negative, and the
+    method's sums must not overflow, or :class:`ConfigError` is raised.
 
     centroid  sum(x * mu) / sum(mu) over the sample grid
     bisector  the grid point splitting the area in half
@@ -378,28 +379,41 @@ def _defuzzify(samples: np.ndarray, universe: tuple[float, float],
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim not in (1, 2) or samples.shape[-1] < 2:
         raise ConfigError("aggregate needs 1 or 2 axes of >= 2 samples")
+    if not np.isfinite(samples).all():
+        raise ConfigError("aggregate samples must be finite")
     if (samples < 0).any():
         raise ConfigError("aggregate samples must be nonnegative")
     rows = np.atleast_2d(samples)
     lo, hi = _checked_universe(universe)
     grid = np.linspace(lo, hi, rows.shape[-1])
-    if method == "centroid":
-        with np.errstate(invalid="ignore"):
-            crisp = np.sum(grid * rows, axis=-1) / np.sum(rows, axis=-1)
-    elif method == "bisector":
-        # the sums never fall, so this count is where searchsorted puts half
-        cumulative = np.cumsum(rows, axis=-1)
-        index = np.sum(cumulative < cumulative[:, -1:] / 2.0, axis=-1)
-        crisp = grid[np.minimum(index, len(grid) - 1)]
-    else:
-        plateau = rows == rows.max(axis=-1, keepdims=True)
-        if method == "mom":  # a vector mean would sum in another order
-            crisp = np.array([grid[row].mean() for row in plateau])
-        elif method == "som":  # the grid ascends, so its first point is least
-            crisp = grid[np.argmax(plateau, axis=-1)]
+    # finite samples can still have sums that overflow to inf or NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        if method == "centroid":
+            moment = np.sum(grid * rows, axis=-1)
+            area = np.sum(rows, axis=-1)
+            crisp = moment / area
+            sums = [moment, area]
+        elif method == "bisector":
+            # the sums never fall: this count is where searchsorted puts half
+            cumulative = np.cumsum(rows, axis=-1)
+            index = np.sum(cumulative < cumulative[:, -1:] / 2.0, axis=-1)
+            crisp = grid[np.minimum(index, len(grid) - 1)]
+            sums = [cumulative[:, -1]]
         else:
-            crisp = grid[len(grid) - 1 - np.argmax(plateau[:, ::-1], axis=-1)]
-    crisp = _midpoint_where_empty(crisp, ~(rows > 0).any(axis=-1), (lo, hi),
+            plateau = rows == rows.max(axis=-1, keepdims=True)
+            sums = []
+            if method == "mom":  # a vector mean would sum in another order
+                crisp = np.array([grid[row].mean() for row in plateau])
+                sums = [crisp]
+            elif method == "som":  # the grid ascends: its first point is least
+                crisp = grid[np.argmax(plateau, axis=-1)]
+            else:
+                crisp = grid[len(grid) - 1
+                             - np.argmax(plateau[:, ::-1], axis=-1)]
+    empty = ~(rows > 0).any(axis=-1)
+    if any((~np.isfinite(column) & ~empty).any() for column in sums):
+        raise ConfigError(f"aggregate {method} sums overflow")
+    crisp = _midpoint_where_empty(crisp, empty, (lo, hi),
                                   stacklevel=stacklevel + 1)
     return float(crisp[0]) if samples.ndim == 1 else crisp
 

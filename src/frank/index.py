@@ -39,6 +39,7 @@ import struct
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress, count
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -94,20 +95,38 @@ class Document:
 class QueryFeatures:
     """Ranking features of one query's candidate documents, as columns.
 
-    ``terms`` holds the distinct query tokens in first-occurrence order and
-    ``idf`` their idf_norm.  ``candidates`` are the ordinals of the
-    documents holding at least one of the terms, ascending.  Row i of
-    ``tf`` holds the term frequency of ``terms[i]`` in each candidate
-    divided by that document's max term frequency, 0 where the document
-    lacks the token.  ``overlap`` holds, per candidate, the number of
-    distinct tokens it contains divided by ``len(terms)``.
+    ``terms`` holds the distinct query tokens in first-occurrence order,
+    ``idf_raw`` their ln(N/df) and ``idf`` their idf_norm, each looked up
+    once.  ``candidates`` are the ordinals of the documents holding at least
+    one of the terms, ascending.  ``overlap`` holds, per candidate, the
+    number of distinct terms it contains divided by ``len(terms)``.
+
+    The term frequencies are per posting: the postings of ``terms[0]``,
+    then of ``terms[1]`` and so on (``dfs`` of them per term), each with its
+    doc ordinal in ``ordinals``, its candidate's position in ``columns`` and
+    its normalized tf, the term's count in the document over the document's
+    max term frequency, in ``posting_tf``.  The dense terms x candidates
+    ``tf`` matrix, 0 where a document lacks the term, is built from them
+    only when it is read.
     """
 
     terms: tuple[str, ...]
+    idf_raw: tuple[float, ...]
     idf: tuple[float, ...]
     candidates: np.ndarray
-    tf: np.ndarray
     overlap: np.ndarray
+    dfs: list[int]
+    ordinals: np.ndarray
+    columns: np.ndarray
+    posting_tf: np.ndarray
+
+    @cached_property
+    def tf(self) -> np.ndarray:
+        """Row i: the normalized tf of ``terms[i]`` in each candidate."""
+        tf = np.zeros((len(self.terms), len(self.candidates)))
+        rows = np.repeat(np.arange(len(self.terms)), self.dfs)
+        tf[rows, self.columns] = self.posting_tf
+        return tf
 
 
 def _words(text: str) -> list[bytes]:
@@ -202,8 +221,8 @@ class InvertedIndex:
     Built by :func:`build_index` or loaded from FRIX1 bytes, then a pure
     read structure, safe for concurrent readers.  Per-document statistics
     are ``doc_ids`` and the read-only arrays ``token_counts``,
-    ``max_term_frequencies``, ``doc_id_ranks`` and ``doc_id_array`` (the
-    doc ids as objects), by doc ordinal.
+    ``max_term_frequencies``, ``length_norms``, ``doc_id_ranks`` and
+    ``doc_id_array`` (the doc ids as objects), by doc ordinal.
     Construction raises :class:`IndexFormatError` unless every count and
     length fits the bytes with none left over, doc ids and tokens are
     UTF-8, doc ids non-empty, free of whitespace and unique, tokens
@@ -277,6 +296,12 @@ class InvertedIndex:
         #: Each document's token count and max term frequency, by ordinal.
         self.token_counts = per_doc[:, 0]
         self.max_term_frequencies = per_doc[:, 1]
+        #: Each document's 1/sqrt(token count), 0 for an empty document.
+        self.length_norms = np.zeros(n_docs)
+        lengths = self.token_counts.astype(np.float64)
+        np.divide(1.0, np.sqrt(lengths), out=self.length_norms,
+                  where=lengths > 0)
+        self.length_norms.flags.writeable = False
         #: Each document's position in ascending doc_id order, by ordinal.
         order = sorted(range(n_docs), key=self.doc_ids.__getitem__)
         self.doc_id_ranks = np.empty(n_docs, np.intp)
@@ -505,8 +530,12 @@ def idf_norm(index: InvertedIndex, token: str) -> float:
     0.  Unknown tokens score 0 (they contribute no matched evidence), and a
     corpus of fewer than two documents has no spread to normalize, also 0.
     """
+    return _normalized_idf(index, idf_raw(index, token))
+
+
+def _normalized_idf(index: InvertedIndex, raw: float) -> float:
     total = index.total_docs
-    return idf_raw(index, token) / math.log(total) if total > 1 else 0.0
+    return raw / math.log(total) if total > 1 else 0.0
 
 
 def idf_raw(index: InvertedIndex, token: str) -> float:
@@ -517,34 +546,51 @@ def idf_raw(index: InvertedIndex, token: str) -> float:
     return math.log(index.total_docs / n)
 
 
+def _unique(ordinals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(ordinals, return_inverse=True)``: the distinct values,
+    ascending, and each value's position among them, at half its cost."""
+    ordered = np.sort(ordinals)
+    first = np.empty(len(ordered), bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    distinct = ordered[first]
+    return distinct, distinct.searchsorted(ordinals)
+
+
 def extract_features(index: InvertedIndex,
                      query_tokens: list[str]) -> QueryFeatures:
     """Ranking features of every document holding a query token.
 
     This is the one candidate generator (Witten, Moffat & Bell, *Managing
     Gigabytes*, ch. 4): each distinct token's postings are read once, and
-    one ``np.unique`` over their doc ordinals gives both the candidates and
-    each posting's column, so one scatter fills the tf matrix, whatever the
-    number of tokens.  Distinct query tokens (first-occurrence order) set
-    the overlap denominator; duplicates are collapsed.  A document holding
-    no query token is not a candidate: all its features are 0.
+    one sort of their doc ordinals gives both the candidates and each
+    posting's column.  The work is per posting, never per (term,
+    candidate) cell: each posting's normalized tf is one division, and the
+    overlap one ``np.bincount`` of the columns, since a token's postings
+    name a document at most once.  Distinct query tokens (first-occurrence
+    order) set the overlap denominator; duplicates are collapsed.  A
+    document holding no query token is not a candidate: all its features
+    are 0.
     """
     if not query_tokens:
         raise QueryError("no query tokens")
     distinct = list(dict.fromkeys(query_tokens))
     pairs = [index._pairs(token) for token in distinct]
-    rows = np.repeat(np.arange(len(distinct)), list(map(len, pairs)))
     ordinals, frequencies = np.concatenate(pairs).T
-    candidates, columns = np.unique(ordinals, return_inverse=True)
-    counts = np.zeros((len(distinct), len(candidates)), dtype=np.int64)
-    counts[rows, columns] = frequencies
+    candidates, columns = _unique(ordinals)
+    raw = tuple(idf_raw(index, token) for token in distinct)
     return QueryFeatures(
         terms=tuple(distinct),
-        idf=tuple(idf_norm(index, token) for token in distinct),
+        idf_raw=raw,
+        idf=tuple(_normalized_idf(index, value) for value in raw),
         candidates=candidates,
-        # a candidate holds a posting, so its max term frequency is >= 1
-        tf=counts / index.max_term_frequencies[candidates],
-        overlap=np.count_nonzero(counts, axis=0) / len(distinct),
+        overlap=np.bincount(columns, minlength=len(candidates))
+        / len(distinct),
+        dfs=list(map(len, pairs)),
+        ordinals=ordinals,
+        columns=columns,
+        # a posting's document holds the token, so its max tf is >= 1
+        posting_tf=frequencies / index.max_term_frequencies[ordinals],
     )
 
 

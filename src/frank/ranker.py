@@ -17,8 +17,13 @@ query do not grow with the number of terms or placeholders.
 Both scorers read their candidates and features from one
 :func:`extract_features` call per query, which reads each query term's
 postings once: the candidates are the documents holding any query term
-(documents matching no term are never scored).  Both rank in one order:
-descending score, ties broken by ascending doc_id.
+(documents matching no term are never scored).  :func:`score_baseline`
+works on the postings alone: one weighted ``np.bincount`` adds each
+posting's (tf * idf_raw) * length_norm to its candidate from +0.0, in
+query-term order, so its sums are those of adding one dense tf row per
+term, bit for bit (the absent cells would add +0.0), with no terms x
+candidates array.  Only :func:`score_fis` reads the dense ``tf``.  Both
+rank in one order: descending score, ties broken by ascending doc_id.
 
 A :class:`RankedList`'s ``entries`` is a :class:`RankedEntries`: a
 sequence backed by two columns (doc ids and a read-only float64 score
@@ -45,7 +50,7 @@ from .errors import ConfigError, QueryError, RunFormatError
 # ``evaluate`` is unused here; perfbench's traced run patches it by this name
 from .fis import (FisConfig, LinguisticVariable, _combine, _memberships,
                   default_variable, evaluate, fire_rule)  # noqa: F401
-from .index import (InvertedIndex, QueryFeatures, extract_features, idf_raw,
+from .index import (InvertedIndex, QueryFeatures, extract_features,
                     one_word, tokenize)
 from .rules import RuleAst, RuleClause, parse_rule
 
@@ -342,23 +347,28 @@ def score_baseline(index: InvertedIndex, query_text: str,
     Per matched term: tf * idf_raw * length_norm, summed over terms in
     query order, then scaled by the overlap (matched fraction of distinct
     query terms, the coordination factor) and the query norm.  length_norm
-    is 1/sqrt(token count), 0 for an empty document; the query norm is
-    1/sqrt(sum of squared idf_raw), 1 when that sum is 0.  Candidate set
-    and tie-breaking match :func:`score_fis`.
+    is ``index.length_norms``, 1/sqrt(token count), 0 for an empty
+    document; the query norm is 1/sqrt(sum of squared idf_raw), 1 when that
+    sum is 0.  Candidate set and tie-breaking match :func:`score_fis`.
+
+    The sum is term-at-a-time over the postings (Moffat & Zobel, ACM TOIS
+    14(4), 1996): each posting's (tf * idf_raw) * length_norm is added to
+    its candidate's accumulator by one weighted ``np.bincount``, which adds
+    them one by one from +0.0 in posting order, that is in query-term
+    order per candidate.  A term a document lacks would add +0.0, which
+    leaves a sum of non-negative terms unchanged, so the scores are those
+    of adding every term's tf row in turn, bit for bit.
     """
     terms = _distinct_query_terms(query_text, k)
-    idf_values = [idf_raw(index, t) for t in terms]
-    norm_sq = sum(v * v for v in idf_values)
-    query_norm = 1.0 / math.sqrt(norm_sq) if norm_sq > 0 else 1.0
     features = extract_features(index, terms)
     candidates = _candidates(features)
-    counts = index.token_counts[candidates].astype(np.float64)
-    length_norm = np.zeros_like(counts)
-    np.divide(1.0, np.sqrt(counts), out=length_norm, where=counts > 0)
-    total = np.zeros(len(candidates))
-    # a term the corpus lacks (idf 0.0) or a document lacks (tf 0.0) adds
-    # 0.0, which leaves every sum's bits alone
-    for tf_values, idf_value in zip(features.tf, idf_values):
-        total += tf_values * idf_value * length_norm
+    idf_values = features.idf_raw
+    norm_sq = sum(v * v for v in idf_values)
+    query_norm = 1.0 / math.sqrt(norm_sq) if norm_sq > 0 else 1.0
+    contributions = (features.posting_tf
+                     * np.array(idf_values).repeat(features.dfs)
+                     * index.length_norms[features.ordinals])
+    total = np.bincount(features.columns, weights=contributions,
+                        minlength=len(candidates))
     scores = total * features.overlap * query_norm
     return _to_ranked_list(index, query_id, candidates, scores, k)

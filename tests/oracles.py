@@ -192,6 +192,70 @@ def reference_extract_features(index, query_tokens: list[str]
     return candidates, tf, [m / len(terms) for m in matched]
 
 
+def reference_dense_features(index, query_tokens: list[str]
+                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The candidates, tf matrix and overlap column as the dense path
+    computed them before the scorers worked per posting: a terms x
+    candidates int64 count matrix, ``counts / max_tf[candidates]`` and
+    ``np.count_nonzero(counts, axis=0)``."""
+    terms = _distinct(query_tokens)
+    postings = [index.postings(token) for token in terms]
+    candidates = np.unique(np.concatenate([ordinals
+                                           for ordinals, _ in postings]))
+    counts = np.zeros((len(terms), len(candidates)), dtype=np.int64)
+    for row, (ordinals, frequencies) in enumerate(postings):
+        counts[row, np.searchsorted(candidates, ordinals)] = frequencies
+    return (candidates, counts / index.max_term_frequencies[candidates],
+            np.count_nonzero(counts, axis=0) / len(terms))
+
+
+def _dense_idf_raw(index, token: str) -> float:
+    df = index.document_frequency(token)
+    return math.log(index.total_docs / df) if df else 0.0
+
+
+def reference_dense_baseline(index, query_tokens: list[str]
+                             ) -> tuple[np.ndarray, np.ndarray]:
+    """The candidates and baseline scores of the dense path: per distinct
+    term, in query order, ``total += tf_row * idf_raw * length_norm``."""
+    candidates, tf, overlap = reference_dense_features(index, query_tokens)
+    idf_values = [_dense_idf_raw(index, t) for t in _distinct(query_tokens)]
+    norm_sq = sum(v * v for v in idf_values)
+    query_norm = 1.0 / math.sqrt(norm_sq) if norm_sq > 0 else 1.0
+    counts = index.token_counts[candidates].astype(np.float64)
+    length_norm = np.zeros_like(counts)
+    np.divide(1.0, np.sqrt(counts), out=length_norm, where=counts > 0)
+    total = np.zeros(len(candidates))
+    for tf_values, idf_value in zip(tf, idf_values):
+        total += tf_values * idf_value * length_norm
+    return candidates, total * overlap * query_norm
+
+
+def reference_dense_fis_inputs(index, query_tokens: list[str]
+                               ) -> tuple[np.ndarray, dict[str, object]]:
+    """The candidates and the instantiated system's input columns
+    (``tf_i``, ``idf_i``, ``overlap``) from the dense path's features."""
+    candidates, tf, overlap = reference_dense_features(index, query_tokens)
+    total = index.total_docs
+    inputs: dict[str, object] = {"overlap": overlap}
+    for i, token in enumerate(_distinct(query_tokens), start=1):
+        inputs[f"tf_{i}"] = tf[i - 1]
+        inputs[f"idf_{i}"] = (_dense_idf_raw(index, token) / math.log(total)
+                              if total > 1 else 0.0)
+    return candidates, inputs
+
+
+def reference_ranking(index, candidates: np.ndarray, scores: np.ndarray,
+                      k: int) -> tuple[tuple[str, ...], bytes]:
+    """Doc ids and score bytes of the top ``k`` candidates by descending
+    score, ties by ascending doc id."""
+    doc_ids = [index.doc_ids[c] for c in candidates.tolist()]
+    order = sorted(range(len(doc_ids)),
+                   key=lambda c: (-scores[c], doc_ids[c]))[:k]
+    return (tuple(doc_ids[c] for c in order),
+            np.asarray(scores[order], dtype=np.float64).tobytes())
+
+
 def reference_rank_fis(corpus: ReferenceCorpus, query: str, k: int = 1000,
                        resolution: int = 1001) -> list[tuple[str, float]]:
     """Ranked (doc_id, score) list under the default ranking system."""

@@ -473,6 +473,35 @@ class TestDefuzzify:
         with pytest.raises(ConfigError, match=problem):
             defuzzify(samples, (0.0, 1.0), "centroid")
 
+    @pytest.mark.parametrize("samples, universe, methods, problem", [
+        ([0.0, math.nan, 1.0], (0.0, 1.0), DEFUZZIFICATIONS,
+         "samples must be finite"),
+        ([1.0, math.inf, 1.0], (0.0, 1.0), DEFUZZIFICATIONS,
+         "samples must be finite"),
+        ([1.0, 1e308, 1.0], (0.0, 10.0), ("centroid",),
+         "centroid sums overflow"),
+        ([1.0, 2.0, 1.0], (-1.7976931348623157e308, 0.0), ("centroid",),
+         "centroid sums overflow"),
+        ([1e308, 1e308, 1e308], (0.0, 1.0), ("centroid", "bisector"),
+         "sums overflow"),
+        ([1.0, 1.0, 1.0], (-1.7976931348623157e308, 0.0), ("mom",),
+         "mom sums overflow"),
+    ], ids=["nan", "inf", "moment-overflow", "universe-overflow",
+            "area-overflow", "mean-overflow"])
+    def test_non_finite_samples_and_sums_rejected(self, samples, universe,
+                                                  methods, problem):
+        """NaN and inf samples fail under every method, and so do sums that
+        overflow, with no numpy warning on the way; a row of zeros beside
+        them changes nothing."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for method in methods:
+                with pytest.raises(ConfigError, match=problem):
+                    defuzzify(np.array(samples), universe, method)
+                with pytest.raises(ConfigError, match=problem):
+                    defuzzify(np.array([[0.0] * 3, samples]), universe,
+                              method)
+
     def test_centroid_stays_in_universe(self):
         rng = np.random.default_rng(5)
         for _ in range(100):

@@ -117,6 +117,8 @@ class TestBuildIndex:
         assert index.total_docs == 2
         assert index.token_counts[1] == 0
         assert index.max_term_frequencies[1] == 0
+        assert index.length_norms.tolist() == [1.0, 0.0]
+        assert not index.length_norms.flags.writeable
 
     def test_postings_sorted_without_duplicates(self, index5):
         for token in index5.terms:
@@ -329,10 +331,19 @@ def test_extract_features_equals_the_per_token_loop(index20, query):
     distinct = list(dict.fromkeys(query))
     assert features.terms == tuple(distinct)
     assert features.idf == tuple(idf_norm(index20, t) for t in distinct)
+    assert features.idf_raw == tuple(idf_raw(index20, t) for t in distinct)
     assert features.candidates.tolist() == candidates
     assert features.tf.shape == (len(distinct), len(candidates))
     assert features.tf.tolist() == tf
     assert features.overlap.tolist() == overlap
+    # the postings, term by term, are the nonzero cells of the tf rows
+    rows = np.repeat(np.arange(len(distinct)), features.dfs)
+    assert features.dfs == [index20.document_frequency(t) for t in distinct]
+    assert features.candidates[features.columns].tolist() == \
+        features.ordinals.tolist()
+    assert features.tf[rows, features.columns].tolist() == \
+        features.posting_tf.tolist()
+    assert np.count_nonzero(features.tf) == len(features.posting_tf)
 
 
 class TestInvariants:

@@ -11,6 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import frank.ranker
 from frank.errors import QueryError, RunFormatError
@@ -27,8 +28,10 @@ from frank.ranker import (FisTemplate, RankedEntries, RankedEntry,
                           score_fis)
 from frank.rules import parse_rule
 
-from oracles import (ReferenceCorpus, reference_rank_baseline,
-                     reference_rank_fis, reference_rfis_score)
+from oracles import (ReferenceCorpus, reference_dense_baseline,
+                     reference_dense_fis_inputs, reference_rank_baseline,
+                     reference_rank_fis, reference_ranking,
+                     reference_rfis_score)
 
 
 class TestInstantiate:
@@ -474,6 +477,28 @@ class TestColumnScoring:
             tracemalloc.stop()
         assert peak < 2 << 20
 
+    def test_long_baseline_query_memory_is_bounded(self):
+        """The baseline sums per posting and builds no terms x candidates
+        array: a query of the first 1000 of 3000 vocabulary words over 4000
+        documents peaks at 2.1 MiB, where the dense path took 66 MiB."""
+        rng = random.Random(11)
+        words = [f"w{i}" for i in range(3000)]
+        weights = [1 / rank for rank in range(1, 3001)]
+        index = build_index([
+            Document(f"d{i:04d}", " ".join(
+                rng.choices(words, weights, k=rng.randint(20, 80))))
+            for i in range(4000)
+        ])
+        query = " ".join(index.terms[:1000])
+        tracemalloc.start()
+        try:
+            ranked = score_baseline(index, query)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ranked.entries) == 1000
+        assert peak < 8 << 20
+
     def test_every_strength_row_count_is_evaluate_bit_for_bit(self):
         """Queries of t = 1..7 terms give each consequent set t + 1 strength
         rows under the default template: every sorting network of 2 to 6
@@ -594,6 +619,43 @@ class TestColumnScoring:
         assert score_fis(index20, TEMPLATES["min_max"],
                          "nosuchterm").entries == ()
         assert score_baseline(index20, "nosuchterm").entries == ()
+
+
+# a small vocabulary, so that documents repeat words and share them; "of"
+# and "x" are never tokens, so a document of them alone has none
+_WORDS = ("aa", "bb", "cc", "dd", "ee")
+
+
+@settings(max_examples=150, deadline=None)
+@given(texts=st.lists(st.lists(st.sampled_from(_WORDS + ("of", "x")),
+                               max_size=10), min_size=1, max_size=12),
+       query=st.lists(st.sampled_from(_WORDS + ("zz", "yy")), min_size=1,
+                      max_size=6),
+       k=st.integers(1, 14))
+@example(texts=[["aa", "bb", "aa"], [], ["bb", "cc"]], query=["zz", "yy"],
+         k=5)
+@example(texts=[["aa", "bb", "aa"], ["of", "x"], ["bb", "cc"], ["aa"]],
+         query=["bb", "zz", "aa", "bb"], k=2)
+def test_scorers_equal_the_dense_path_bit_for_bit(texts, query, k):
+    """Both scorers give the doc ids and score bytes of the dense terms x
+    candidates path (``tests/oracles.py``): the baseline its per-term
+    accumulation, the fuzzy ranker the paper's expansion on its features.
+    Queries repeat terms and hold absent ones, or only absent ones."""
+    index = build_index([Document(f"d{i}", " ".join(words))
+                         for i, words in enumerate(texts)])
+    text = " ".join(query)
+    ranked = score_baseline(index, text, k=k)
+    expected = reference_ranking(index, *reference_dense_baseline(index,
+                                                                  query), k)
+    assert (ranked.entries.doc_ids, ranked.entries.scores.tobytes()) == \
+        expected
+    template = default_template()
+    candidates, inputs = reference_dense_fis_inputs(index, query)
+    scores = (evaluate(instantiate_fis(template, len(set(query))), inputs)
+              if len(candidates) else np.zeros(0))
+    ranked = score_fis(index, template, text, k=k)
+    assert (ranked.entries.doc_ids, ranked.entries.scores.tobytes()) == \
+        reference_ranking(index, candidates, scores, k)
 
 
 class TestRankedListContract:
