@@ -13,8 +13,7 @@ from .evaluation import (MetricsReport, Qrels, RunFile, TopicMetrics,
                          parse_qrels, parse_run, precision_at_10, report_jsonl,
                          run_from_ranked)
 from .fis import (FisConfig, LinguisticVariable, aggregate, default_variable,
-                  defuzzify, evaluate, fire_rule, fuzzify, imply,
-                  rule_strengths)
+                  defuzzify, evaluate, fire_rule, fuzzify, imply)
 from .fisfile import (format_fis_config, format_template, load_fis_config,
                       load_template, parse_fis_config, parse_template)
 from .index import (Document, InvertedIndex, QueryFeatures, build_index,

@@ -22,7 +22,7 @@ from .errors import (FrankError, QueryError, RunFormatError, UsageError,
                      read_text, split_lines)
 from .evaluation import (evaluate_run, format_diff, format_report, format_run,
                          load_qrels, load_run, report_jsonl, run_from_ranked)
-from .fis import MAX_RESOLUTION, evaluate, rule_strengths
+from .fis import MAX_RESOLUTION, evaluate, fire_rule, fuzzify
 from .fisfile import load_fis_config, load_template
 from .index import (InvertedIndex, build_index, one_word, read_corpus_jsonl,
                     tokenize)
@@ -150,8 +150,9 @@ def cmd_fis_eval(args) -> int:
     if missing:
         raise UsageError(f"missing input value(s): {', '.join(missing)}")
     if args.verbose:
-        for number, (rule, strength) in enumerate(
-                zip(config.rules, rule_strengths(config, inputs)), start=1):
+        degrees = fuzzify(config, inputs)
+        for number, rule in enumerate(config.rules, start=1):
+            strength = fire_rule(rule, degrees, config.and_method)
             print(f"rule {number} strength {strength:.6f}  {print_rule(rule)}")
     print(f"crisp {evaluate(config, inputs):.6f}")
     return 0

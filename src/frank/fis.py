@@ -38,6 +38,7 @@ sorted order, to the same end.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -72,6 +73,15 @@ GRID_BLOCK_FLOATS = 1 << 16
 def _check_method(family: str, method: str) -> None:
     if method not in OPERATORS[family][1]:
         raise ConfigError(f"unknown {family} method {method!r}")
+
+
+def _check_samples(what: str, values: float | np.ndarray) -> None:
+    """The grid stages' domain: samples and strengths are finite and not
+    negative."""
+    if not np.isfinite(values).all():
+        raise ConfigError(f"{what} must be finite")
+    if np.less(values, 0).any():
+        raise ConfigError(f"{what} must be nonnegative")
 
 
 def _checked_universe(universe: tuple[float, float], owner: str = ""
@@ -283,14 +293,10 @@ def fuzzify(config: FisConfig, inputs: Mapping[str, float | np.ndarray]
     give columns, one row per row of the call.
     """
     degrees, rows = _degree_columns(config, inputs)
-    return {key: _per_row(column, rows) for key, column in degrees.items()}
-
-
-def _per_row(column: np.ndarray, rows: int | None) -> float | np.ndarray:
-    """A one-row column as a float, or ``column`` broadcast to ``rows``."""
     if rows is None:
-        return float(column[0])
-    return np.broadcast_to(column, (rows,)).copy()
+        return {key: float(column[0]) for key, column in degrees.items()}
+    return {key: np.broadcast_to(column, (rows,)).copy()
+            for key, column in degrees.items()}
 
 
 def fire_rule(rule: RuleAst,
@@ -322,8 +328,11 @@ def imply(consequent_samples: np.ndarray, strength: float | np.ndarray,
           implication: str = "prod") -> np.ndarray:
     """Reshape a sampled consequent: prod scales it, min truncates it.
     (sets x 1 x grid) consequents and (sets x rows x 1) strengths broadcast
-    to one implied set per set and row."""
+    to one implied set per set and row.  Both must be finite and not
+    negative, or :class:`ConfigError` is raised."""
     _check_method("implication", implication)
+    _check_samples("consequent samples", consequent_samples)
+    _check_samples("firing strengths", strength)
     if implication == "prod":
         return consequent_samples * strength
     return np.minimum(consequent_samples, strength)
@@ -335,11 +344,14 @@ def aggregate(implied_sets: Sequence[np.ndarray], aggregation: str = "sum"
 
     All sets must be sampled on the identical grid, as rows or (rows x
     grid) blocks, such as a (sets x rows x grid) array; blocks combine row by
-    row.  Sum output is not renormalized and may exceed 1.
+    row.  Sum output is not renormalized and may exceed 1.  Samples must be
+    finite and not negative, or :class:`ConfigError` is raised.
     """
     _check_method("aggregation", aggregation)
     if len(implied_sets) == 0:
         raise ConfigError("nothing to aggregate: no implied sets")
+    for samples in implied_sets:
+        _check_samples("implied samples", samples)
     if aggregation == "sum":
         combined = np.sum(np.asarray(implied_sets), axis=0)
     elif aggregation == "max":
@@ -368,21 +380,11 @@ def defuzzify(samples: np.ndarray, universe: tuple[float, float],
     An all-zero row has no area to locate; it falls back to the universe
     midpoint and emits a RuntimeWarning so tests can detect it.
     """
-    return _defuzzify(samples, universe, method, stacklevel=2)
-
-
-def _defuzzify(samples: np.ndarray, universe: tuple[float, float],
-               method: str, stacklevel: int) -> float | np.ndarray:
-    """:func:`defuzzify`, whose all-zero warning names the frame
-    ``stacklevel`` counts from this function's caller."""
     _check_method("defuzzification", method)
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim not in (1, 2) or samples.shape[-1] < 2:
         raise ConfigError("aggregate needs 1 or 2 axes of >= 2 samples")
-    if not np.isfinite(samples).all():
-        raise ConfigError("aggregate samples must be finite")
-    if (samples < 0).any():
-        raise ConfigError("aggregate samples must be nonnegative")
+    _check_samples("aggregate samples", samples)
     rows = np.atleast_2d(samples)
     lo, hi = _checked_universe(universe)
     grid = np.linspace(lo, hi, rows.shape[-1])
@@ -413,19 +415,8 @@ def _defuzzify(samples: np.ndarray, universe: tuple[float, float],
     empty = ~(rows > 0).any(axis=-1)
     if any((~np.isfinite(column) & ~empty).any() for column in sums):
         raise ConfigError(f"aggregate {method} sums overflow")
-    crisp = _midpoint_where_empty(crisp, empty, (lo, hi),
-                                  stacklevel=stacklevel + 1)
+    crisp = _midpoint_where_empty(crisp, empty, (lo, hi))
     return float(crisp[0]) if samples.ndim == 1 else crisp
-
-
-def rule_strengths(config: FisConfig,
-                   inputs: Mapping[str, float | np.ndarray]
-                   ) -> list[float | np.ndarray]:
-    """Firing strength of every rule, in rule order: a float per rule for
-    numbers, a column per rule for columns, as :func:`fuzzify` gives."""
-    memberships, rows = _degree_columns(config, inputs)
-    return [_per_row(fire_rule(rule, memberships, config.and_method), rows)
-            for rule in config.rules]
 
 
 def evaluate(config: FisConfig, inputs: Mapping[str, float | np.ndarray]
@@ -479,9 +470,9 @@ def _combine(config: FisConfig, rules: Sequence[RuleAst],
     for start in range(0, rows, step):
         implied = imply(consequents, strengths[:, start:start + step],
                         config.implication)
-        crisp[start:start + step] = _defuzzify(
+        crisp[start:start + step] = defuzzify(
             aggregate(implied, config.aggregation), config.output.universe,
-            config.defuzzification, stacklevel=3)
+            config.defuzzification)
     return crisp
 
 
@@ -532,18 +523,19 @@ def _centroid_by_moments(config: FisConfig, keys: Sequence[tuple[str, bool]],
     universe = config.output.universe
     with np.errstate(divide="ignore", invalid="ignore"):
         crisp = np.clip(numerator / denominator, *universe)
-    return _midpoint_where_empty(crisp, denominator == 0.0, universe,
-                                 stacklevel=4)
+    return _midpoint_where_empty(crisp, denominator == 0.0, universe)
 
 
 def _midpoint_where_empty(crisp: np.ndarray, empty: np.ndarray,
-                          universe: tuple[float, float],
-                          stacklevel: int) -> np.ndarray:
+                          universe: tuple[float, float]) -> np.ndarray:
     """``crisp`` with the universe midpoint in each ``empty`` (all-zero
-    aggregate) row, warning once if there is one; ``stacklevel`` counts from
-    this function's caller, as ``warnings.warn`` counts from its own."""
+    aggregate) row, warning once if there is one, at the nearest caller
+    outside this package, however many of its frames lie between."""
     if empty.any():
+        frame, level = sys._getframe(), 1
+        while frame.f_globals.get("__package__") == "frank":
+            frame, level = frame.f_back, level + 1
         warnings.warn("all-zero aggregate set; defuzzifying to the universe "
-                      "midpoint", RuntimeWarning, stacklevel=stacklevel + 1)
+                      "midpoint", RuntimeWarning, stacklevel=level)
     lo, hi = universe
     return np.where(empty, (lo + hi) / 2.0, crisp)

@@ -568,12 +568,12 @@ def extract_features(index: InvertedIndex,
     candidate) cell: each posting's normalized tf is one division, and the
     overlap one ``np.bincount`` of the columns, since a token's postings
     name a document at most once.  Distinct query tokens (first-occurrence
-    order) set the overlap denominator; duplicates are collapsed.  A
-    document holding no query token is not a candidate: all its features
-    are 0.
+    order) set the overlap denominator; duplicates are collapsed, and no
+    token at all raises :class:`QueryError`.  A document holding no query
+    token is not a candidate: all its features are 0.
     """
     if not query_tokens:
-        raise QueryError("no query tokens")
+        raise QueryError("query is empty after tokenization")
     distinct = list(dict.fromkeys(query_tokens))
     pairs = [index._pairs(token) for token in distinct]
     ordinals, frequencies = np.concatenate(pairs).T

@@ -13,13 +13,13 @@ A piecewise-linear curve is sampled as clipped ramps: the rise (x - a) /
 (b - a) and the fall (d - x) / (d - c), the degree the smaller of the two
 clipped to [0, 1].  A degenerate edge (a == b, or c == d) is a step instead:
 the peak or shoulder value still evaluates to 1, points strictly on the
-collapsed side evaluate to 0.  Such a curve gives a NaN point degree 0, and
-a signed zero such as (d - x) = -0.0 degree 0.0, so it never prints
-``-0.000000``.  Where x - inflection overflows, a sigmoid takes slope * x -
-slope * inflection, so a small slope keeps the true degree there.  An edge's
-span (b - a, d - c) and a Gaussian's 2 sigma^2 must be finite and the latter
-nonzero, so every curve that constructs gives a degree in [0, 1] at every
-finite point.
+collapsed side evaluate to 0.  Such a curve gives a signed zero such as
+(d - x) = -0.0 degree 0.0, so it never prints ``-0.000000``.  Where x -
+inflection overflows, a sigmoid takes slope * x - slope * inflection, so a
+small slope keeps the true degree there.  An edge's span (b - a, d - c) and
+a Gaussian's 2 sigma^2 must be finite and the latter nonzero, so every curve
+that constructs gives a degree in [0, 1] at every finite point and at
++-inf, and degree 0 at a NaN point, whatever its kind.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-
-KINDS = ("triangular", "trapezoidal", "gaussian", "sigmoid")
 
 _PARAM_COUNT = {"triangular": 3, "trapezoidal": 4, "gaussian": 2, "sigmoid": 2}
 _ORDER = {"triangular": "a <= b <= c", "trapezoidal": "a <= b <= c <= d"}
@@ -120,10 +118,11 @@ class MembershipFunction:
                 return y
             if self.kind == "gaussian":
                 sigma, mean = self.params
-                return np.exp(-((xs - mean) ** 2) / (2.0 * sigma * sigma))
+                y = np.exp(-((xs - mean) ** 2) / (2.0 * sigma * sigma))
+                return np.fmax(y, 0.0)  # 0, not NaN, at a NaN point
             slope, inflection = self.params
             if not slope:  # flat at 1/2, even where x - inflection is inf
-                return np.full_like(xs, 0.5)
+                return np.where(np.isnan(xs), 0.0, 0.5)
             offset = xs - inflection
             # where a finite x is so far from the inflection that x -
             # inflection overflows, the two have opposite signs, so slope *
@@ -133,4 +132,4 @@ class MembershipFunction:
                 z = np.where(np.isinf(offset) & np.isfinite(xs),
                              slope * xs - slope * inflection, slope * offset)
         z = np.clip(z, -_EXP_CLAMP, _EXP_CLAMP)
-        return 1.0 / (1.0 + np.exp(-z))
+        return np.fmax(1.0 / (1.0 + np.exp(-z)), 0.0)  # 0 at a NaN point

@@ -283,15 +283,11 @@ class RankedList:
         object.__setattr__(self, "entries", RankedEntries(doc_ids, scores))
 
 
-def _distinct_query_terms(query_text: str, k: int) -> list[str]:
-    """The query's distinct terms in query order, once it and the cutoff
-    ``k`` are checked."""
+def _query_tokens(query_text: str, k: int) -> list[str]:
+    """The query's tokens, once the cutoff ``k`` is checked."""
     if k < 1:  # [:k] would count from the end
         raise QueryError(f"k must be >= 1, got {k}")
-    tokens = tokenize(query_text)
-    if not tokens:
-        raise QueryError("query is empty after tokenization")
-    return list(dict.fromkeys(tokens))
+    return tokenize(query_text)
 
 
 # a name of its own only so that perfbench's traced run can count candidates
@@ -319,9 +315,8 @@ def score_fis(index: InvertedIndex, template: FisTemplate, query_text: str,
     as a terms x 1 column and overlap as one row; each score equals
     ``evaluate(instantiate_fis(template, t), ...)`` bit for bit.
     """
-    terms = _distinct_query_terms(query_text, k)
-    rules = template.query_rules(len(terms))
-    features = extract_features(index, terms)
+    features = extract_features(index, _query_tokens(query_text, k))
+    rules = template.query_rules(len(features.terms))
     candidates = _candidates(features)
     # the placeholders share one prototype, so one pass fuzzifies them all
     t, n = features.tf.shape
@@ -359,8 +354,7 @@ def score_baseline(index: InvertedIndex, query_text: str,
     leaves a sum of non-negative terms unchanged, so the scores are those
     of adding every term's tf row in turn, bit for bit.
     """
-    terms = _distinct_query_terms(query_text, k)
-    features = extract_features(index, terms)
+    features = extract_features(index, _query_tokens(query_text, k))
     candidates = _candidates(features)
     idf_values = features.idf_raw
     norm_sq = sum(v * v for v in idf_values)

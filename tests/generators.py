@@ -9,12 +9,12 @@ from frank.fis import (AGGREGATIONS, AND_METHODS, DEFUZZIFICATIONS,
 from frank.membership import MembershipFunction
 from frank.rules import RuleAst, RuleClause
 
-_KINDS = ("triangular", "trapezoidal", "gaussian", "sigmoid")
+KINDS = ("triangular", "trapezoidal", "gaussian", "sigmoid")
 
 
 def random_mf(rng: np.random.Generator, lo: float, hi: float,
               kind: str | None = None) -> MembershipFunction:
-    kind = kind or _KINDS[rng.integers(len(_KINDS))]
+    kind = kind or KINDS[rng.integers(len(KINDS))]
     if kind == "triangular":
         a, b, c = sorted(rng.uniform(lo, hi, 3))
         return MembershipFunction.triangular(a, b, c)

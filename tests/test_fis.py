@@ -20,7 +20,7 @@ from frank.errors import ConfigError
 from frank.fis import (AGGREGATIONS, DEFUZZIFICATIONS, IMPLICATIONS,
                        OPERATORS, FisConfig, LinguisticVariable, aggregate,
                        default_variable, defuzzify, evaluate, fire_rule,
-                       fuzzify, imply, rule_strengths)
+                       fuzzify, imply)
 from frank.fis import _combine, _sorted_rows
 from frank.membership import MembershipFunction
 from frank.rules import parse_rule
@@ -43,6 +43,14 @@ def two_input_config(resolution=1001, **overrides):
     )
     settings.update(overrides)
     return FisConfig(**settings)
+
+
+def fired_strengths(config, inputs):
+    """Each rule's firing strength, in rule order, over the degrees of
+    ``fuzzify``: floats for numbers, columns for columns."""
+    degrees = fuzzify(config, inputs)
+    return [fire_rule(rule, degrees, config.and_method)
+            for rule in config.rules]
 
 
 def default_rfis_config(t, resolution=1001):
@@ -309,6 +317,46 @@ class TestStageChecks:
         assert str(excinfo.value) == ("variable 'x': universe requires "
                                       "lo < hi and a finite hi - lo, got "
                                       "(1.0, 0.0)")
+
+    @pytest.mark.parametrize("call, problem", [
+        (lambda m: imply(RISING, math.nan, m), "strengths must be finite"),
+        (lambda m: imply(RISING, math.inf, m), "strengths must be finite"),
+        (lambda m: imply(RISING, -1.0, m), "firing strengths must be nonneg"),
+        (lambda m: imply(RISING, np.array([[0.5], [-1e-300]]), m),
+         "firing strengths must be nonneg"),
+        (lambda m: imply(np.array([0.5, math.nan]), 1.0, m),
+         "consequent samples must be finite"),
+        (lambda m: imply(RISING - 0.5, 1.0, m),
+         "consequent samples must be nonneg"),
+    ], ids=["nan-strength", "inf-strength", "negative-strength",
+            "negative-in-block", "nan-sample", "negative-sample"])
+    @pytest.mark.parametrize("method", IMPLICATIONS)
+    def test_imply_rejects_nan_inf_and_negative_input(self, call, problem,
+                                                      method):
+        """Samples and strengths are finite and not negative, as for
+        defuzzify: no NaN or negative implied set, and no numpy warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=problem):
+                call(method)
+            assert imply(RISING, -0.0, method).tolist() == (
+                imply(RISING, 0.0, method).tolist())
+
+    @pytest.mark.parametrize("implied_sets, problem", [
+        ([np.array([0.0, math.nan])], "must be finite"),
+        ([RISING, np.where(RISING > 0.5, math.nan, RISING)], "must be finite"),
+        ([RISING, np.full(11, math.inf)], "must be finite"),
+        ([RISING, RISING - 0.5], "must be nonnegative"),
+        (np.array([[[0.2, 0.1]], [[0.5, -0.5]]]), "must be nonnegative"),
+    ], ids=["nan", "nan-in-second", "inf", "negative", "negative-in-block"])
+    @pytest.mark.parametrize("method", AGGREGATIONS)
+    def test_aggregate_rejects_nan_inf_and_negative_input(self, implied_sets,
+                                                          problem, method):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError,
+                               match=f"implied samples {problem}"):
+                aggregate(implied_sets, method)
 
     @pytest.mark.parametrize("implication", ["prod", "min"],
                              ids=["moment path", "grid path"])
@@ -592,7 +640,7 @@ class TestEvaluate:
 
     def test_strengths_listed_in_rule_order(self):
         config = two_input_config()
-        strengths = rule_strengths(config, {"tf": 0.7, "idf": 0.6})
+        strengths = fired_strengths(config, {"tf": 0.7, "idf": 0.6})
         assert strengths[0] == 0.42
         assert strengths[1] == pytest.approx(0.3 * 0.4)
 
@@ -678,7 +726,7 @@ class TestColumns:
             warnings.simplefilter("ignore", RuntimeWarning)
             crisp = evaluate(config, inputs)
         degrees = fuzzify(config, inputs)
-        strengths = rule_strengths(config, inputs)
+        strengths = fired_strengths(config, inputs)
         assert len(degrees) == 4 and len(strengths) == len(config.rules)
         if isinstance(crisp, float):
             assert all(type(value) is float
@@ -694,11 +742,11 @@ class TestColumns:
             assert {key: column[row] for key, column in degrees.items()} == (
                 fuzzify(config, scalar))
             assert [column[row] for column in strengths] == (
-                rule_strengths(config, scalar))
+                fired_strengths(config, scalar))
 
     def test_strengths_keep_every_row(self):
         config = two_input_config()
-        strengths = rule_strengths(
+        strengths = fired_strengths(
             config, {"tf": np.array([0.1, 0.9]), "idf": 0.5})
         assert [column.tolist() for column in strengths] == [
             [0.1 * 0.5, 0.9 * 0.5], [(1.0 - 0.1) * 0.5, (1.0 - 0.9) * 0.5]]

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frank.errors import ConfigError
-from frank.membership import KINDS, MembershipFunction
+from frank.membership import MembershipFunction
 
-from generators import random_mf
+from generators import KINDS, random_mf
 from oracles import reference_sample
 
 
@@ -234,6 +234,29 @@ def _near_corners(corners) -> list[float]:
 
 _SPECIAL_POINTS = [0.0, -0.0, math.nan, math.inf, -math.inf, 1e308, -1e308,
                    5e-324, -5e-324]
+
+
+@pytest.mark.parametrize("mf, at_inf, at_minus_inf", [
+    (MembershipFunction.gaussian(0.1, 0.5), 0.0, 0.0),
+    (MembershipFunction.sigmoid(2.0, 0.5), 1.0, 0.0),
+    (MembershipFunction.sigmoid(-3.0, 0.0), 0.0, 1.0),
+    (MembershipFunction.sigmoid(0.0, 0.5), 0.5, 0.5),
+], ids=["gaussian", "rising-sigmoid", "falling-sigmoid", "flat-sigmoid"])
+def test_smooth_curve_at_special_points(mf, at_inf, at_minus_inf):
+    """As a ramp does, a Gaussian or a sigmoid, a flat one included, gives a
+    NaN point degree 0, +-inf its limits and every special point a degree
+    in [0, 1], with no numpy warning, in a column or one point at a time."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sampled = mf.sample(np.array(_SPECIAL_POINTS))
+        one_by_one = [mf.evaluate(x) for x in _SPECIAL_POINTS]
+    np.testing.assert_allclose(one_by_one, sampled, rtol=1e-14, atol=0)
+    nan, inf, minus_inf = sampled[2:5]  # as _SPECIAL_POINTS lists them
+    assert nan == 0.0
+    # a saturated sigmoid stops at 1 / (1 + e^700), not at 0
+    assert inf == pytest.approx(at_inf, abs=1e-300)
+    assert minus_inf == pytest.approx(at_minus_inf, abs=1e-300)
+    assert np.all((sampled >= 0.0) & (sampled <= 1.0))
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)

@@ -26,6 +26,7 @@ REMOVED = {
     "diff_runs": (frank, frank.evaluation),
     "MetricsDiff": (frank, frank.evaluation),
     "RankedEntries.ranks": (RankedEntries, RankedEntries((), np.array([]))),
+    "rule_strengths": (frank, frank.fis),
 }
 
 # function -> the parameters it no longer takes
