@@ -239,15 +239,6 @@ class FisConfig:
         }
 
 
-def _memberships(variable: LinguisticVariable, values: np.ndarray
-                 ) -> dict[tuple[str, str], np.ndarray]:
-    """Degrees of ``values``, clamped to the variable's universe, in each of
-    its sets, keyed (variable name, label) and shaped like ``values``."""
-    x = np.clip(values, *variable.universe)
-    return {(variable.name, label): mf.sample(x)
-            for label, mf in variable.sets.items()}
-
-
 def _degree_columns(config: FisConfig,
                     inputs: Mapping[str, float | np.ndarray]
                     ) -> tuple[dict[tuple[str, str], np.ndarray], int | None]:
@@ -279,7 +270,9 @@ def _degree_columns(config: FisConfig,
             raise ConfigError(
                 f"input variable {variable.name!r} is not a finite number"
             )
-        degrees.update(_memberships(variable, np.atleast_1d(value)))
+        x = np.clip(np.atleast_1d(value), *variable.universe)
+        degrees.update(((variable.name, label), mf.sample(x))
+                       for label, mf in variable.sets.items())
     return degrees, (shape[0] if shape else None)
 
 
@@ -329,13 +322,18 @@ def imply(consequent_samples: np.ndarray, strength: float | np.ndarray,
     """Reshape a sampled consequent: prod scales it, min truncates it.
     (sets x 1 x grid) consequents and (sets x rows x 1) strengths broadcast
     to one implied set per set and row.  Both must be finite and not
-    negative, or :class:`ConfigError` is raised."""
+    negative, and a prod must not overflow, or :class:`ConfigError` is
+    raised."""
     _check_method("implication", implication)
     _check_samples("consequent samples", consequent_samples)
     _check_samples("firing strengths", strength)
-    if implication == "prod":
-        return consequent_samples * strength
-    return np.minimum(consequent_samples, strength)
+    if implication == "min":
+        return np.minimum(consequent_samples, strength)
+    with np.errstate(over="ignore"):
+        implied = consequent_samples * strength
+    if not np.isfinite(implied).all():
+        raise ConfigError("implied samples overflow")
+    return implied
 
 
 def aggregate(implied_sets: Sequence[np.ndarray], aggregation: str = "sum"
@@ -345,15 +343,23 @@ def aggregate(implied_sets: Sequence[np.ndarray], aggregation: str = "sum"
     All sets must be sampled on the identical grid, as rows or (rows x
     grid) blocks, such as a (sets x rows x grid) array; blocks combine row by
     row.  Sum output is not renormalized and may exceed 1.  Samples must be
-    finite and not negative, or :class:`ConfigError` is raised.
+    finite and not negative, at most 1 under probor (a degree, so that the
+    output is one too), and a sum must not overflow, or
+    :class:`ConfigError` is raised.
     """
     _check_method("aggregation", aggregation)
     if len(implied_sets) == 0:
         raise ConfigError("nothing to aggregate: no implied sets")
     for samples in implied_sets:
         _check_samples("implied samples", samples)
+        if aggregation == "probor" and np.greater(samples, 1.0).any():
+            raise ConfigError("implied samples must be at most 1 under "
+                              "probor aggregation")
     if aggregation == "sum":
-        combined = np.sum(np.asarray(implied_sets), axis=0)
+        with np.errstate(over="ignore"):
+            combined = np.sum(np.asarray(implied_sets), axis=0)
+        if not np.isfinite(combined).all():
+            raise ConfigError("aggregate sum overflows")
     elif aggregation == "max":
         combined = implied_sets[0]
         for samples in implied_sets[1:]:
@@ -387,13 +393,16 @@ def defuzzify(samples: np.ndarray, universe: tuple[float, float],
     _check_samples("aggregate samples", samples)
     rows = np.atleast_2d(samples)
     lo, hi = _checked_universe(universe)
-    grid = np.linspace(lo, hi, rows.shape[-1])
-    # finite samples can still have sums that overflow to inf or NaN
+    # finite samples can still have sums that overflow to inf or NaN, and
+    # linspace's steps times their count can overflow before its last point
+    # is set to hi
     with np.errstate(over="ignore", invalid="ignore"):
+        grid = np.linspace(lo, hi, rows.shape[-1])
         if method == "centroid":
             moment = np.sum(grid * rows, axis=-1)
             area = np.sum(rows, axis=-1)
-            crisp = moment / area
+            # the quotient can round, or a moment underflow, past the grid
+            crisp = np.clip(moment / area, lo, hi)
             sums = [moment, area]
         elif method == "bisector":
             # the sums never fall: this count is where searchsorted puts half
@@ -434,32 +443,42 @@ def evaluate(config: FisConfig, inputs: Mapping[str, float | np.ndarray]
     memberships, rows = _degree_columns(config, inputs)
     strengths = [fire_rule(rule, memberships, config.and_method)
                  for rule in config.rules]
-    crisp = _combine(config, config.rules, strengths,
+    crisp = _combine(config, *_consequent_slots(config.rules), strengths,
                      1 if rows is None else rows)
     return float(crisp[0]) if rows is None else crisp
 
 
-def _combine(config: FisConfig, rules: Sequence[RuleAst],
-             strengths: Sequence[np.ndarray], rows: int) -> np.ndarray:
+def _consequent_slots(rules: Sequence[RuleAst]
+                      ) -> tuple[list[tuple[str, bool]], list[int]]:
+    """The rules' consequent sets in canonical order, (label, negated)
+    sorted, and the position of each rule's set in that order."""
+    consequents = [(rule.consequent.label, rule.consequent.negated)
+                   for rule in rules]
+    keys = sorted(set(consequents))
+    return keys, [keys.index(key) for key in consequents]
+
+
+def _combine(config: FisConfig, keys: Sequence[tuple[str, bool]],
+             slots: Sequence[int], strengths: Sequence[np.ndarray],
+             rows: int) -> np.ndarray:
     """The crisp output of each of ``rows`` rows under ``config``'s
     operators, from each rule's strengths: a 1-D column (one implied set per
     row) or a 2-D block (one implied set per block row), broadcast to
-    ``rows``.
+    ``rows``.  Rule j implies consequent set ``keys[slots[j]]``, as
+    :func:`_consequent_slots` gives them.
 
     Implied sets are put in canonical order once, for either path: sets
     sorted by (label, negated), strengths ascending within a set, per row.
     A set's strength rows are sorted by a network of whole-row
     ``np.minimum``/``np.maximum`` up to six rows, by ``np.sort`` above.
     """
-    groups: dict[tuple[str, bool], list[np.ndarray]] = {}
-    for rule, strength in zip(rules, strengths):
+    groups: list[list[np.ndarray]] = [[] for _ in keys]
+    for slot, strength in zip(slots, strengths):
         shape = np.shape(strength)
         if shape[-1:] != (rows,):
             strength = np.broadcast_to(strength, shape[:-1] + (rows,))
-        groups.setdefault((rule.consequent.label, rule.consequent.negated),
-                          []).extend(np.atleast_2d(strength))
-    keys = sorted(groups)
-    ordered = [_sorted_rows(groups[key]) for key in keys]
+        groups[slot].extend(np.atleast_2d(strength))
+    ordered = [_sorted_rows(group) for group in groups]
     if config.has_moment_form:
         return _centroid_by_moments(config, keys, ordered)
     consequents = np.array([config.consequent_samples[key] for key, block

@@ -7,12 +7,14 @@ the placeholder inputs ``tf``, ``idf`` and ``overlap``, plus
 distinct query term (weighted 1/t for t terms) and the ``overlap`` rules
 are weighted a further ``overlap_weight_ratio`` (default 1/6) below that,
 because overlap evidence is already partly carried by every per-term rule.
-:func:`score_fis` instead fuzzifies the query's tf, idf and overlap
-columns in one pass over the placeholders' shared prototype, and fires the
-template's own rules once on the query's t x n feature block, so a rule's t
-clones are t rows of its strengths; it equals
+:func:`score_fis` instead fuzzifies per posting: one column of the
+postings' tf, the tf 0 of absent cells, idf and overlap, sampled once in
+each set of the placeholders' shared prototype that some rule reads.  It
+fires the template's own rules once on the query's t x n feature blocks,
+so a rule's t clones are t rows of its strengths; it equals
 ``evaluate(instantiate_fis(...), ...)`` bit for bit.  The numpy calls per
-query do not grow with the number of terms or placeholders.
+query do not grow with the number of terms or placeholders, and the rules
+for t terms are planned once per template.
 
 Both scorers read their candidates and features from one
 :func:`extract_features` call per query, which reads each query term's
@@ -22,7 +24,7 @@ works on the postings alone: one weighted ``np.bincount`` adds each
 posting's (tf * idf_raw) * length_norm to its candidate from +0.0, in
 query-term order, so its sums are those of adding one dense tf row per
 term, bit for bit (the absent cells would add +0.0), with no terms x
-candidates array.  Only :func:`score_fis` reads the dense ``tf``.  Both
+candidates array.  Neither reads the dense ``QueryFeatures.tf``.  Both
 rank in one order: descending score, ties broken by ascending doc_id.
 
 A :class:`RankedList`'s ``entries`` is a :class:`RankedEntries`: a
@@ -39,7 +41,7 @@ import dataclasses
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count
 from typing import Iterable, NamedTuple
@@ -48,7 +50,7 @@ import numpy as np
 
 from .errors import ConfigError, QueryError, RunFormatError
 # ``evaluate`` is unused here; perfbench's traced run patches it by this name
-from .fis import (FisConfig, LinguisticVariable, _combine, _memberships,
+from .fis import (FisConfig, LinguisticVariable, _combine, _consequent_slots,
                   default_variable, evaluate, fire_rule)  # noqa: F401
 from .index import (InvertedIndex, QueryFeatures, extract_features,
                     one_word, tokenize)
@@ -78,6 +80,17 @@ def _check_ratio(overlap_weight_ratio: float) -> None:
         raise ConfigError("overlap_weight_ratio must be positive")
 
 
+class _RulePlan(NamedTuple):
+    """What :func:`score_fis` needs of a template for one term count t:
+    ``query_rules(t)``, the labels of the prototype sets that some rule
+    reads, in prototype order, and the rules' ``_consequent_slots``."""
+
+    rules: tuple[RuleAst, ...]
+    labels: tuple[str, ...]
+    keys: list[tuple[str, bool]]
+    slots: list[int]
+
+
 @dataclass(frozen=True)
 class FisTemplate:
     """Per-query blueprint for the fuzzy ranker.
@@ -93,6 +106,11 @@ class FisTemplate:
 
     config: FisConfig
     overlap_weight_ratio: float = DEFAULT_OVERLAP_WEIGHT_RATIO
+    # one plan per distinct term count, stored by a single assignment, so a
+    # concurrent reader sees a whole plan or none and a duplicate build is
+    # an equal plan
+    _plans: dict[int, _RulePlan] = field(default_factory=dict, init=False,
+                                         repr=False, compare=False)
 
     def __post_init__(self):
         _check_placeholder_names(v.name for v in self.config.inputs)
@@ -151,6 +169,20 @@ class FisTemplate:
                     rule.weight * term_weight * self.overlap_weight_ratio)
             for rule in self.global_rules
         )
+
+    def _plan(self, t: int) -> _RulePlan:
+        """The rules, read sets and consequent slots of a ``t``-term query,
+        built on the first query with ``t`` terms."""
+        plan = self._plans.get(t)
+        if plan is None:
+            rules = self.query_rules(t)
+            read = {clause.label for rule in rules
+                    for clause in rule.antecedent}
+            labels = tuple(label for label in self.variable_prototype.sets
+                           if label in read)
+            plan = _RulePlan(rules, labels, *_consequent_slots(rules))
+            self._plans[t] = plan
+        return plan
 
 
 def default_template() -> FisTemplate:
@@ -309,29 +341,41 @@ def score_fis(index: InvertedIndex, template: FisTemplate, query_text: str,
 
     Per candidate, the inputs are normalized tf and idf per distinct query term
     (tf 0 for terms the document lacks, idf 0 for terms the corpus lacks)
-    plus the overlap fraction.  All of them are fuzzified in one pass over
-    the placeholders' shared prototype.  The template's rules, at their
-    per-query weights, fire once on tf as a terms x candidates matrix, idf
-    as a terms x 1 column and overlap as one row; each score equals
+    plus the overlap fraction.  They are fuzzified per posting, not per
+    (term, candidate) cell: one column holds each posting's tf, then the tf
+    0 of every cell whose document lacks the term, then idf and overlap, and
+    is sampled once in each prototype set that some rule reads (under the
+    default template, ``high`` alone; a negated clause reads its set as 1 -
+    degree).  Each set's terms x candidates tf block is that degree at 0,
+    overwritten by each posting's degree in its cell.  The template's rules,
+    at their per-query weights, fire once on the tf blocks, idf as a terms x
+    1 column and overlap as one row; each score equals
     ``evaluate(instantiate_fis(template, t), ...)`` bit for bit.
     """
     features = extract_features(index, _query_tokens(query_text, k))
-    rules = template.query_rules(len(features.terms))
+    t = len(features.terms)
+    plan = template._plan(t)
     candidates = _candidates(features)
-    # the placeholders share one prototype, so one pass fuzzifies them all
-    t, n = features.tf.shape
-    values = np.concatenate((features.tf.ravel(), features.idf,
-                             features.overlap))
+    n, postings = len(candidates), len(features.posting_tf)
+    prototype = template.variable_prototype
+    # the placeholders share one prototype, so one column fuzzifies them all
+    values = np.clip(np.concatenate((features.posting_tf, [0.0],
+                                     features.idf, features.overlap)),
+                     *prototype.universe)
+    cells = np.repeat(np.arange(t), features.dfs), features.columns
     memberships = {}
-    for (_, label), degrees in _memberships(template.variable_prototype,
-                                            values).items():
-        memberships["tf", label] = degrees[:t * n].reshape(t, n)
-        memberships["idf", label] = degrees[t * n:t * n + t, None]
-        memberships["overlap", label] = degrees[t * n + t:]
+    for label in plan.labels:
+        degrees = prototype.sets[label].sample(values)
+        tf = np.full((t, n), degrees[postings])
+        tf[cells] = degrees[:postings]
+        memberships["tf", label] = tf
+        memberships["idf", label] = degrees[postings + 1:postings + 1 + t,
+                                            None]
+        memberships["overlap", label] = degrees[postings + 1 + t:]
     config = template.config
     strengths = [fire_rule(rule, memberships, config.and_method)
-                 for rule in rules]
-    scores = _combine(config, rules, strengths, len(candidates))
+                 for rule in plan.rules]
+    scores = _combine(config, plan.keys, plan.slots, strengths, n)
     return _to_ranked_list(index, query_id, candidates, scores, k)
 
 

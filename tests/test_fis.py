@@ -21,7 +21,7 @@ from frank.fis import (AGGREGATIONS, DEFUZZIFICATIONS, IMPLICATIONS,
                        OPERATORS, FisConfig, LinguisticVariable, aggregate,
                        default_variable, defuzzify, evaluate, fire_rule,
                        fuzzify, imply)
-from frank.fis import _combine, _sorted_rows
+from frank.fis import _combine, _consequent_slots, _sorted_rows
 from frank.membership import MembershipFunction
 from frank.rules import parse_rule
 
@@ -357,6 +357,37 @@ class TestStageChecks:
             with pytest.raises(ConfigError,
                                match=f"implied samples {problem}"):
                 aggregate(implied_sets, method)
+
+    @pytest.mark.parametrize("call, problem", [
+        (lambda: aggregate([np.array([3.0, 0.5])] * 2, "probor"),
+         "implied samples must be at most 1 under probor"),
+        (lambda: aggregate([RISING, np.nextafter(RISING, 2.0)], "probor"),
+         "implied samples must be at most 1 under probor"),
+        (lambda: imply(np.array([1e200, 0.5]), 1e200, "prod"),
+         "implied samples overflow"),
+        (lambda: imply(RISING[None, None, :] * 1e300,
+                       np.array([[[0.5]], [[1e10]]]), "prod"),
+         "implied samples overflow"),
+        (lambda: aggregate([np.array([1e308, 0.5])] * 2, "sum"),
+         "aggregate sum overflows"),
+    ], ids=["probor-above-1", "probor-next-above-1", "imply-overflow",
+            "imply-overflow-in-block", "sum-overflow"])
+    def test_out_of_range_results_raise_at_their_stage(self, call, problem):
+        """A stage whose result would leave its range raises itself, with
+        no numpy warning, instead of passing the fault to a later stage."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=problem):
+                call()
+
+    def test_only_probor_bounds_its_samples(self):
+        assert aggregate([np.array([1.0, 0.5])] * 2, "probor").tolist() == \
+            [1.0, 0.75]
+        for method in ("sum", "max"):
+            assert aggregate([np.array([3.0, 0.5])], method).tolist() == \
+                [3.0, 0.5]
+        assert imply(np.array([1e200, 0.5]), 1e200, "min").tolist() == \
+            [1e200, 0.5]
 
     @pytest.mark.parametrize("implication", ["prod", "min"],
                              ids=["moment path", "grid path"])
@@ -873,6 +904,7 @@ class TestSortedRows:
                                     size=(len(picked), 7))
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", RuntimeWarning)
-                    assert (_combine(config, picked, list(signed), 7).tobytes()
-                            == _combine(config, picked, list(signed + 0.0),
+                    slots = _consequent_slots(picked)
+                    assert (_combine(config, *slots, list(signed), 7).tobytes()
+                            == _combine(config, *slots, list(signed + 0.0),
                                         7).tobytes()), combo

@@ -19,7 +19,7 @@ from frank.evaluation import RunFile, format_run, parse_run, run_from_ranked
 from frank.fis import (AGGREGATIONS, AND_METHODS, DEFUZZIFICATIONS,
                        IMPLICATIONS, FisConfig, LinguisticVariable, aggregate,
                        defuzzify, evaluate, fire_rule, fuzzify, imply)
-from frank.index import (Document, InvertedIndex, build_index,
+from frank.index import (Document, InvertedIndex, QueryFeatures, build_index,
                          extract_features, idf_raw, read_corpus_jsonl,
                          tokenize)
 from frank.membership import MembershipFunction
@@ -348,11 +348,15 @@ def random_index():
     ])
 
 
-def template_variant(rules=None, ratio=None, **operators):
-    """The default template with other operators, rules or overlap ratio."""
+def template_variant(rules=None, ratio=None, prototype=None, **operators):
+    """The default template with other operators, rules, overlap ratio or
+    placeholder prototype (a universe and its sets)."""
     base = default_template()
+    inputs = base.config.inputs if prototype is None else tuple(
+        LinguisticVariable(name, *prototype) for name in ("tf", "idf",
+                                                          "overlap"))
     config = dataclasses.replace(
-        base.config, **operators,
+        base.config, **operators, inputs=inputs,
         rules=base.config.rules if rules is None else
         tuple(parse_rule(rule) for rule in rules))
     return FisTemplate(config, base.overlap_weight_ratio
@@ -360,7 +364,11 @@ def template_variant(rules=None, ratio=None, **operators):
 
 
 # the moment path, the grid path under non-default operators, and weights
-# that are not 1, on rules over tf alone and idf alone too
+# that are not 1, on rules over tf alone and idf alone too; rules that read
+# the not_high set by name, where tf 0 has degree 1; smooth sets, where its
+# degree lies strictly between 0 and 1 (and np.exp sees each value at
+# another position than on the dense path); a universe narrower than [0,
+# 1], which clamps tf 0 and tf 1; and rules that never read tf
 TEMPLATES = {
     "default": default_template(),
     "min_max": template_variant(implication="min", aggregation="max"),
@@ -374,6 +382,30 @@ TEMPLATES = {
         "if (idf is not high) -> (relevance is not high) weight 0.3",
         "if (overlap is high) -> (relevance is high) weight 0.7",
         "if (overlap is not high) -> (relevance is not high) weight 0.3",
+    )),
+    "not_high_set": template_variant(rules=(
+        "if (tf is high) and (idf is high) -> (relevance is high)",
+        "if (tf is not_high) and (idf is not_high) -> (relevance is not_high)",
+        "if (tf is not not_high) -> (relevance is high) weight 0.5",
+        "if (overlap is not_high) -> (relevance is not_high)",
+    )),
+    "smooth": template_variant(prototype=((0.0, 1.0), {
+        "high": MembershipFunction.sigmoid(9.0, 0.55),
+        "low": MembershipFunction.gaussian(0.3, 0.1),
+    }), rules=(
+        "if (tf is high) and (idf is high) -> (relevance is high)",
+        "if (tf is low) and (idf is not high) -> (relevance is not high)",
+        "if (overlap is high) -> (relevance is high)",
+        "if (overlap is low) -> (relevance is not high)",
+    )),
+    "narrow": template_variant(prototype=((0.2, 0.7), {
+        "high": MembershipFunction.triangular(0.2, 0.7, 0.7),
+        "not_high": MembershipFunction.triangular(0.2, 0.2, 0.7),
+    })),
+    "idf_only": template_variant(rules=(
+        "if (idf is high) -> (relevance is high)",
+        "if (idf is not high) -> (relevance is not high) weight 0.4",
+        "if (overlap is high) -> (relevance is high)",
     )),
 }
 
@@ -573,12 +605,17 @@ class TestColumnScoring:
         assert score_fis(index20, template, query) == want
         assert built == []
 
+    @pytest.mark.parametrize("name, read", [
+        ("default", ["high"]), ("not_high_set", ["high", "not_high"]),
+        ("idf_only", ["high"])], ids=["default", "not_high_set", "idf_only"])
     @pytest.mark.parametrize("query, t", [
         ("ice", 1), ("river flood levee ice water", 5)], ids=["t1", "t5"])
-    def test_fuzzifies_once_per_prototype_set(self, index20, template,
-                                              monkeypatch, query, t):
+    def test_fuzzifies_once_per_prototype_set(self, index20, monkeypatch,
+                                              query, t, name, read):
         """tf, idf and overlap share one prototype, so a query samples each
-        of its sets once, whatever the number of terms."""
+        set that some rule reads once, whatever the number of terms, and no
+        other set: a negated clause reads its set as 1 - degree."""
+        template = TEMPLATES[name]
         want = score_fis(index20, template, query)  # caches output samples
         sampled = []
         original = MembershipFunction.sample
@@ -590,8 +627,37 @@ class TestColumnScoring:
         monkeypatch.setattr(MembershipFunction, "sample", counting)
         assert score_fis(index20, template, query) == want
         assert len(set(tokenize(query))) == t
-        assert sampled == list(template.variable_prototype.sets.values())
-        assert len(sampled) == 2
+        sets = template.variable_prototype.sets
+        assert sampled == [sets[label] for label in read]
+
+    def test_never_reads_the_dense_tf(self, index20, monkeypatch):
+        """The tf blocks are built from the postings, never from
+        ``QueryFeatures.tf``."""
+        queries = ("river flood levee ice water", "ice", "ice nosuchterm")
+        want = {(name, query): score_fis(index20, template, query)
+                for name, template in TEMPLATES.items() for query in queries}
+
+        def refuse(features):
+            raise AssertionError("QueryFeatures.tf read")
+
+        monkeypatch.setattr(QueryFeatures, "tf", property(refuse))
+        for (name, query), ranked in want.items():
+            assert score_fis(index20, TEMPLATES[name], query) == ranked, name
+        with pytest.raises(AssertionError, match="tf read"):
+            extract_features(index20, ["ice"]).tf
+
+    def test_rule_plan_is_built_once_per_term_count(self, index20):
+        """The plan of a term count is the one stored by its first query,
+        and the store holds one plan per distinct term count."""
+        template = template_variant()
+        for query in ("ice", "river flood", "flood river", "water", "ice"):
+            score_fis(index20, template, query)
+        plans = dict(template._plans)
+        assert sorted(plans) == [1, 2]
+        assert plans[2].rules == template.query_rules(2)
+        score_fis(index20, template, "levee water")
+        assert template._plans[2] is plans[2]
+        assert dataclasses.replace(template)._plans == {}
 
     def test_rule_order_leaves_run_bytes_alone(self, index20):
         for template in TEMPLATES.values():
