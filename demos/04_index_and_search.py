@@ -29,10 +29,16 @@ query = "coffee grounds"
 # the candidates are the documents holding a query term; take brew's column
 features = extract_features(index, query.split())
 brew = features.candidates.tolist().index(index.ordinal_of("brew"))
+# tf is per posting, each term's postings in turn; brew's tf of a term is
+# that of the term's posting at brew's column, 0 where there is none
+tf = dict.fromkeys(features.terms, 0.0)
+terms = (t for t, df in zip(features.terms, features.dfs) for _ in range(df))
+for term, column, value in zip(terms, features.columns, features.posting_tf):
+    if column == brew:
+        tf[term] = value
 print(f"features of doc 'brew' for query {query!r}:")
-for token, tf, idf in zip(features.terms, features.tf[:, brew],
-                          features.idf):
-    print(f"  {token:<8} tf_norm {tf:.3f}  idf_norm {idf:.3f}")
+for token, idf in zip(features.terms, features.idf):
+    print(f"  {token:<8} tf_norm {tf[token]:.3f}  idf_norm {idf:.3f}")
 print(f"  overlap {features.overlap[brew]:.3f}")
 print()
 

@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (FrankError, QueryError, RunFormatError, UsageError,
-                     read_text, split_lines)
+from .errors import (FrankError, RunFormatError, UsageError, read_text,
+                     split_lines)
 from .evaluation import (evaluate_run, format_diff, format_report, format_run,
                          load_qrels, load_run, report_jsonl, run_from_ranked)
 from .fis import MAX_RESOLUTION, evaluate, fire_rule, fuzzify
@@ -135,6 +135,8 @@ def _parse_assignments(pairs: list[str]) -> dict[str, float]:
             raise UsageError(f"--in {name}: not a number: {raw!r}")
         if not math.isfinite(value):
             raise UsageError(f"--in {name}: not a finite number: {raw!r}")
+        if name in values:
+            raise UsageError(f"--in {name}: given more than once")
         values[name] = value
     return values
 

@@ -1,8 +1,8 @@
 """Corpus ingestion, tokenization, and an immutable inverted index.
 
-The index supplies the three features the rankers consume: per-document
-normalized term frequency, corpus-level normalized inverse document
-frequency, and query overlap.
+The index supplies the three features the rankers consume: each
+posting's normalized term frequency, corpus-level normalized inverse
+document frequency, and query overlap.
 
 Tokenization is fixed so every downstream number is reproducible:
 lowercase, split on any non-alphanumeric ASCII character, drop tokens
@@ -39,7 +39,6 @@ import struct
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import compress, count
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -105,9 +104,8 @@ class QueryFeatures:
     then of ``terms[1]`` and so on (``dfs`` of them per term), each with its
     doc ordinal in ``ordinals``, its candidate's position in ``columns`` and
     its normalized tf, the term's count in the document over the document's
-    max term frequency, in ``posting_tf``.  The dense terms x candidates
-    ``tf`` matrix, 0 where a document lacks the term, is built from them
-    only when it is read.
+    max term frequency, in ``posting_tf``.  A candidate that lacks a term
+    has no posting of it: its tf there is 0.
     """
 
     terms: tuple[str, ...]
@@ -119,14 +117,6 @@ class QueryFeatures:
     ordinals: np.ndarray
     columns: np.ndarray
     posting_tf: np.ndarray
-
-    @cached_property
-    def tf(self) -> np.ndarray:
-        """Row i: the normalized tf of ``terms[i]`` in each candidate."""
-        tf = np.zeros((len(self.terms), len(self.candidates)))
-        rows = np.repeat(np.arange(len(self.terms)), self.dfs)
-        tf[rows, self.columns] = self.posting_tf
-        return tf
 
 
 def _words(text: str) -> list[bytes]:
@@ -234,6 +224,7 @@ class InvertedIndex:
     """
 
     def __init__(self, data: bytes):
+        data = bytes(data)  # the caller's buffer may change; bytes cannot
         if data[:5] != _MAGIC:
             raise IndexFormatError("not an index file (bad magic bytes)")
         if len(data) > 5 and data[5] != _VERSION:
@@ -406,7 +397,7 @@ class InvertedIndex:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> InvertedIndex:
-        return cls(bytes(data))
+        return cls(data)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_bytes(self.to_bytes())

@@ -22,10 +22,9 @@ postings once: the candidates are the documents holding any query term
 (documents matching no term are never scored).  :func:`score_baseline`
 works on the postings alone: one weighted ``np.bincount`` adds each
 posting's (tf * idf_raw) * length_norm to its candidate from +0.0, in
-query-term order, so its sums are those of adding one dense tf row per
-term, bit for bit (the absent cells would add +0.0), with no terms x
-candidates array.  Neither reads the dense ``QueryFeatures.tf``.  Both
-rank in one order: descending score, ties broken by ascending doc_id.
+query-term order; a term a candidate lacks would add +0.0, so skipping
+it changes no bit of the sum.  Both rank in one order: descending score,
+ties broken by ascending doc_id.
 
 A :class:`RankedList`'s ``entries`` is a :class:`RankedEntries`: a
 sequence backed by two columns (doc ids and a read-only float64 score
@@ -396,7 +395,7 @@ def score_baseline(index: InvertedIndex, query_text: str,
     them one by one from +0.0 in posting order, that is in query-term
     order per candidate.  A term a document lacks would add +0.0, which
     leaves a sum of non-negative terms unchanged, so the scores are those
-    of adding every term's tf row in turn, bit for bit.
+    of adding every term's contribution in turn, bit for bit.
     """
     features = extract_features(index, _query_tokens(query_text, k))
     candidates = _candidates(features)

@@ -658,6 +658,13 @@ class TestFisEval:
         assert (rc, out) == (1, "")
         assert err == "frank: error: --in tf: not a number: 'abc'\n"
 
+    def test_repeated_input_exits_1(self, capsys, data_dir):
+        rc, out, err = run_cli(capsys, [
+            "fis-eval", "--config", str(data_dir / "fis_basic.cfg"),
+            "--in", "tf=0.1", "--in", "idf=0.5", "--in", "tf=0.9"])
+        assert (rc, out) == (1, "")
+        assert err == "frank: error: --in tf: given more than once\n"
+
     def test_resolution_override_applies(self, capsys, data_dir, tmp_path):
         config = tmp_path / "fine.cfg"
         config.write_text((data_dir / "fis_basic.cfg").read_text().replace(

@@ -32,6 +32,18 @@ from frank.index import (Document, InvertedIndex, build_index,
 from oracles import (ReferenceCorpus, reference_extract_features,
                      reference_frix, reference_tokenize)
 
+
+def dense_tf(features):
+    """The terms x candidates tf matrix that the postings describe: each
+    posting's tf in its own cell, 0 in every cell no posting names."""
+    rows = np.repeat(np.arange(len(features.terms)), features.dfs)
+    cells = set(zip(rows.tolist(), features.columns.tolist()))
+    assert len(cells) == len(features.posting_tf)
+    tf = np.zeros((len(features.terms), len(features.candidates)))
+    tf[rows, features.columns] = features.posting_tf
+    return tf
+
+
 # Words and fragments that exercise the tokenizer's edges: one-character
 # tokens, digits, hyphens, stopwords in any case, the two characters whose
 # lowercase forms leave ASCII (Kelvin sign) or grow (dotted capital I),
@@ -215,7 +227,7 @@ class TestNormalizedFeatures:
 
     def test_tf_norm_by_max_frequency(self):
         index = build_index([Document("d", "aa aa aa bb")])
-        tf = extract_features(index, ["aa", "bb"]).tf[:, 0]
+        tf = dense_tf(extract_features(index, ["aa", "bb"]))[:, 0]
         assert tf[0] == 1.0
         assert tf[1] == pytest.approx(1 / 3)
 
@@ -223,7 +235,7 @@ class TestNormalizedFeatures:
         """d1 holds apple but not fig, so its fig tf is 0."""
         features = extract_features(index5, ["apple", "fig"])
         column = features.candidates.tolist().index(index5.ordinal_of("d1"))
-        assert features.tf[:, column].tolist() == [0.5, 0.0]
+        assert dense_tf(features)[:, column].tolist() == [0.5, 0.0]
 
     def test_every_nonempty_doc_has_a_unit_tf(self, index20):
         """Over every term, the candidates are the documents with a token,
@@ -231,7 +243,7 @@ class TestNormalizedFeatures:
         features = extract_features(index20, index20.terms)
         assert features.candidates.tolist() == np.flatnonzero(
             index20.token_counts).tolist()
-        assert (features.tf.max(axis=0) == 1.0).all()
+        assert (dense_tf(features).max(axis=0) == 1.0).all()
 
 
 class TestExtractFeatures:
@@ -252,7 +264,7 @@ class TestExtractFeatures:
         }
 
         def tf(doc_id):
-            return features.tf[:, by_doc[doc_id]].tolist()
+            return dense_tf(features)[:, by_doc[doc_id]].tolist()
 
         def overlap(doc_id):
             return features.overlap[by_doc[doc_id]]
@@ -281,7 +293,7 @@ class TestExtractFeatures:
     def test_duplicate_query_tokens_collapse(self, index5):
         features = extract_features(index5, ["apple", "apple", "cherry"])
         assert len(features.terms) == 2
-        assert features.tf.shape == (2, 4)
+        assert dense_tf(features).shape == (2, 4)
         column = features.candidates.tolist().index(index5.ordinal_of("d3"))
         assert features.overlap[column] == 1.0
 
@@ -295,7 +307,7 @@ class TestExtractFeatures:
         index = build_index([Document("d1", "apple"), Document("d2", "of the")])
         features = extract_features(index, ["apple"])
         assert features.candidates.tolist() == [0]
-        assert features.tf.tolist() == [[1.0]]
+        assert dense_tf(features).tolist() == [[1.0]]
         assert features.overlap.tolist() == [1.0]
 
     def test_candidates_match_per_document_tf_norm(self, index20, data_dir):
@@ -306,7 +318,8 @@ class TestExtractFeatures:
             for d in read_corpus_jsonl(data_dir / "corpus20.jsonl")])
         query = ["river", "flood", "ice", "nosuchterm"]
         features = extract_features(index20, query)
-        columns = dict(zip(features.candidates.tolist(), features.tf.T))
+        columns = dict(zip(features.candidates.tolist(),
+                           dense_tf(features).T))
         for ordinal, doc_id in enumerate(index20.doc_ids):
             expected = [reference.tf_norm(doc_id, token) for token in query]
             assert (ordinal in columns) == any(expected), doc_id
@@ -324,8 +337,9 @@ class TestExtractFeatures:
 ], ids=["duplicate-tokens", "absent-token", "only-absent",
         "absent-among-three", "leading-duplicate", "two-terms"])
 def test_extract_features_equals_the_per_token_loop(index20, query):
-    """The one postings gather finds the candidates and fills the tf matrix
-    and overlap column the per-token reference loop does, bit for bit."""
+    """The one postings gather finds the candidates, the per-posting tf
+    and the overlap column the per-token reference loop does, bit for bit:
+    the postings are the nonzero cells of the reference's tf matrix."""
     candidates, tf, overlap = reference_extract_features(index20, query)
     features = extract_features(index20, query)
     distinct = list(dict.fromkeys(query))
@@ -333,17 +347,12 @@ def test_extract_features_equals_the_per_token_loop(index20, query):
     assert features.idf == tuple(idf_norm(index20, t) for t in distinct)
     assert features.idf_raw == tuple(idf_raw(index20, t) for t in distinct)
     assert features.candidates.tolist() == candidates
-    assert features.tf.shape == (len(distinct), len(candidates))
-    assert features.tf.tolist() == tf
-    assert features.overlap.tolist() == overlap
     # the postings, term by term, are the nonzero cells of the tf rows
-    rows = np.repeat(np.arange(len(distinct)), features.dfs)
+    assert dense_tf(features).tolist() == tf
+    assert features.overlap.tolist() == overlap
     assert features.dfs == [index20.document_frequency(t) for t in distinct]
     assert features.candidates[features.columns].tolist() == \
         features.ordinals.tolist()
-    assert features.tf[rows, features.columns].tolist() == \
-        features.posting_tf.tolist()
-    assert np.count_nonzero(features.tf) == len(features.posting_tf)
 
 
 class TestInvariants:
@@ -401,6 +410,37 @@ class TestSerialization:
 
     def test_roundtrip_preserves_equality(self, index5):
         assert InvertedIndex.from_bytes(index5.to_bytes()) == index5
+
+    def test_not_equal_to_other_types(self, index5):
+        assert index5 != "x"
+
+    def test_mutable_buffer_is_copied(self, index20):
+        """The index keeps its own bytes: changing the buffer it was built
+        from leaves its bytes and postings as they were."""
+        data = index20.to_bytes()
+        buffer = bytearray(data)
+        index = InvertedIndex(buffer)
+        ordinals, frequencies = index.postings("ice")
+        want = ordinals.tolist(), frequencies.tolist()
+        buffer[:] = bytes(len(buffer))
+        assert index.to_bytes() == data
+        assert (ordinals.tolist(), frequencies.tolist()) == want
+        assert index.postings("ice")[1].tolist() == want[1]
+        assert not ordinals.flags.writeable
+        assert not frequencies.flags.writeable
+
+    def test_memoryview_builds_an_equal_index(self, index20):
+        data = index20.to_bytes()
+        assert InvertedIndex(memoryview(data)) == index20
+        assert InvertedIndex.from_bytes(memoryview(data)) == index20
+
+    def test_corrupt_memoryview_rejected(self, index5):
+        data = bytearray(index5.to_bytes())
+        data[5] = 9
+        with pytest.raises(IndexFormatError, match="version"):
+            InvertedIndex(memoryview(data))
+        with pytest.raises(IndexFormatError, match="trailing"):
+            InvertedIndex(memoryview(index5.to_bytes() + b"\x00"))
 
     def test_save_and_load(self, index5, tmp_path):
         path = tmp_path / "fixture.idx"
@@ -461,10 +501,10 @@ def assert_loads_or_rejects(data: bytes) -> None:
     assert index.to_bytes() == data
     if not index.terms:
         return
-    features = extract_features(index, index.terms)
+    tf = dense_tf(extract_features(index, index.terms))
     # every candidate reaches its recorded max term frequency
-    assert (features.tf.max(axis=0) == 1.0).all()
-    assert (features.tf >= 0).all()
+    assert (tf.max(axis=0) == 1.0).all()
+    assert (tf >= 0).all()
 
 
 class TestMutatedBytes:

@@ -19,7 +19,7 @@ from frank.evaluation import RunFile, format_run, parse_run, run_from_ranked
 from frank.fis import (AGGREGATIONS, AND_METHODS, DEFUZZIFICATIONS,
                        IMPLICATIONS, FisConfig, LinguisticVariable, aggregate,
                        defuzzify, evaluate, fire_rule, fuzzify, imply)
-from frank.index import (Document, InvertedIndex, QueryFeatures, build_index,
+from frank.index import (Document, InvertedIndex, build_index,
                          extract_features, idf_raw, read_corpus_jsonl,
                          tokenize)
 from frank.membership import MembershipFunction
@@ -420,15 +420,13 @@ GRID_OPERATORS = [
 ]
 
 
-def candidate_inputs(index, features, doc_id):
+def candidate_inputs(index, reference, doc_id):
     """The instantiated system's inputs for one candidate: its column of
-    the query's features."""
-    column = features.candidates.tolist().index(index.ordinal_of(doc_id))
-    inputs = {"overlap": float(features.overlap[column])}
-    for i in range(len(features.terms)):
-        inputs[f"tf_{i + 1}"] = float(features.tf[i, column])
-        inputs[f"idf_{i + 1}"] = features.idf[i]
-    return inputs
+    the query's ``reference_dense_fis_inputs``."""
+    candidates, inputs = reference
+    column = candidates.tolist().index(index.ordinal_of(doc_id))
+    return {name: float(value[column]) if np.ndim(value) else value
+            for name, value in inputs.items()}
 
 
 def grid_pipeline(config, inputs):
@@ -461,12 +459,13 @@ class TestColumnScoring:
         at a time, bit for bit, under every template."""
         for name, template in TEMPLATES.items():
             for index, query in self.cases(index20):
-                features = extract_features(index, tokenize(query))
-                config = instantiate_fis(template, len(features.terms))
+                tokens = tokenize(query)
+                reference = reference_dense_fis_inputs(index, tokens)
+                config = instantiate_fis(template, len(set(tokens)))
                 ranked = score_fis(index, template, query)
                 assert ranked.entries
                 for entry in ranked.entries:
-                    inputs = candidate_inputs(index, features, entry.doc_id)
+                    inputs = candidate_inputs(index, reference, entry.doc_id)
                     assert entry.score == evaluate(config, inputs), \
                         (name, query, entry.doc_id)
 
@@ -483,12 +482,13 @@ class TestColumnScoring:
                 (index20, "river flood levee ice water", 1),
                 (index20, "ice", 1),
                 (random_index(), "w4 w5 w6 w7 w8", 3)]:
-            features = extract_features(index, tokenize(query))
-            config = instantiate_fis(template, len(features.terms))
+            tokens = tokenize(query)
+            reference = reference_dense_fis_inputs(index, tokens)
+            config = instantiate_fis(template, len(set(tokens)))
             ranked = score_fis(index, template, query)
             assert ranked.entries
             for entry in ranked.entries[::stride]:
-                inputs = candidate_inputs(index, features, entry.doc_id)
+                inputs = candidate_inputs(index, reference, entry.doc_id)
                 assert entry.score == grid_pipeline(config, inputs), \
                     (query, entry.doc_id)
 
@@ -543,14 +543,10 @@ class TestColumnScoring:
         for t in range(1, 8):
             terms = [f"w{i}" for i in range(1, t + 1)]
             ranked = score_fis(index, template, " ".join(terms), k=150)
-            features = extract_features(index, terms)
-            candidates = features.candidates
-            assert candidates.tolist() == np.unique(np.concatenate(
-                [index.postings(term)[0] for term in terms])).tolist()
-            inputs = {"overlap": features.overlap}
-            for i in range(t):
-                inputs[f"tf_{i + 1}"] = features.tf[i]
-                inputs[f"idf_{i + 1}"] = features.idf[i]
+            candidates, inputs = reference_dense_fis_inputs(index, terms)
+            assert extract_features(index, terms).candidates.tolist() == \
+                candidates.tolist() == np.unique(np.concatenate(
+                    [index.postings(term)[0] for term in terms])).tolist()
             config = instantiate_fis(template, t)
             scores = evaluate(config, inputs)
             for _ in range(3):
@@ -629,22 +625,6 @@ class TestColumnScoring:
         assert len(set(tokenize(query))) == t
         sets = template.variable_prototype.sets
         assert sampled == [sets[label] for label in read]
-
-    def test_never_reads_the_dense_tf(self, index20, monkeypatch):
-        """The tf blocks are built from the postings, never from
-        ``QueryFeatures.tf``."""
-        queries = ("river flood levee ice water", "ice", "ice nosuchterm")
-        want = {(name, query): score_fis(index20, template, query)
-                for name, template in TEMPLATES.items() for query in queries}
-
-        def refuse(features):
-            raise AssertionError("QueryFeatures.tf read")
-
-        monkeypatch.setattr(QueryFeatures, "tf", property(refuse))
-        for (name, query), ranked in want.items():
-            assert score_fis(index20, TEMPLATES[name], query) == ranked, name
-        with pytest.raises(AssertionError, match="tf read"):
-            extract_features(index20, ["ice"]).tf
 
     def test_rule_plan_is_built_once_per_term_count(self, index20):
         """The plan of a term count is the one stored by its first query,
@@ -836,6 +816,11 @@ class TestColumnarEntries:
         empty = score_baseline(index20, "nosuchterm").entries
         assert empty == () and () == empty and len(empty) == 0
         assert list(empty) == [] and empty != (RankedEntry("d1", 1.0, 1),)
+        assert (RankedEntries(("d1",), np.array([1.0])) == 5) is False
+
+    def test_repr_is_the_tuple_of_its_entries(self, index20):
+        entries = score_baseline(index20, "river flood").entries
+        assert repr(entries) == repr(tuple(entries))
 
     def test_indices_and_slices(self, index20):
         entries = score_baseline(index20, "river flood").entries

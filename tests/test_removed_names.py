@@ -27,6 +27,8 @@ REMOVED = {
     "MetricsDiff": (frank, frank.evaluation),
     "RankedEntries.ranks": (RankedEntries, RankedEntries((), np.array([]))),
     "rule_strengths": (frank, frank.fis),
+    "QueryFeatures.tf": (frank.index.QueryFeatures, frank.extract_features(
+        frank.build_index([frank.Document("d", "aa")]), ["aa"])),
 }
 
 # function -> the parameters it no longer takes
