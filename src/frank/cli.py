@@ -79,14 +79,14 @@ def cmd_search(args) -> int:
     for flag, value in (("--topic", args.topic), ("--tag", args.tag)):
         if not one_word(value):
             raise UsageError(f"{flag} must be one word, got {value!r}")
+    if args.ranker == "fis" and args.template is None:
+        raise UsageError("--template is required with --ranker fis")
     if args.query is not None:
         queries = [(args.topic, args.query)]
     else:
         queries = _read_queries_tsv(args.queries)
     index = InvertedIndex.load(args.index)
     if args.ranker == "fis":
-        if args.template is None:
-            raise UsageError("--template is required with --ranker fis")
         template = load_template(args.template)
 
         def rank(topic, text):

@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-import numpy as np
-
 from .errors import EvalError, RunFormatError, read_text, split_lines
 from .index import one_word
 from .ranker import RankedEntries, RankedList
@@ -190,7 +188,7 @@ def parse_run(text: str) -> RunFile:
     if tag is None:
         raise RunFormatError("empty run file")
     return RunFile(tag, {
-        topic: RankedEntries(tuple(doc_ids), np.array(scores))
+        topic: RankedEntries(doc_ids, scores)
         for topic, (doc_ids, scores) in topics.items()})
 
 

@@ -220,6 +220,16 @@ class FisConfig:
             samples[(label, True)] = complement
         return samples
 
+    @cached_property
+    def _canonical_consequents(self) -> tuple[list[tuple[str, bool]],
+                                              list[int]]:
+        """The rules' consequent sets in canonical order, (label, negated)
+        sorted, and the position of each rule's set in that order."""
+        consequents = [(rule.consequent.label, rule.consequent.negated)
+                       for rule in self.rules]
+        keys = sorted(set(consequents))
+        return keys, [keys.index(key) for key in consequents]
+
     @property
     def has_moment_form(self) -> bool:
         """Whether the centroid follows from per-set grid moments: under
@@ -443,35 +453,24 @@ def evaluate(config: FisConfig, inputs: Mapping[str, float | np.ndarray]
     memberships, rows = _degree_columns(config, inputs)
     strengths = [fire_rule(rule, memberships, config.and_method)
                  for rule in config.rules]
-    crisp = _combine(config, *_consequent_slots(config.rules), strengths,
-                     1 if rows is None else rows)
+    crisp = _combine(config, strengths, 1 if rows is None else rows)
     return float(crisp[0]) if rows is None else crisp
 
 
-def _consequent_slots(rules: Sequence[RuleAst]
-                      ) -> tuple[list[tuple[str, bool]], list[int]]:
-    """The rules' consequent sets in canonical order, (label, negated)
-    sorted, and the position of each rule's set in that order."""
-    consequents = [(rule.consequent.label, rule.consequent.negated)
-                   for rule in rules]
-    keys = sorted(set(consequents))
-    return keys, [keys.index(key) for key in consequents]
-
-
-def _combine(config: FisConfig, keys: Sequence[tuple[str, bool]],
-             slots: Sequence[int], strengths: Sequence[np.ndarray],
+def _combine(config: FisConfig, strengths: Sequence[np.ndarray],
              rows: int) -> np.ndarray:
     """The crisp output of each of ``rows`` rows under ``config``'s
-    operators, from each rule's strengths: a 1-D column (one implied set per
-    row) or a 2-D block (one implied set per block row), broadcast to
-    ``rows``.  Rule j implies consequent set ``keys[slots[j]]``, as
-    :func:`_consequent_slots` gives them.
+    operators, from the strengths of each of ``config.rules`` in turn: a
+    1-D column (one implied set per row) or a 2-D block (one implied set
+    per block row), broadcast to ``rows``.  Rule j implies consequent set
+    ``keys[slots[j]]``, as ``config._canonical_consequents`` gives them.
 
     Implied sets are put in canonical order once, for either path: sets
     sorted by (label, negated), strengths ascending within a set, per row.
     A set's strength rows are sorted by a network of whole-row
     ``np.minimum``/``np.maximum`` up to six rows, by ``np.sort`` above.
     """
+    keys, slots = config._canonical_consequents
     groups: list[list[np.ndarray]] = [[] for _ in keys]
     for slot, strength in zip(slots, strengths):
         shape = np.shape(strength)

@@ -13,8 +13,8 @@ each set of the placeholders' shared prototype that some rule reads.  It
 fires the template's own rules once on the query's t x n feature blocks,
 so a rule's t clones are t rows of its strengths; it equals
 ``evaluate(instantiate_fis(...), ...)`` bit for bit.  The numpy calls per
-query do not grow with the number of terms or placeholders, and the rules
-for t terms are planned once per template.
+query do not grow with the number of terms or placeholders, and a template
+weights its rules for t terms once, on the first query with t terms.
 
 Both scorers read their candidates and features from one
 :func:`extract_features` call per query, which reads each query term's
@@ -49,8 +49,8 @@ import numpy as np
 
 from .errors import ConfigError, QueryError, RunFormatError
 # ``evaluate`` is unused here; perfbench's traced run patches it by this name
-from .fis import (FisConfig, LinguisticVariable, _combine, _consequent_slots,
-                  default_variable, evaluate, fire_rule)  # noqa: F401
+from .fis import (FisConfig, LinguisticVariable, _combine, default_variable,
+                  evaluate, fire_rule)  # noqa: F401
 from .index import (InvertedIndex, QueryFeatures, extract_features,
                     one_word, tokenize)
 from .rules import RuleAst, RuleClause, parse_rule
@@ -79,17 +79,6 @@ def _check_ratio(overlap_weight_ratio: float) -> None:
         raise ConfigError("overlap_weight_ratio must be positive")
 
 
-class _RulePlan(NamedTuple):
-    """What :func:`score_fis` needs of a template for one term count t:
-    ``query_rules(t)``, the labels of the prototype sets that some rule
-    reads, in prototype order, and the rules' ``_consequent_slots``."""
-
-    rules: tuple[RuleAst, ...]
-    labels: tuple[str, ...]
-    keys: list[tuple[str, bool]]
-    slots: list[int]
-
-
 @dataclass(frozen=True)
 class FisTemplate:
     """Per-query blueprint for the fuzzy ranker.
@@ -105,11 +94,11 @@ class FisTemplate:
 
     config: FisConfig
     overlap_weight_ratio: float = DEFAULT_OVERLAP_WEIGHT_RATIO
-    # one plan per distinct term count, stored by a single assignment, so a
-    # concurrent reader sees a whole plan or none and a duplicate build is
-    # an equal plan
-    _plans: dict[int, _RulePlan] = field(default_factory=dict, init=False,
-                                         repr=False, compare=False)
+    # the weighted rules of each distinct term count, stored by a single
+    # assignment, so a concurrent reader sees all of them or none and a
+    # duplicate build is an equal tuple
+    _rules: dict[int, tuple[RuleAst, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_placeholder_names(v.name for v in self.config.inputs)
@@ -137,51 +126,35 @@ class FisTemplate:
                                   line=rule.line)
 
     @cached_property
-    def per_term_rules(self) -> tuple[RuleAst, ...]:
-        """The rules over ``tf``/``idf``, in config order."""
-        return tuple(rule for rule in self.config.rules
-                     if _mentioned(rule) <= _PER_TERM)
-
-    @cached_property
-    def global_rules(self) -> tuple[RuleAst, ...]:
-        """The rules over ``overlap``, in config order."""
-        return tuple(rule for rule in self.config.rules
-                     if not _mentioned(rule) <= _PER_TERM)
-
-    @cached_property
     def variable_prototype(self) -> LinguisticVariable:
         return next(v for v in self.config.inputs if v.name == "tf")
 
-    def query_rules(self, t: int) -> tuple[RuleAst, ...]:
-        """The per-term rules, then the overlap rules, at their weights for
-        a query of ``t`` distinct terms: (rule weight) * 1/t, and a further
-        * overlap_weight_ratio for overlap rules."""
-        if t < 1:
-            raise QueryError("query has no terms to rank on")
-        term_weight = 1.0 / t
-        return tuple(
-            RuleAst(rule.antecedent, rule.consequent,
-                    rule.weight * term_weight)
-            for rule in self.per_term_rules
-        ) + tuple(
-            RuleAst(rule.antecedent, rule.consequent,
-                    rule.weight * term_weight * self.overlap_weight_ratio)
-            for rule in self.global_rules
-        )
+    @cached_property
+    def _read_labels(self) -> tuple[str, ...]:
+        """The prototype sets that some rule reads, in prototype order."""
+        read = {clause.label for rule in self.config.rules
+                for clause in rule.antecedent}
+        return tuple(label for label in self.variable_prototype.sets
+                     if label in read)
 
-    def _plan(self, t: int) -> _RulePlan:
-        """The rules, read sets and consequent slots of a ``t``-term query,
-        built on the first query with ``t`` terms."""
-        plan = self._plans.get(t)
-        if plan is None:
-            rules = self.query_rules(t)
-            read = {clause.label for rule in rules
-                    for clause in rule.antecedent}
-            labels = tuple(label for label in self.variable_prototype.sets
-                           if label in read)
-            plan = _RulePlan(rules, labels, *_consequent_slots(rules))
-            self._plans[t] = plan
-        return plan
+    def query_rules(self, t: int) -> tuple[RuleAst, ...]:
+        """The config's rules, in config order, at their weights for a query
+        of ``t`` distinct terms: (rule weight) * 1/t, and a further *
+        overlap_weight_ratio for overlap rules; built on the first call
+        with ``t``."""
+        rules = self._rules.get(t)
+        if rules is None:
+            if t < 1:
+                raise QueryError("query has no terms to rank on")
+            term_weight = 1.0 / t
+            rules = tuple(
+                RuleAst(rule.antecedent, rule.consequent,
+                        rule.weight * term_weight
+                        if _mentioned(rule) <= _PER_TERM else
+                        rule.weight * term_weight * self.overlap_weight_ratio)
+                for rule in self.config.rules)
+            self._rules[t] = rules
+        return rules
 
 
 def default_template() -> FisTemplate:
@@ -210,10 +183,14 @@ def instantiate_fis(template: FisTemplate, t: int) -> FisConfig:
     Inputs become tf_1..tf_t, idf_1..idf_t and overlap.  Per-term rules are
     cloned per term at weight (rule weight) * 1/t; global rules get a
     further * overlap_weight_ratio (see :meth:`FisTemplate.query_rules`).
-    :func:`score_fis` gives the same bits without building this config.
+    The clones come first, term by term, each term's in config order, then
+    the global rules in config order.  :func:`score_fis` gives the same
+    bits without building this config.
     """
     rules = template.query_rules(t)
-    split = len(template.per_term_rules)
+    per_term = [rule for rule in rules if _mentioned(rule) <= _PER_TERM]
+    global_rules = tuple(rule for rule in rules
+                         if not _mentioned(rule) <= _PER_TERM)
     prototype = template.variable_prototype
     inputs = [prototype.renamed(f"{name}_{i}") for name in ("tf", "idf")
               for i in range(1, t + 1)] + [prototype.renamed("overlap")]
@@ -221,9 +198,9 @@ def instantiate_fis(template: FisTemplate, t: int) -> FisConfig:
     expanded = [RuleAst(tuple(RuleClause(f"{c.variable}_{i}", c.label,
                                          c.negated) for c in rule.antecedent),
                         rule.consequent, rule.weight)
-                for i in range(1, t + 1) for rule in rules[:split]]
+                for i in range(1, t + 1) for rule in per_term]
     return dataclasses.replace(template.config, inputs=tuple(inputs),
-                               rules=tuple(expanded) + rules[split:])
+                               rules=tuple(expanded) + global_rules)
 
 
 class RankedEntry(NamedTuple):
@@ -239,20 +216,29 @@ class RankedEntries(Sequence):
 
     Indexing builds one :class:`RankedEntry`, a slice a tuple of them, and
     the list equals (and hashes as) the tuple of its entries.  It holds no
-    object per entry, so the garbage collector has nothing to walk.
-    Columns of different lengths raise :class:`RunFormatError`.
+    object per entry, so the garbage collector has nothing to walk.  It
+    keeps its own copies of the columns, so the caller's stay as they were.
+    Scores that are not one column of numbers, and columns of different
+    lengths, raise :class:`RunFormatError`.
     """
 
     __slots__ = ("doc_ids", "scores")
 
-    def __init__(self, doc_ids: tuple[str, ...], scores: np.ndarray):
-        if len(doc_ids) != len(scores):
+    def __init__(self, doc_ids: Iterable[str], scores: Iterable[float]):
+        doc_ids = tuple(doc_ids)
+        try:
+            column = np.array(scores, dtype=np.float64)
+        except (TypeError, ValueError):
+            column = None
+        if column is None or column.ndim != 1:
+            raise RunFormatError("ranked scores must be one column of numbers")
+        if len(doc_ids) != len(column):
             raise RunFormatError(
                 f"ranked columns differ in length: {len(doc_ids)} doc ids, "
-                f"{len(scores)} scores")
-        scores.flags.writeable = False
+                f"{len(column)} scores")
+        column.flags.writeable = False
         self.doc_ids = doc_ids
-        self.scores = scores
+        self.scores = column
 
     def __len__(self) -> int:
         return len(self.doc_ids)
@@ -298,10 +284,13 @@ class RankedList:
         if isinstance(self.entries, RankedEntries):
             return
         doc_ids, scores, ranks = tuple(zip(*self.entries)) or ((), (), ())
-        scores = np.array(scores, dtype=np.float64)
         topic = f"topic {self.query_id}: "
+        try:
+            entries = RankedEntries(doc_ids, scores)
+        except RunFormatError as error:
+            raise RunFormatError(f"{topic}{error}") from None
         for position, (doc_id, score, rank) in enumerate(
-                zip(doc_ids, scores.tolist(), ranks), start=1):
+                zip(doc_ids, entries.scores.tolist(), ranks), start=1):
             if rank != position:
                 raise RunFormatError(f"{topic}rank {rank} out of order "
                                      f"(expected {position})")
@@ -311,7 +300,7 @@ class RankedList:
             if not one_word(doc_id):
                 raise RunFormatError(f"{topic}doc id {doc_id!r} is empty or "
                                      "contains whitespace")
-        object.__setattr__(self, "entries", RankedEntries(doc_ids, scores))
+        object.__setattr__(self, "entries", entries)
 
 
 def _query_tokens(query_text: str, k: int) -> list[str]:
@@ -353,7 +342,7 @@ def score_fis(index: InvertedIndex, template: FisTemplate, query_text: str,
     """
     features = extract_features(index, _query_tokens(query_text, k))
     t = len(features.terms)
-    plan = template._plan(t)
+    rules = template.query_rules(t)
     candidates = _candidates(features)
     n, postings = len(candidates), len(features.posting_tf)
     prototype = template.variable_prototype
@@ -363,7 +352,7 @@ def score_fis(index: InvertedIndex, template: FisTemplate, query_text: str,
                      *prototype.universe)
     cells = np.repeat(np.arange(t), features.dfs), features.columns
     memberships = {}
-    for label in plan.labels:
+    for label in template._read_labels:
         degrees = prototype.sets[label].sample(values)
         tf = np.full((t, n), degrees[postings])
         tf[cells] = degrees[:postings]
@@ -373,8 +362,8 @@ def score_fis(index: InvertedIndex, template: FisTemplate, query_text: str,
         memberships["overlap", label] = degrees[postings + 1 + t:]
     config = template.config
     strengths = [fire_rule(rule, memberships, config.and_method)
-                 for rule in plan.rules]
-    scores = _combine(config, plan.keys, plan.slots, strengths, n)
+                 for rule in rules]
+    scores = _combine(config, strengths, n)
     return _to_ranked_list(index, query_id, candidates, scores, k)
 
 

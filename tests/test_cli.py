@@ -325,6 +325,14 @@ class TestSearch:
         assert rc == 1
         assert "--template" in err
 
+    def test_fis_requires_template_before_loading(self, capsys, tmp_path):
+        rc, out, err = run_cli(capsys, [
+            "search", "--index", str(tmp_path / "missing.idx"),
+            "--ranker", "fis", "--query", "ice"])
+        assert (rc, out) == (1, "")
+        assert err == ("frank: error: --template is required with --ranker "
+                       "fis\n")
+
     def test_stopword_only_query_exits_1(self, capsys, index_path):
         rc, _, err = run_cli(capsys, [
             "search", "--index", str(index_path), "--ranker", "baseline",

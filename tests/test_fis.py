@@ -21,7 +21,7 @@ from frank.fis import (AGGREGATIONS, DEFUZZIFICATIONS, IMPLICATIONS,
                        OPERATORS, FisConfig, LinguisticVariable, aggregate,
                        default_variable, defuzzify, evaluate, fire_rule,
                        fuzzify, imply)
-from frank.fis import _combine, _consequent_slots, _sorted_rows
+from frank.fis import _combine, _sorted_rows
 from frank.membership import MembershipFunction
 from frank.rules import parse_rule
 
@@ -896,15 +896,15 @@ class TestSortedRows:
         fields = [field for field, _ in OPERATORS.values()]
         for combo in itertools.product(
                 *(methods for _, methods in OPERATORS.values())):
-            config = two_input_config(**dict(zip(fields, combo)))
+            operators = dict(zip(fields, combo))
             for _ in range(20):
                 picked = [rules[i]
                           for i in rng.integers(0, 2, rng.integers(1, 9))]
+                config = two_input_config(rules=picked, **operators)
                 signed = rng.choice([0.0, -0.0, 5e-324, 0.3, 1.0],
                                     size=(len(picked), 7))
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", RuntimeWarning)
-                    slots = _consequent_slots(picked)
-                    assert (_combine(config, *slots, list(signed), 7).tobytes()
-                            == _combine(config, *slots, list(signed + 0.0),
+                    assert (_combine(config, list(signed), 7).tobytes()
+                            == _combine(config, list(signed + 0.0),
                                         7).tobytes()), combo

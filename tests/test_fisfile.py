@@ -253,8 +253,9 @@ class TestRoundTrip:
 class TestTemplates:
     def test_default_file_loads(self, data_dir):
         template = load_template(data_dir / "template_default.cfg")
-        assert len(template.per_term_rules) == 2
-        assert len(template.global_rules) == 2
+        assert [sorted({c.variable for c in rule.antecedent})
+                for rule in template.config.rules] == [
+            ["idf", "tf"], ["idf", "tf"], ["overlap"], ["overlap"]]
         assert template.overlap_weight_ratio == 1.0 / 6.0
         assert template.variable_prototype.universe == (0.0, 1.0)
 

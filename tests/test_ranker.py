@@ -70,6 +70,20 @@ class TestInstantiate:
         with pytest.raises(QueryError):
             instantiate_fis(template, 0)
 
+    def test_clones_come_first_then_global_rules(self):
+        """Each term's clones of the per-term rules in config order, then
+        the overlap rules in config order, whatever the config's order."""
+        template = TEMPLATES["interleaved"]
+        rules = template.query_rules(2)
+        config = instantiate_fis(template, 2)
+        assert [(rule.antecedent[0].variable, rule.weight)
+                for rule in config.rules] == [
+            ("tf_1", rules[1].weight), ("tf_1", rules[3].weight),
+            ("tf_2", rules[1].weight), ("tf_2", rules[3].weight),
+            ("overlap", rules[0].weight), ("overlap", rules[2].weight)]
+        assert [rule.consequent for rule in config.rules] == [
+            rules[i].consequent for i in (1, 3, 1, 3, 0, 2)]
+
     def test_template_weights_multiply_through(self):
         template = FisTemplate(dataclasses.replace(
             default_template().config,
@@ -368,7 +382,8 @@ def template_variant(rules=None, ratio=None, prototype=None, **operators):
 # the not_high set by name, where tf 0 has degree 1; smooth sets, where its
 # degree lies strictly between 0 and 1 (and np.exp sees each value at
 # another position than on the dense path); a universe narrower than [0,
-# 1], which clamps tf 0 and tf 1; and rules that never read tf
+# 1], which clamps tf 0 and tf 1; rules that never read tf; and overlap
+# and per-term rules interleaved in the config
 TEMPLATES = {
     "default": default_template(),
     "min_max": template_variant(implication="min", aggregation="max"),
@@ -406,6 +421,13 @@ TEMPLATES = {
         "if (idf is high) -> (relevance is high)",
         "if (idf is not high) -> (relevance is not high) weight 0.4",
         "if (overlap is high) -> (relevance is high)",
+    )),
+    "interleaved": template_variant(ratio=0.37, rules=(
+        "if (overlap is high) -> (relevance is high) weight 0.7",
+        "if (tf is high) and (idf is high) -> (relevance is high) weight 0.3",
+        "if (overlap is not high) -> (relevance is not high) weight 0.3",
+        "if (tf is not high) and (idf is not high) -> (relevance is not high)"
+        " weight 0.9",
     )),
 }
 
@@ -626,18 +648,33 @@ class TestColumnScoring:
         sets = template.variable_prototype.sets
         assert sampled == [sets[label] for label in read]
 
-    def test_rule_plan_is_built_once_per_term_count(self, index20):
-        """The plan of a term count is the one stored by its first query,
-        and the store holds one plan per distinct term count."""
-        template = template_variant()
+    def test_query_rules_are_weighted_once_per_term_count(self, index20):
+        """The rules of a term count are the tuple stored by its first
+        query, one per distinct term count, and a copy of the template
+        starts with none; they are the config's rules in config order at
+        weight w * (1/t), times the overlap ratio for overlap rules, bit
+        for bit."""
+        template = dataclasses.replace(TEMPLATES["interleaved"])
+        assert template._rules == {}
         for query in ("ice", "river flood", "flood river", "water", "ice"):
             score_fis(index20, template, query)
-        plans = dict(template._plans)
-        assert sorted(plans) == [1, 2]
-        assert plans[2].rules == template.query_rules(2)
+        stored = dict(template._rules)
+        assert sorted(stored) == [1, 2]
+        assert template.query_rules(2) is stored[2]
         score_fis(index20, template, "levee water")
-        assert template._plans[2] is plans[2]
-        assert dataclasses.replace(template)._plans == {}
+        assert template._rules[2] is stored[2]
+        assert dataclasses.replace(template)._rules == {}
+        ratio = template.overlap_weight_ratio
+        for t in (1, 2, 3, 7):
+            rules = template.query_rules(t)
+            assert len(rules) == len(template.config.rules)
+            for rule, original in zip(rules, template.config.rules):
+                assert (rule.antecedent, rule.consequent) == (
+                    original.antecedent, original.consequent)
+                weight = original.weight * (1 / t)
+                if original.antecedent[0].variable == "overlap":
+                    weight = weight * ratio
+                assert rule.weight.hex() == weight.hex()
 
     def test_rule_order_leaves_run_bytes_alone(self, index20):
         for template in TEMPLATES.values():
@@ -872,6 +909,44 @@ class TestColumnarEntries:
             assert not scores.flags.writeable
             with pytest.raises(ValueError):
                 scores[:1] = 2.0
+
+    @pytest.mark.parametrize("scores", [
+        np.array([0.5, 0.25]), np.array([3, 2], dtype=np.int64), [0.5, 0.25],
+        (3, 2), np.array([0.5, 0.25], dtype=np.float32)],
+        ids=["float64", "int64", "list", "tuple", "float32"])
+    def test_owns_its_columns(self, scores):
+        """The columns are a tuple and a read-only float64 copy: the
+        caller's own scores stay writeable and as they were."""
+        doc_ids = ["a", "b"]
+        entries = RankedEntries(doc_ids, scores)
+        doc_ids[0] = "z"
+        assert entries.doc_ids == ("a", "b")
+        assert entries.scores.dtype == np.float64
+        assert not entries.scores.flags.writeable
+        assert entries.scores.tolist() == [float(s) for s in scores]
+        if isinstance(scores, np.ndarray):
+            assert scores.flags.writeable
+            scores[0] = 9
+            assert entries.scores[0] != 9
+
+    @pytest.mark.parametrize("scores", [
+        ["high"], [object()], [[0.5]], np.array([[0.5]]), 0.5, None,
+        [0.5, [0.25]], "0.5"],
+        ids=["word", "object", "nested", "2d", "scalar", "none", "ragged",
+             "text"])
+    def test_scores_not_a_column_of_numbers_rejected(self, scores):
+        with pytest.raises(RunFormatError) as caught:
+            RankedEntries(("a",), scores)
+        assert str(caught.value) == (
+            "ranked scores must be one column of numbers")
+
+    @pytest.mark.parametrize("score", ["high", object(), [0.5], (0.5, 0.25)],
+                             ids=["word", "object", "list", "pair"])
+    def test_entry_score_not_a_number_names_the_topic(self, score):
+        with pytest.raises(RunFormatError) as caught:
+            RankedList("q", [("a", score, 1)])
+        assert str(caught.value) == (
+            "topic q: ranked scores must be one column of numbers")
 
     def test_ill_formed_lists_keep_their_run_bytes(self, index20):
         """A hand-built list whose scores rise or that repeats a doc still

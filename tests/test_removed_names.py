@@ -22,6 +22,8 @@ REMOVED = {
     "AggregateSet": (frank, frank.fis),
     "tf_norm": (frank, frank.index),
     "FisTemplate.output": (FisTemplate, default_template()),
+    "FisTemplate.per_term_rules": (FisTemplate, default_template()),
+    "FisTemplate.global_rules": (FisTemplate, default_template()),
     "RunFile.ranked_doc_ids": (RunFile, RunFile("t", {})),
     "diff_runs": (frank, frank.evaluation),
     "MetricsDiff": (frank, frank.evaluation),
