@@ -85,19 +85,14 @@ def cmd_search(args) -> int:
         queries = [(args.topic, args.query)]
     else:
         queries = _read_queries_tsv(args.queries)
+    # the queries and the template are checked before the index is loaded
+    template = load_template(args.template) if args.ranker == "fis" else None
     index = InvertedIndex.load(args.index)
-    if args.ranker == "fis":
-        template = load_template(args.template)
-
-        def rank(topic, text):
-            return score_fis(index, template, text, k=args.k, query_id=topic)
-    else:
-        def rank(topic, text):
-            return score_baseline(index, text, k=args.k, query_id=topic)
-
-    run = run_from_ranked(
-        [rank(topic, text) for topic, text in queries], args.tag
-    )
+    run = run_from_ranked([
+        score_baseline(index, text, k=args.k, query_id=topic)
+        if template is None
+        else score_fis(index, template, text, k=args.k, query_id=topic)
+        for topic, text in queries], args.tag)
     sys.stdout.write(format_run(run))
     return 0
 

@@ -24,7 +24,9 @@ per token.  The one constructor checks the bytes once (see
 :class:`InvertedIndex`): one sequential pass per table over the length
 prefixes finds and decodes every doc id and token, which are then checked
 in bulk, into a token -> (df, offset) table, the doc ids and per-document
-arrays gathered from the bytes in one step.  A token's postings are read-only
+arrays gathered from the bytes in one step.  The first fault in byte order
+is reported, a posting's ordinal before its tf, and each document's
+recorded totals are checked last.  A token's postings are read-only
 ``np.frombuffer`` views of the bytes, never copies.
 """
 
@@ -220,7 +222,8 @@ class InvertedIndex:
     and strictly ascending, and each document's token count the sum of its
     postings' term frequencies and its max term frequency their maximum.
     Where the bytes break several of these, the first break in byte order
-    is the one reported.
+    is the one reported, a posting's ordinal before its tf, but each
+    document's totals are checked last, against postings that passed.
     """
 
     def __init__(self, data: bytes):
@@ -264,24 +267,60 @@ class InvertedIndex:
             operator.ge, tokens, tokens[1:])), len(tokens))
         empty = np.flatnonzero(dfs == 0)
         first = min(unordered, empty[0] if empty.size else len(tokens))
+        # check the postings of the tokens before the first bad record, of
+        # those the bytes hold whole; 8 * a uint32 df would wrap
+        past = stops + 4 + 8 * dfs.astype(np.int64)
+        checked = min(first, np.searchsorted(past, len(data), "right"))
+        at = (stops + 4).tolist()
+        ordinal, tf = np.frombuffer(b"".join(
+            data[a:b] for a, b in zip(at, past[:checked].tolist())),
+            _U32).reshape(-1, 2).T
+        ends = np.cumsum(dfs[:checked], dtype=np.intp)
+        out_of_range = ordinal >= n_docs
+        out_of_order = np.zeros(len(ordinal), bool)
+        np.less_equal(ordinal[1:], ordinal[:-1], out=out_of_order[1:])
+        out_of_order[ends[:-1]] = False  # a token's first posting is free
+        bad = np.flatnonzero(out_of_range | out_of_order | (tf == 0))
+        if bad.size:  # the first faulty posting, its ordinal before its tf
+            where = bad[0]
+            problem = (f"has a posting for doc ordinal {ordinal[where]} of "
+                       f"an index of {n_docs} documents"
+                       if out_of_range[where]
+                       else "has postings out of doc ordinal order"
+                       if out_of_order[where]
+                       else "has a posting with term frequency 0")
+            token = tokens[np.searchsorted(ends, where, "right")]
+            raise IndexFormatError(f"corrupt index: token {token!r} {problem}")
         if first < len(tokens):
             token = tokens[first]
-            if first == unordered:
-                problem = ("a duplicate" if token == tokens[first - 1]
-                           else "out of order")
-                raise IndexFormatError(
-                    f"corrupt index: token {token!r} is {problem}")
-            raise IndexFormatError(
-                f"corrupt index: token {token!r} has no postings")
+            problem = ("has no postings" if first != unordered
+                       else "is a duplicate" if token == tokens[first - 1]
+                       else "is out of order")
+            raise IndexFormatError(f"corrupt index: token {token!r} {problem}")
         if fault:
             raise IndexFormatError(fault)
         if offset != len(data):
             raise IndexFormatError("trailing bytes after index data")
+        # every posting passed its checks: the documents' totals come last
+        observed = np.zeros(n_docs, _U32)
+        np.maximum.at(observed, ordinal, tf)
+        # uint64 sums are exact; np.add.at's fast path needs matching dtypes
+        counted = np.zeros(n_docs, np.uint64)
+        np.add.at(counted, ordinal, tf.astype(np.uint64))
+        miscounted = counted != per_doc[:, 0]
+        bad = np.flatnonzero(miscounted | (observed != per_doc[:, 1]))
+        if bad.size:  # the token count comes first in a document's record
+            doc = bad[0]
+            problem = (f"token count {per_doc[doc, 0]}" if miscounted[doc]
+                       else f"max term frequency {per_doc[doc, 1]}")
+            raise IndexFormatError(
+                f"corrupt index: document {doc_ids[doc]!r} has {problem}, "
+                "inconsistent with its postings")
 
         per_doc.flags.writeable = False
         self._data = data
         self._terms: dict[str, tuple[int, int]] = dict(zip(
-            tokens, zip(dfs.tolist(), (stops + 4).tolist())))
+            tokens, zip(dfs.tolist(), at)))
         self._ordinals = ordinals
         self.doc_ids: tuple[str, ...] = tuple(doc_ids)
         #: Each document's token count and max term frequency, by ordinal.
@@ -301,47 +340,6 @@ class InvertedIndex:
         #: ``doc_ids`` as an object array, to gather many with one index.
         self.doc_id_array = np.array(self.doc_ids, dtype=object)
         self.doc_id_array.flags.writeable = False
-        self._check_postings()
-
-    def _check_postings(self) -> None:
-        """Check every posting against N, its token's order and its
-        document's recorded token count and max term frequency, all tokens
-        at once."""
-        data = self._data
-        ordinal, tf = np.frombuffer(
-            b"".join(data[at:at + 8 * df] for df, at in self._terms.values()),
-            _U32).reshape(-1, 2).T
-        ends = np.cumsum([df for df, _ in self._terms.values()], dtype=np.intp)
-
-        def fail(position: int, problem: str):
-            token = list(self._terms)[np.searchsorted(ends, position, "right")]
-            raise IndexFormatError(f"corrupt index: token {token!r} {problem}")
-
-        if (bad := np.flatnonzero(ordinal >= self.total_docs)).size:
-            fail(bad[0], f"has a posting for doc ordinal {ordinal[bad[0]]} "
-                         f"of an index of {self.total_docs} documents")
-        if (bad := np.flatnonzero(tf == 0)).size:
-            fail(bad[0], "has a posting with term frequency 0")
-        unordered = ordinal[1:] <= ordinal[:-1]
-        unordered[ends[:-1] - 1] = False  # a token's first posting is free
-        if (bad := np.flatnonzero(unordered)).size:
-            fail(bad[0] + 1, "has postings out of doc ordinal order")
-        observed = np.zeros(self.total_docs, _U32)
-        np.maximum.at(observed, ordinal, tf)
-        # uint64 sums are exact; np.add.at's fast path needs matching dtypes
-        counted = np.zeros(self.total_docs, np.uint64)
-        np.add.at(counted, ordinal, tf.astype(np.uint64))
-        miscounted = counted != self.token_counts
-        bad = np.flatnonzero(miscounted
-                             | (observed != self.max_term_frequencies))
-        if bad.size:  # the token count comes first in a document's record
-            doc = bad[0]
-            problem = (
-                f"token count {self.token_counts[doc]}" if miscounted[doc]
-                else f"max term frequency {self.max_term_frequencies[doc]}")
-            raise IndexFormatError(
-                f"corrupt index: document {self.doc_ids[doc]!r} has "
-                f"{problem}, inconsistent with its postings")
 
     @property
     def total_docs(self) -> int:

@@ -218,8 +218,10 @@ class RankedEntries(Sequence):
     the list equals (and hashes as) the tuple of its entries.  It holds no
     object per entry, so the garbage collector has nothing to walk.  It
     keeps its own copies of the columns, so the caller's stay as they were.
-    Scores that are not one column of numbers, and columns of different
-    lengths, raise :class:`RunFormatError`.
+    Scores that are not one column of int, unsigned or float numbers (a
+    bool, text or object column is not), a score that is not finite, and
+    columns of different lengths raise :class:`RunFormatError`; doc ids are
+    not checked.
     """
 
     __slots__ = ("doc_ids", "scores")
@@ -227,11 +229,16 @@ class RankedEntries(Sequence):
     def __init__(self, doc_ids: Iterable[str], scores: Iterable[float]):
         doc_ids = tuple(doc_ids)
         try:
-            column = np.array(scores, dtype=np.float64)
-        except (TypeError, ValueError):
-            column = None
-        if column is None or column.ndim != 1:
+            column = np.array(scores)
+        except (TypeError, ValueError):  # a ragged column
+            column = np.array(None)
+        if column.ndim != 1 or column.dtype.kind not in "iuf":
             raise RunFormatError("ranked scores must be one column of numbers")
+        column = column.astype(np.float64, copy=False)
+        if np.count_nonzero(finite := np.isfinite(column)) < len(column):
+            at = int(finite.argmin())
+            raise RunFormatError(
+                f"score {column[at]} at rank {at + 1} is not finite")
         if len(doc_ids) != len(column):
             raise RunFormatError(
                 f"ranked columns differ in length: {len(doc_ids)} doc ids, "
@@ -271,10 +278,10 @@ class RankedList:
     Scores are non-increasing; ties are broken by ascending doc_id; ranks
     run contiguously from 1.  ``entries`` given as any other sequence of
     ``(doc_id, score, rank)`` entries is checked and stored as their
-    :class:`RankedEntries` columns: ranks must be 1..n in entry order,
-    scores finite and doc ids one word each, or :class:`RunFormatError`
-    names the topic.  Score order and distinct doc ids are ``parse_run``'s
-    checks, not this one's.
+    :class:`RankedEntries` columns, whose score checks come first; ranks
+    must be 1..n in entry order and doc ids one word each, or
+    :class:`RunFormatError` names the topic.  Score order and distinct doc
+    ids are ``parse_run``'s checks, not this one's.
     """
 
     query_id: str
@@ -289,14 +296,11 @@ class RankedList:
             entries = RankedEntries(doc_ids, scores)
         except RunFormatError as error:
             raise RunFormatError(f"{topic}{error}") from None
-        for position, (doc_id, score, rank) in enumerate(
-                zip(doc_ids, entries.scores.tolist(), ranks), start=1):
+        for position, (doc_id, rank) in enumerate(zip(doc_ids, ranks),
+                                                  start=1):
             if rank != position:
                 raise RunFormatError(f"{topic}rank {rank} out of order "
                                      f"(expected {position})")
-            if not math.isfinite(score):
-                raise RunFormatError(f"{topic}score {score} at rank {rank} "
-                                     "is not finite")
             if not one_word(doc_id):
                 raise RunFormatError(f"{topic}doc id {doc_id!r} is empty or "
                                      "contains whitespace")

@@ -52,6 +52,22 @@ def reference_frix(docs: list[tuple[str, str]]) -> bytes:
     return b"".join(parts)
 
 
+def frix(docs, terms):
+    """FRIX1 bytes of (doc_id, token count, max tf) documents and
+    (token, [(doc ordinal, tf), ...]) terms, written exactly as given."""
+    out = b"FRIX1\x01" + struct.pack("<I", len(docs))
+    for doc_id, token_count, max_tf in docs:
+        out += struct.pack("<I", len(doc_id)) + doc_id
+        out += struct.pack("<II", token_count, max_tf)
+    out += struct.pack("<I", len(terms))
+    for token, postings in terms:
+        out += struct.pack("<I", len(token)) + token
+        out += struct.pack("<I", len(postings))
+        for pair in postings:
+            out += struct.pack("<II", *pair)
+    return out
+
+
 def tri(x: np.ndarray, a: float, b: float, c: float) -> np.ndarray:
     """Triangular membership via the min-of-edges formula."""
     x = np.asarray(x, dtype=np.float64)

@@ -21,6 +21,8 @@ from frank.fisfile import parse_fis_config, parse_template
 from frank.index import Document, InvertedIndex, build_index, read_corpus_jsonl
 from frank.rules import parse_rules_block
 
+from oracles import frix
+
 
 @pytest.fixture()
 def index_path(tmp_path, data_dir, capsys):
@@ -36,22 +38,6 @@ def run_cli(capsys, argv):
     rc = main(argv)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
-
-
-def frix(docs, terms):
-    """FRIX1 bytes of (doc_id, token count, max tf) documents and
-    (token, [(doc ordinal, tf), ...]) terms, written exactly as given."""
-    out = b"FRIX1\x01" + struct.pack("<I", len(docs))
-    for doc_id, token_count, max_tf in docs:
-        out += struct.pack("<I", len(doc_id)) + doc_id
-        out += struct.pack("<II", token_count, max_tf)
-    out += struct.pack("<I", len(terms))
-    for token, postings in terms:
-        out += struct.pack("<I", len(token)) + token
-        out += struct.pack("<I", len(postings))
-        for pair in postings:
-            out += struct.pack("<II", *pair)
-    return out
 
 
 # d1 "apple banana banana", d2 "banana"
@@ -332,6 +318,27 @@ class TestSearch:
         assert (rc, out) == (1, "")
         assert err == ("frank: error: --template is required with --ranker "
                        "fis\n")
+
+    def test_missing_template_named_before_the_index(self, capsys):
+        rc, out, err = run_cli(capsys, [
+            "search", "--index", "/nonexistent.idx", "--ranker", "fis",
+            "--template", "/nonexistent.cfg", "--query", "ice"])
+        assert (rc, out) == (2, "")
+        assert "/nonexistent.cfg" in err
+        assert "/nonexistent.idx" not in err
+
+    def test_bad_template_reported_before_the_index(self, capsys, tmp_path,
+                                                   data_dir):
+        template = tmp_path / "template.cfg"
+        template.write_text((data_dir / "template_default.cfg").read_text()
+                            .replace("[output relevance]\nuniverse 0 1\n"
+                                     "set high trimf 0 1 1\n"
+                                     "set not_high trimf 0 0 1\n", ""))
+        rc, out, err = run_cli(capsys, [
+            "search", "--index", str(tmp_path / "missing.idx"),
+            "--ranker", "fis", "--template", str(template), "--query", "ice"])
+        assert (rc, out) == (2, "")
+        assert err == "frank: error: line 26: missing [output] section\n"
 
     def test_stopword_only_query_exits_1(self, capsys, index_path):
         rc, _, err = run_cli(capsys, [

@@ -29,7 +29,7 @@ from frank.index import (Document, InvertedIndex, build_index,
                          extract_features, idf_norm, idf_raw,
                          read_corpus_jsonl, tokenize, STOPWORDS)
 
-from oracles import (ReferenceCorpus, reference_extract_features,
+from oracles import (ReferenceCorpus, frix, reference_extract_features,
                      reference_frix, reference_tokenize)
 
 
@@ -480,6 +480,48 @@ class TestSerialization:
             InvertedIndex.from_bytes(data)
         assert str(excinfo.value) == ("corrupt index: doc id at byte 14 is "
                                       "not valid UTF-8")
+
+
+# d1 "aa bb bb", d2 "cc", with the one posting of aa given term frequency 0
+# below, then a second fault after it in the bytes
+TWO_DOCS = [(b"d1", 3, 2), (b"d2", 1, 1)]
+TF_ZERO = [(b"aa", [(0, 0)]), (b"bb", [(0, 2)])]
+WELL_FORMED_CC = frix(TWO_DOCS, TF_ZERO + [(b"cc", [(1, 1)])])
+AA_TF_ZERO = "token 'aa' has a posting with term frequency 0"
+
+FAULT_ORDER = {
+    "tf_zero_before_ordinal_out_of_range": (
+        frix(TWO_DOCS, TF_ZERO + [(b"cc", [(9, 1)])]), AA_TF_ZERO),
+    "tf_zero_before_token_out_of_order": (
+        frix(TWO_DOCS, TF_ZERO + [(b"ab", [(1, 1)])]), AA_TF_ZERO),
+    "tf_zero_before_non_utf8_token": (
+        frix(TWO_DOCS, TF_ZERO + [(b"c\xff", [(1, 1)])]), AA_TF_ZERO),
+    **{f"tf_zero_before_file_cut_{cut}_bytes_short": (
+        WELL_FORMED_CC[:-cut], AA_TF_ZERO) for cut in (1, 3, 8, 12)},
+    "tf_zero_before_wrong_document_totals": (
+        frix([(b"d1", 7, 7), (b"d2", 1, 1)], TF_ZERO + [(b"cc", [(1, 1)])]),
+        AA_TF_ZERO),
+    "tf_zero_before_a_later_postings_ordinal": (
+        frix(TWO_DOCS, [(b"aa", [(0, 0), (9, 1)]), (b"bb", [(0, 2)])]),
+        AA_TF_ZERO),
+    "ordinal_before_tf_of_one_posting": (
+        frix(TWO_DOCS, [(b"aa", [(1, 1), (0, 0)]), (b"bb", [(0, 2)])]),
+        "token 'aa' has postings out of doc ordinal order"),
+    "token_record_before_its_postings": (
+        frix(TWO_DOCS, [(b"bb", [(0, 2)]), (b"aa", [(0, 0)])]),
+        "token 'aa' is out of order"),
+}
+
+
+@pytest.mark.parametrize("case", FAULT_ORDER)
+def test_first_fault_in_byte_order_wins(case):
+    """A token's record, then its postings in order, each posting's ordinal
+    before its tf, all before a later token or the end of the file; each
+    document's recorded totals are checked last."""
+    data, problem = FAULT_ORDER[case]
+    with pytest.raises(IndexFormatError) as excinfo:
+        InvertedIndex.from_bytes(data)
+    assert str(excinfo.value) == f"corrupt index: {problem}"
 
 
 FIXTURE_BYTES = build_index(read_corpus_jsonl(

@@ -709,7 +709,7 @@ class TestColumnScoring:
 _WORDS = ("aa", "bb", "cc", "dd", "ee")
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(texts=st.lists(st.lists(st.sampled_from(_WORDS + ("of", "x")),
                                max_size=10), min_size=1, max_size=12),
        query=st.lists(st.sampled_from(_WORDS + ("zz", "yy")), min_size=1,
@@ -947,6 +947,36 @@ class TestColumnarEntries:
             RankedList("q", [("a", score, 1)])
         assert str(caught.value) == (
             "topic q: ranked scores must be one column of numbers")
+
+    @pytest.mark.parametrize("scores", [
+        np.array([True]), [True, False], np.array(["0.5"]), ("0.5",),
+        np.array([0.5], dtype=object)],
+        ids=["bool-array", "bool-list", "text-array", "text-tuple",
+             "object-array"])
+    def test_only_int_unsigned_and_float_columns_accepted(self, scores):
+        with pytest.raises(RunFormatError) as caught:
+            RankedEntries(("a",) * len(scores), scores)
+        assert str(caught.value) == (
+            "ranked scores must be one column of numbers")
+
+    @pytest.mark.parametrize("score", ["0.5", True],
+                             ids=["text", "bool"])
+    def test_entry_score_of_another_type_names_the_topic(self, score):
+        with pytest.raises(RunFormatError) as caught:
+            RankedList("t", (("d1", score, 1),))
+        assert str(caught.value) == (
+            "topic t: ranked scores must be one column of numbers")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_score_not_finite_rejected(self, bad):
+        with pytest.raises(RunFormatError) as caught:
+            RankedEntries(("a", "b", "c"), np.array([1.0, bad, bad]))
+        assert str(caught.value) == f"score {bad} at rank 2 is not finite"
+
+    def test_a_run_of_a_non_finite_score_is_never_written(self):
+        with pytest.raises(RunFormatError, match="not finite"):
+            format_run(RunFile("x", {
+                "1": RankedEntries(("a",), np.array([math.nan]))}))
 
     def test_ill_formed_lists_keep_their_run_bytes(self, index20):
         """A hand-built list whose scores rise or that repeats a doc still
