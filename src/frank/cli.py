@@ -100,11 +100,11 @@ def cmd_search(args) -> int:
 def cmd_eval(args) -> int:
     run = load_run(args.run)
     report = evaluate_run(run, load_qrels(args.qrels))
-    sys.stdout.write(format_report(report, run.tag))
-    if args.jsonl:
+    if args.jsonl:  # first, so a failed write leaves stdout empty
         Path(args.jsonl).write_text(
             report_jsonl(report, run.tag), encoding="utf-8"
         )
+    sys.stdout.write(format_report(report, run.tag))
     return 0
 
 

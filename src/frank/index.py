@@ -603,6 +603,11 @@ def read_corpus_jsonl(path: str | Path) -> Iterator[Document]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"invalid JSON: {exc.msg}", line=number)
+            except RecursionError:
+                raise CorpusError("invalid JSON: nested too deeply",
+                                  line=number)
+            except ValueError:  # an integer past Python's digit limit
+                raise CorpusError("invalid JSON: number too long", line=number)
             if not isinstance(record, dict):
                 raise CorpusError("line is not a JSON object", line=number)
             for field in ("doc_id", "text"):

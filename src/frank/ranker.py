@@ -278,7 +278,8 @@ class RankedList:
     Scores are non-increasing; ties are broken by ascending doc_id; ranks
     run contiguously from 1.  ``entries`` given as any other sequence of
     ``(doc_id, score, rank)`` entries is checked and stored as their
-    :class:`RankedEntries` columns, whose score checks come first; ranks
+    :class:`RankedEntries` columns, whose score checks come first (here a
+    bool among numeric scores is refused too); ranks
     must be 1..n in entry order and doc ids one word each, or
     :class:`RunFormatError` names the topic.  Score order and distinct doc
     ids are ``parse_run``'s checks, not this one's.
@@ -293,6 +294,10 @@ class RankedList:
         doc_ids, scores, ranks = tuple(zip(*self.entries)) or ((), (), ())
         topic = f"topic {self.query_id}: "
         try:
+            # numpy reads a bool among numbers as 0 or 1, so look at each
+            if any(isinstance(score, (bool, np.bool_)) for score in scores):
+                raise RunFormatError(
+                    "ranked scores must be one column of numbers")
             entries = RankedEntries(doc_ids, scores)
         except RunFormatError as error:
             raise RunFormatError(f"{topic}{error}") from None

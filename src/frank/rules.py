@@ -17,31 +17,27 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import FrankError, split_lines
 
-KEYWORDS = {
-    "if": "kw_if",
-    "and": "kw_and",
-    "is": "kw_is",
-    "not": "kw_not",
-    "weight": "kw_weight",
-}
+_KEYWORDS = frozenset({"if", "and", "is", "not", "weight"})
 
+# \S, not ".": a catch-all that also matched whitespace would let \s* give
+# back trailing whitespace and report it as a bad character.
 _TOKEN_RE = re.compile(
-    r"(?P<arrow>->|→)"
+    r"\s*(?:(?P<arrow>->|→)"
     r"|(?P<lparen>\()"
     r"|(?P<rparen>\))"
     r"|(?P<number>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
     r"|(?P<identifier>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<bad>\S))"
 )
 
 
-@dataclass(frozen=True)
-class RuleToken:
+class _Token(NamedTuple):
     kind: str
     lexeme: str
-    line: int
     column: int
 
 
@@ -72,94 +68,77 @@ class ParseError(FrankError):
         self.line = line
 
 
-def _lex(source: str, line: int) -> list[RuleToken]:
-    tokens: list[RuleToken] = []
-    pos = 0
-    while pos < len(source):
-        if source[pos].isspace():
-            pos += 1
-            continue
-        match = _TOKEN_RE.match(source, pos)
-        if match is None:
+def _lex(source: str, line: int) -> list[_Token]:
+    tokens = []
+    for match in _TOKEN_RE.finditer(source):
+        kind = match.lastgroup
+        lexeme = match[kind]
+        column = match.start(kind) + 1
+        if kind == "bad":
             raise ParseError(
-                f"found {source[pos]!r}, expected identifier, number, "
+                f"found {lexeme!r}, expected identifier, number, "
                 "parenthesis, or arrow",
-                line, pos + 1,
+                line, column,
                 ("identifier", "number", "lparen", "rparen", "arrow"),
             )
-        kind = match.lastgroup or ""
-        lexeme = match.group()
-        if kind == "identifier" and lexeme in KEYWORDS:
-            kind = KEYWORDS[lexeme]
-        tokens.append(RuleToken(kind, lexeme, line, pos + 1))
-        pos = match.end()
+        if kind == "identifier" and lexeme in _KEYWORDS:
+            kind = f"kw_{lexeme}"
+        tokens.append(_Token(kind, lexeme, column))
     return tokens
 
 
 class _Parser:
     def __init__(self, source: str, line: int | None):
-        self.source = source
         self.source_line = line
         # positions in a ParseError count from line 1 without a source line
         self.line = line or 1
         self.tokens = _lex(source, self.line)
+        self.tokens.append(_Token("end of line", "", len(source) + 1))
         self.pos = 0
 
-    def _peek(self) -> RuleToken | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def _fail(self, expected: tuple[str, ...]) -> ParseError:
-        token = self._peek()
-        want = " or ".join(expected)
-        if token is None:
-            column = len(self.source) + 1
-            return ParseError(
-                f"found end of line, expected {want}", self.line, column, expected
-            )
-        return ParseError(
-            f"found {token.lexeme!r}, expected {want}",
-            token.line, token.column, expected,
-        )
-
-    def _expect(self, *kinds: str) -> RuleToken:
-        token = self._peek()
-        if token is None or token.kind not in kinds:
-            raise self._fail(kinds)
+    def _expect(self, *kinds: str) -> _Token:
+        """Consume the next token, which must be of one of ``kinds``."""
+        token = self.tokens[self.pos]
+        if token.kind not in kinds:
+            found = repr(token.lexeme) if token.lexeme else token.kind
+            raise ParseError(f"found {found}, expected {' or '.join(kinds)}",
+                             self.line, token.column, kinds)
         self.pos += 1
         return token
 
+    def _accept(self, kind: str) -> bool:
+        """Consume the next token if it is an optional ``kind``."""
+        if self.tokens[self.pos].kind != kind:
+            return False
+        self.pos += 1
+        return True
+
     def _clause(self) -> RuleClause:
         self._expect("lparen")
-        variable = self._expect("identifier")
+        variable = self._expect("identifier").lexeme
         self._expect("kw_is")
-        negated = False
-        if (token := self._peek()) is not None and token.kind == "kw_not":
-            self.pos += 1
-            negated = True
-        label = self._expect("identifier")
+        negated = self._accept("kw_not")
+        label = self._expect("identifier").lexeme
         self._expect("rparen")
-        return RuleClause(variable.lexeme, label.lexeme, negated)
+        return RuleClause(variable, label, negated)
 
     def rule(self) -> RuleAst:
         self._expect("kw_if")
         antecedent = [self._clause()]
-        while (token := self._peek()) is not None and token.kind == "kw_and":
-            self.pos += 1
+        while self._accept("kw_and"):
             antecedent.append(self._clause())
         self._expect("arrow")
         consequent = self._clause()
         weight = 1.0
-        if (token := self._peek()) is not None and token.kind == "kw_weight":
-            self.pos += 1
+        if self._accept("kw_weight"):
             number = self._expect("number")
             weight = float(number.lexeme)
             if not 0.0 < weight <= 1.0:
                 raise ParseError(
                     f"weight {number.lexeme} outside (0, 1]",
-                    number.line, number.column, ("number",),
+                    self.line, number.column, ("number",),
                 )
-        if self._peek() is not None:
-            raise self._fail(("end of line",))
+        self._expect("end of line")
         return RuleAst(tuple(antecedent), consequent, weight, self.source_line)
 
 

@@ -539,6 +539,16 @@ class TestEvalAndDiff:
         assert rc == 0
         assert jsonl.read_text() == (golden_dir / "report_fis.jsonl").read_text()
 
+    def test_eval_jsonl_write_failure_prints_its_error_only(
+            self, capsys, tmp_path, data_dir, golden_dir):
+        rc, out, err = run_cli(capsys, [
+            "eval", "--run", str(golden_dir / "run_fis.txt"),
+            "--qrels", str(data_dir / "qrels20.txt"),
+            "--jsonl", str(tmp_path / "missing" / "report.jsonl")])
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("frank: error: ") and err.count("\n") == 1
+
     def test_diff_matches_golden(self, capsys, data_dir, golden_dir):
         rc, out, _ = run_cli(capsys, [
             "diff", "--run-a", str(golden_dir / "run_baseline.txt"),
@@ -976,17 +986,25 @@ QRELS_101_UNJUDGED = (DATA / "qrels20.txt").read_bytes().replace(
 # 2 sigma^2 overflows: numpy warned twice and the degrees were nan
 CONFIG_WIDE_GAUSSIAN = (DATA / "fis_basic.cfg").read_bytes().replace(
     b"set high trimf 0 1 1", b"set high gaussmf 1e200 1e300", 1)
+# json.loads raised RecursionError and ValueError on these corpus lines
+CORPUS_DEEP_FIELD = (b'{"doc_id": "d", "text": "t", "extra": '
+                     + b"[" * 100000 + b"]" * 100000 + b"}\n")
+CORPUS_LONG_INTEGER = (b'{"doc_id": "d", "text": "t", "extra": '
+                       + b"1" * 5000 + b"}\n")
 
 
 class TestArbitraryInputFiles:
     """Whatever bytes an input file holds, every subcommand that reads it
-    exits 0, 1 or 2 and writes nothing or one ``frank:`` line to stderr."""
+    exits 0, 1 or 2 and writes nothing or one ``frank:`` line to stderr;
+    one that fails writes nothing to stdout."""
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(case=file_inputs())
     @example(case=("qrels", SLOT_COMMANDS["qrels"][1], QRELS_101_UNJUDGED))
     @example(case=("config", SLOT_COMMANDS["config"][0], CONFIG_WIDE_GAUSSIAN))
     @example(case=("config", SLOT_COMMANDS["config"][1], CONFIG_WIDE_GAUSSIAN))
+    @example(case=("corpus", SLOT_COMMANDS["corpus"][0], CORPUS_DEEP_FIELD))
+    @example(case=("corpus", SLOT_COMMANDS["corpus"][0], CORPUS_LONG_INTEGER))
     def test_exit_code_and_one_stderr_line(self, valid_files, case):
         slot, command, data = case
         if isinstance(data, tuple):
@@ -1003,6 +1021,7 @@ class TestArbitraryInputFiles:
                     contextlib.redirect_stderr(err):
                 rc = main(argv)
         assert rc in (0, 1, 2)
+        assert rc == 0 or out.getvalue() == ""
         lines = err.getvalue().splitlines(keepends=True)
         assert len(lines) <= 1, lines
         assert all(line.startswith("frank: ") and line.endswith("\n")

@@ -582,6 +582,19 @@ class TestCorpusReading:
         with pytest.raises(CorpusError, match="line 2"):
             list(read_corpus_jsonl(path))
 
+    @pytest.mark.parametrize("value, reason", [
+        ("[" * 100000 + "]" * 100000, "nested too deeply"),
+        ("1" * 5000, "number too long"),
+    ])
+    def test_json_python_cannot_convert_reports_line(self, tmp_path, value,
+                                                     reason):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"doc_id": "x", "text": "ok"}\n'
+                        f'{{"doc_id": "y", "text": "ok", "extra": {value}}}\n')
+        with pytest.raises(CorpusError) as excinfo:
+            list(read_corpus_jsonl(path))
+        assert str(excinfo.value) == f"line 2: invalid JSON: {reason}"
+
     def test_missing_field_reports_line(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"doc_id": "x"}\n')

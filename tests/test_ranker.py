@@ -967,6 +967,20 @@ class TestColumnarEntries:
         assert str(caught.value) == (
             "topic t: ranked scores must be one column of numbers")
 
+    @pytest.mark.parametrize("flag", [True, np.True_],
+                             ids=["bool", "numpy-bool"])
+    def test_entry_bool_among_numeric_scores_names_the_topic(self, flag):
+        with pytest.raises(RunFormatError) as caught:
+            RankedList("t", (("a", 0.5, 1), ("b", flag, 2), ("c", 9, 9)))
+        assert str(caught.value) == (
+            "topic t: ranked scores must be one column of numbers")
+
+    def test_entry_int_and_float_scores_mix(self):
+        ranked = RankedList("t", (("a", 2, 1), ("b", 0.5, 2),
+                                  ("c", np.int64(0), 3)))
+        assert ranked.entries.scores.dtype == np.float64
+        assert ranked.entries.scores.tolist() == [2.0, 0.5, 0.0]
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_score_not_finite_rejected(self, bad):
         with pytest.raises(RunFormatError) as caught:

@@ -12,6 +12,7 @@ import frank
 import frank.evaluation
 import frank.fis
 import frank.index
+import frank.rules
 from frank.evaluation import RunFile
 from frank.ranker import FisTemplate, RankedEntries, default_template
 
@@ -31,6 +32,8 @@ REMOVED = {
     "rule_strengths": (frank, frank.fis),
     "QueryFeatures.tf": (frank.index.QueryFeatures, frank.extract_features(
         frank.build_index([frank.Document("d", "aa")]), ["aa"])),
+    "RuleToken": (frank, frank.rules),
+    "KEYWORDS": (frank, frank.rules),
 }
 
 # function -> the parameters it no longer takes

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frank.rules import (ParseError, RuleAst, RuleClause, parse_rule,
                          parse_rules_block, print_rule)
@@ -181,3 +182,54 @@ def test_deletion_errors_point_inside_the_gap(source):
                 assert lo <= column <= hi, (line, index, column)
             else:
                 assert column == len(line) + 1, (line, index, column)
+
+
+WHITESPACE = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+
+
+@pytest.mark.parametrize("source", [
+    "if (tf is high) and (idf is high) -> (relevance is high)",
+    "if (tf is not high) and (idf is high) → (relevance is high) weight 0.25",
+])
+@pytest.mark.parametrize("space", WHITESPACE, ids=lambda c: f"U+{ord(c):04X}")
+def test_any_whitespace_separates_tokens(source, space):
+    """Every character ``str.isspace`` knows may stand around every token."""
+    spaced = space + space.join(
+        f"{space}{lexeme}{space}" for lexeme in _token_lexemes(source)) + space
+    assert parse_rule(spaced) == parse_rule(source)
+
+
+RULE_PIECES = ["if", "and", "is", "not", "weight", "->", "→", "(", ")", "tf",
+               "high", "0.25", "1", "2", "1e0", " ", "\t", "\u2029", "\x85",
+               "\u3000", "$", "é", "-", ">", "."]
+WEIGHTED_RULE = _token_lexemes(
+    "if (tf is not high) and (idf is high) -> (relevance is high) weight 0.25")
+
+
+@st.composite
+def rule_texts(draw):
+    """Pieces of the rule alphabet in any order, or a weighted rule's tokens
+    split by whitespace, with one drawn piece in one gap."""
+    pieces = st.sampled_from(RULE_PIECES)
+    if draw(st.booleans()):
+        return "".join(draw(st.lists(pieces, max_size=24)))
+    gaps = [draw(st.sampled_from([" ", "\t", "\u2029", "\u3000"]))
+            for _ in range(len(WEIGHTED_RULE) + 1)]
+    gaps[draw(st.integers(0, len(WEIGHTED_RULE)))] += draw(pieces)
+    return "".join(gap + lexeme for gap, lexeme in zip(gaps, WEIGHTED_RULE)
+                   ) + gaps[-1]
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(rule_texts())
+def test_rule_alphabet_parses_and_prints_back_or_fails_off_whitespace(text):
+    """A parse round-trips through ``print_rule``; a ParseError points past
+    the end or at a character that is not whitespace."""
+    try:
+        ast = parse_rule(text)
+    except ParseError as error:
+        _, column = error.position
+        assert column == len(text) + 1 or not text[column - 1].isspace(), (
+            text, column)
+    else:
+        assert parse_rule(print_rule(ast)) == ast
