@@ -28,7 +28,7 @@ print()
 query = "coffee grounds"
 # the candidates are the documents holding a query term; take brew's column
 features = extract_features(index, query.split())
-brew = features.candidates.tolist().index(index.ordinal_of("brew"))
+brew = features.candidates.tolist().index(index.doc_ids.index("brew"))
 # tf is per posting, each term's postings in turn; brew's tf of a term is
 # that of the term's posting at brew's column, 0 where there is none
 tf = dict.fromkeys(features.terms, 0.0)

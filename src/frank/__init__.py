@@ -17,8 +17,7 @@ from .fis import (FisConfig, LinguisticVariable, aggregate, default_variable,
 from .fisfile import (format_fis_config, format_template, load_fis_config,
                       load_template, parse_fis_config, parse_template)
 from .index import (Document, InvertedIndex, QueryFeatures, build_index,
-                    extract_features, idf_norm, idf_raw, read_corpus_jsonl,
-                    tokenize)
+                    extract_features, read_corpus_jsonl, tokenize)
 from .membership import MembershipFunction
 from .ranker import (FisTemplate, RankedEntry, RankedList, default_template,
                      instantiate_fis, score_baseline, score_fis)

@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (FrankError, RunFormatError, UsageError, read_text,
-                     split_lines)
+from .errors import (FrankError, RunFormatError, UsageError, read_number,
+                     read_text, split_lines)
 from .evaluation import (evaluate_run, format_diff, format_report, format_run,
                          load_qrels, load_run, report_jsonl, run_from_ranked)
 from .fis import MAX_RESOLUTION, evaluate, fire_rule, fuzzify
@@ -36,6 +36,10 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         print(f"frank: error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+
+def integer(text: str) -> int:
+    return read_number(text, int)
 
 
 def cmd_index(args) -> int:
@@ -125,7 +129,7 @@ def _parse_assignments(pairs: list[str]) -> dict[str, float]:
         if not sep or not name:
             raise UsageError(f"--in takes name=value, got {pair!r}")
         try:
-            value = float(raw)
+            value = read_number(raw, float)
         except ValueError:
             raise UsageError(f"--in {name}: not a number: {raw!r}")
         if not math.isfinite(value):
@@ -197,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", help="single query text")
     p.add_argument("--queries", help="batch TSV: topic<TAB>query text")
     p.add_argument("--topic", default="1", help="topic id for --query")
-    p.add_argument("--k", type=int, default=DEFAULT_CUTOFF)
+    p.add_argument("--k", type=integer, default=DEFAULT_CUTOFF)
     p.add_argument("--tag", default="frank")
     p.set_defaults(func=cmd_search)
 
@@ -225,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="emit membership curves as CSV")
     p.add_argument("--config", required=True)
     p.add_argument("--var", required=True)
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--samples", type=integer, required=True)
     p.set_defaults(func=cmd_mf_data)
 
     return parser

@@ -1,5 +1,5 @@
 """Exception taxonomy shared across the package, and the one reader of
-text input files.
+text input files and of the numbers in them and in flags.
 
 ``UsageError`` (and its subclasses) marks bad invocations: the CLI maps it
 to exit code 1.  Every other ``FrankError`` is a data or format problem and
@@ -88,3 +88,10 @@ def split_lines(text: str) -> list[str]:
 
 def _universal_newlines(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def read_number(text: str, kind: type[int] | type[float]) -> int | float:
+    """``kind(text)``, but ``ValueError`` for ``_`` or non-ASCII text."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"{text!r} is not a plain ASCII number")
+    return kind(text)

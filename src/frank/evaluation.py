@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .errors import EvalError, RunFormatError, read_text, split_lines
+from .errors import (EvalError, RunFormatError, read_number, read_text,
+                     split_lines)
 from .index import one_word
 from .ranker import RankedEntries, RankedList
 
@@ -106,7 +107,7 @@ def parse_qrels(text: str) -> Qrels:
             )
         topic, _, doc_id, relevance_text = fields
         try:
-            relevance = int(relevance_text)
+            relevance = read_number(relevance_text, int)
         except ValueError:
             raise RunFormatError(
                 f"relevance must be an integer, got {relevance_text!r}",

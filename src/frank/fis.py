@@ -76,8 +76,10 @@ def _check_method(family: str, method: str) -> None:
 
 
 def _check_samples(what: str, values: float | np.ndarray) -> None:
-    """The grid stages' domain: samples and strengths are finite and not
-    negative."""
+    """The grid stages' domain: samples and strengths are numbers (int or
+    float, not bool, text or objects), finite and not negative."""
+    if np.asarray(values).dtype.kind not in "iuf":
+        raise ConfigError(f"{what} must be numbers")
     if not np.isfinite(values).all():
         raise ConfigError(f"{what} must be finite")
     if np.less(values, 0).any():
@@ -266,8 +268,7 @@ def _degree_columns(config: FisConfig,
     extra = sorted(inputs.keys() - names)
     if extra:
         raise ConfigError(f"unknown input variable(s): {', '.join(extra)}")
-    values = [np.asarray(inputs[v.name], dtype=np.float64)
-              for v in config.inputs]
+    values = [np.asarray(inputs[v.name]) for v in config.inputs]
     if any(value.ndim > 1 for value in values):
         raise ConfigError("inputs must be numbers or 1-D columns")
     try:
@@ -276,11 +277,11 @@ def _degree_columns(config: FisConfig,
         raise ConfigError("input columns differ in length") from None
     degrees: dict[tuple[str, str], np.ndarray] = {}
     for variable, value in zip(config.inputs, values):
-        if not np.isfinite(value).all():
+        if value.dtype.kind not in "iuf" or not np.isfinite(value).all():
             raise ConfigError(
                 f"input variable {variable.name!r} is not a finite number"
             )
-        x = np.clip(np.atleast_1d(value), *variable.universe)
+        x = np.clip(np.atleast_1d(value), *variable.universe, dtype=float)
         degrees.update(((variable.name, label), mf.sample(x))
                        for label, mf in variable.sets.items())
     return degrees, (shape[0] if shape else None)
@@ -290,10 +291,10 @@ def fuzzify(config: FisConfig, inputs: Mapping[str, float | np.ndarray]
             ) -> dict[tuple[str, str], float | np.ndarray]:
     """Degrees of membership of each crisp input in each of its fuzzy sets.
 
-    Inputs outside a variable's universe are clamped to it; non-finite
-    inputs are rejected.  The map must name every input variable exactly
-    once.  As for :func:`evaluate`, numbers give floats and 1-D columns
-    give columns, one row per row of the call.
+    Inputs outside a variable's universe are clamped to it; inputs that are
+    not finite int or float numbers (bool, text) are rejected.  The map must
+    name every input variable once.  As for :func:`evaluate`, numbers give
+    floats and 1-D columns give columns, one row per row of the call.
     """
     degrees, rows = _degree_columns(config, inputs)
     if rows is None:
@@ -307,23 +308,19 @@ def fire_rule(rule: RuleAst,
               and_method: str = "prod") -> float | np.ndarray:
     """Firing strength: the and-fold of conjunct degrees times the weight.
 
-    A negated conjunct contributes the complement degree 1 - d.  Single
-    conjuncts skip the fold.  Degrees may be floats or columns that
+    A negated conjunct contributes the complement degree 1 - d.  The first
+    conjunct's degree starts the fold.  Degrees may be floats or columns that
     broadcast together.
     """
     _check_method("and", and_method)
-    strength = None
-    for clause in rule.antecedent:
-        degree = memberships[(clause.variable, clause.label)]
-        if clause.negated:
-            degree = 1.0 - degree
-        if strength is None:
-            strength = degree
-        elif and_method == "prod":
-            strength = strength * degree
-        else:
-            strength = np.minimum(strength, degree)
-    assert strength is not None
+    degrees = (1.0 - memberships[clause.variable, clause.label]
+               if clause.negated
+               else memberships[clause.variable, clause.label]
+               for clause in rule.antecedent)
+    strength = next(degrees)  # a rule has at least one clause
+    for degree in degrees:
+        strength = (strength * degree if and_method == "prod"
+                    else np.minimum(strength, degree))
     return strength * rule.weight
 
 
@@ -397,11 +394,11 @@ def defuzzify(samples: np.ndarray, universe: tuple[float, float],
     midpoint and emits a RuntimeWarning so tests can detect it.
     """
     _check_method("defuzzification", method)
-    samples = np.asarray(samples, dtype=np.float64)
+    samples = np.asarray(samples)
     if samples.ndim not in (1, 2) or samples.shape[-1] < 2:
         raise ConfigError("aggregate needs 1 or 2 axes of >= 2 samples")
     _check_samples("aggregate samples", samples)
-    rows = np.atleast_2d(samples)
+    rows = np.atleast_2d(samples.astype(np.float64, copy=False))
     lo, hi = _checked_universe(universe)
     # finite samples can still have sums that overflow to inf or NaN, and
     # linspace's steps times their count can overflow before its last point

@@ -44,7 +44,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from pathlib import Path
 
-from .errors import ConfigError, read_text, split_lines
+from .errors import ConfigError, read_number, read_text, split_lines
 from .fis import (MAX_RESOLUTION, OPERATORS, FisConfig, LinguisticVariable,
                   _check_resolution)
 from .membership import MembershipFunction
@@ -92,7 +92,7 @@ class _VariableDraft:
 
 def _parse_floats(values: list[str], line: int) -> list[float]:
     try:
-        return [float(v) for v in values]
+        return [read_number(v, float) for v in values]
     except ValueError as exc:
         raise ConfigError(str(exc), line=line)
 
@@ -198,7 +198,8 @@ def _parse(text: str, template: bool) -> FisConfig | FisTemplate:
                     )
                 system[field] = values[0]
             elif key == "resolution":
-                if len(values) != 1 or not values[0].isdecimal():
+                if (len(values) != 1 or not values[0].isascii()
+                        or not values[0].isdecimal()):
                     raise ConfigError("resolution takes a positive integer",
                                       line=number)
                 try:

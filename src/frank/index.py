@@ -97,10 +97,12 @@ class QueryFeatures:
     """Ranking features of one query's candidate documents, as columns.
 
     ``terms`` holds the distinct query tokens in first-occurrence order,
-    ``idf_raw`` their ln(N/df) and ``idf`` their idf_norm, each looked up
-    once.  ``candidates`` are the ordinals of the documents holding at least
-    one of the terms, ascending.  ``overlap`` holds, per candidate, the
-    number of distinct terms it contains divided by ``len(terms)``.
+    ``idf_raw`` their ln(N/df), 0 for a token in no document, and ``idf``
+    that over ln(N), in [0, 1], or 0 for every token when N < 2, both
+    from ``dfs``.  ``candidates`` are the ordinals of the documents
+    holding at least one of the terms, ascending.  ``overlap`` holds, per
+    candidate, the number of distinct terms it contains divided by
+    ``len(terms)``.
 
     The term frequencies are per posting: the postings of ``terms[0]``,
     then of ``terms[1]`` and so on (``dfs`` of them per term), each with its
@@ -239,9 +241,8 @@ class InvertedIndex:
             raise IndexFormatError(_TRUNCATED)
         doc_ids, starts, stops, offset, fault = _scan(data, offset, n_docs,
                                                       False)
-        ordinals = dict(zip(doc_ids, range(n_docs)))
         malformed = _first_malformed(doc_ids, starts, stops)
-        if len(ordinals) < len(doc_ids):
+        if len(set(doc_ids)) < len(doc_ids):
             seen: set[str] = set()
             duplicate = next((doc_id for doc_id in doc_ids[:malformed]
                               if doc_id in seen or seen.add(doc_id)), None)
@@ -321,7 +322,6 @@ class InvertedIndex:
         self._data = data
         self._terms: dict[str, tuple[int, int]] = dict(zip(
             tokens, zip(dfs.tolist(), at)))
-        self._ordinals = ordinals
         self.doc_ids: tuple[str, ...] = tuple(doc_ids)
         #: Each document's token count and max term frequency, by ordinal.
         self.token_counts = per_doc[:, 0]
@@ -352,13 +352,6 @@ class InvertedIndex:
     @property
     def total_tokens(self) -> int:
         return int(self.token_counts.sum())
-
-    def ordinal_of(self, doc_id: str) -> int:
-        return self._ordinals[doc_id]
-
-    def document_frequency(self, token: str) -> int:
-        entry = self._terms.get(token)
-        return entry[0] if entry else 0
 
     def postings(self, token: str) -> tuple[np.ndarray, np.ndarray]:
         """A token's doc ordinals (ascending) and term frequencies, as
@@ -512,29 +505,6 @@ def _invert(corpus: Iterable[Document]) -> bytes:
     return out.getvalue()
 
 
-def idf_norm(index: InvertedIndex, token: str) -> float:
-    """Normalized inverse document frequency, ln(N/n) / ln(N), in [0, 1].
-
-    A token in a single document scores 1, a token in every document scores
-    0.  Unknown tokens score 0 (they contribute no matched evidence), and a
-    corpus of fewer than two documents has no spread to normalize, also 0.
-    """
-    return _normalized_idf(index, idf_raw(index, token))
-
-
-def _normalized_idf(index: InvertedIndex, raw: float) -> float:
-    total = index.total_docs
-    return raw / math.log(total) if total > 1 else 0.0
-
-
-def idf_raw(index: InvertedIndex, token: str) -> float:
-    """Unnormalized ln(N/n); 0.0 for unknown tokens."""
-    n = index.document_frequency(token)
-    if n == 0:
-        return 0.0
-    return math.log(index.total_docs / n)
-
-
 def _unique(ordinals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(ordinals, return_inverse=True)``: the distinct values,
     ascending, and each value's position among them, at half its cost."""
@@ -567,15 +537,18 @@ def extract_features(index: InvertedIndex,
     pairs = [index._pairs(token) for token in distinct]
     ordinals, frequencies = np.concatenate(pairs).T
     candidates, columns = _unique(ordinals)
-    raw = tuple(idf_raw(index, token) for token in distinct)
+    total = index.total_docs
+    dfs = list(map(len, pairs))
+    raw = tuple(math.log(total / df) if df else 0.0 for df in dfs)
     return QueryFeatures(
         terms=tuple(distinct),
         idf_raw=raw,
-        idf=tuple(_normalized_idf(index, value) for value in raw),
+        idf=tuple(value / math.log(total) if total > 1 else 0.0
+                  for value in raw),
         candidates=candidates,
         overlap=np.bincount(columns, minlength=len(candidates))
         / len(distinct),
-        dfs=list(map(len, pairs)),
+        dfs=dfs,
         ordinals=ordinals,
         columns=columns,
         # a posting's document holds the token, so its max tf is >= 1

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import FrankError, split_lines
+from .errors import ConfigError, FrankError, split_lines
 
 _KEYWORDS = frozenset({"if", "and", "is", "not", "weight"})
 
@@ -55,6 +55,10 @@ class RuleAst:
     weight: float = 1.0
     #: the source line the rule came from, for error messages
     line: int | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if not self.antecedent:
+            raise ConfigError("rule has no antecedent clause", line=self.line)
 
 
 class ParseError(FrankError):

@@ -226,7 +226,7 @@ def reference_dense_features(index, query_tokens: list[str]
 
 
 def _dense_idf_raw(index, token: str) -> float:
-    df = index.document_frequency(token)
+    df = len(index.postings(token)[0])
     return math.log(index.total_docs / df) if df else 0.0
 
 

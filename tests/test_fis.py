@@ -154,6 +154,17 @@ class TestFireRule:
         rule = parse_rule("if (tf is high) -> (relevance is high)")
         assert fire_rule(rule, {("tf", "high"): 0.55}, "min") == 0.55
 
+    @pytest.mark.parametrize("method", ["prod", "min"])
+    def test_negated_first_conjunct_starts_the_fold(self, method):
+        """The first clause's degree, complemented, starts the fold."""
+        rule = parse_rule("if (tf is not high) and (idf is high) "
+                          "-> (relevance is high) weight 0.5")
+        memberships = {("tf", "high"): np.array([0.75, 0.0]),
+                       ("idf", "high"): 0.5}
+        expected = ([0.25 * 0.5 * 0.5, 1.0 * 0.5 * 0.5] if method == "prod"
+                    else [0.25 * 0.5, 0.5 * 0.5])
+        assert fire_rule(rule, memberships, method).tolist() == expected
+
 
 class TestImply:
     def setup_method(self):
@@ -357,6 +368,36 @@ class TestStageChecks:
             with pytest.raises(ConfigError,
                                match=f"implied samples {problem}"):
                 aggregate(implied_sets, method)
+
+    @pytest.mark.parametrize("call, what", [
+        (lambda: imply(RISING.astype(str), 1.0), "consequent samples"),
+        (lambda: imply(RISING, "0.5", "min"), "firing strengths"),
+        (lambda: imply(RISING, True), "firing strengths"),
+        (lambda: aggregate([RISING, RISING.astype(str)], "max"),
+         "implied samples"),
+        (lambda: aggregate([RISING > 0.5]), "implied samples"),
+        (lambda: defuzzify(["0", "1", "2"], (0, 1)), "aggregate samples"),
+        (lambda: defuzzify(np.array([b"0", b"1"]), (0, 1), "mom"),
+         "aggregate samples"),
+        (lambda: defuzzify(np.array([0.0, 1.0], dtype=object), (0, 1)),
+         "aggregate samples"),
+    ], ids=["text-consequent", "text-strength", "bool-strength",
+            "text-implied", "bool-implied", "text-aggregate",
+            "bytes-aggregate", "object-aggregate"])
+    def test_stages_reject_what_is_not_numbers(self, call, what):
+        """The grid stages take numbers as ranked scores must be: int,
+        unsigned or float columns, never bool, text, bytes or objects."""
+        with pytest.raises(ConfigError) as excinfo:
+            call()
+        assert str(excinfo.value) == f"{what} must be numbers"
+
+    def test_stages_read_int_and_float32_samples(self):
+        assert defuzzify([0, 1, 2], (0, 1)) == defuzzify([0.0, 1.0, 2.0],
+                                                         (0, 1))
+        assert defuzzify(np.array([0, 1, 2], np.float32), (0, 1)) == (
+            defuzzify([0.0, 1.0, 2.0], (0, 1)))
+        assert aggregate([np.array([0, 1], np.uint8)] * 2).tolist() == [0, 2]
+        assert imply(np.array([0, 1]), 1).tolist() == [0, 1]
 
     @pytest.mark.parametrize("call, problem", [
         (lambda: aggregate([np.array([3.0, 0.5])] * 2, "probor"),
@@ -786,6 +827,34 @@ class TestColumns:
         config = two_input_config()
         with pytest.raises(ConfigError, match="length"):
             evaluate(config, {"tf": np.zeros(3), "idf": np.zeros(4)})
+
+    @pytest.mark.parametrize("bad", [
+        "0.5", b"0.5", "abc", True, np.bool_(False),
+        np.array([True, False]), np.array(["0.1", "0.2"]),
+        np.array([0.5, 0.25], dtype=object)],
+        ids=["text", "bytes", "not-a-number-text", "bool", "numpy-bool",
+             "bool-column", "text-column", "object-column"])
+    def test_input_that_is_not_a_number_rejected(self, bad):
+        """Inputs follow the ranked scores' dtype rule: int, unsigned or
+        float, never bool, text, bytes or objects, read as numbers."""
+        config = two_input_config()
+        for call in (evaluate, fuzzify):
+            with pytest.raises(ConfigError) as excinfo:
+                call(config, {"tf": bad, "idf": 0.5})
+            assert str(excinfo.value) == (
+                "input variable 'tf' is not a finite number")
+
+    def test_int_and_float32_inputs_read_as_float64(self):
+        config = two_input_config()
+        assert (evaluate(config, {"tf": np.float32(0.5), "idf": 1})
+                == evaluate(config, {"tf": 0.5, "idf": 1.0}))
+        columns = {"tf": np.array([0.5, 0.375], np.float32),
+                   "idf": np.array([1, 0], np.uint8)}
+        assert evaluate(config, columns).tolist() == [
+            evaluate(config, {"tf": 0.5, "idf": 1.0}),
+            evaluate(config, {"tf": 0.375, "idf": 0.0})]
+        assert (evaluate(config, {"tf": [0.5, 0.375], "idf": [1, 0]}).tolist()
+                == evaluate(config, columns).tolist())
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_input_rejected(self, bad):

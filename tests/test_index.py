@@ -26,11 +26,21 @@ from hypothesis import example, given, settings, strategies as st
 
 from frank.errors import CorpusError, IndexFormatError, QueryError
 from frank.index import (Document, InvertedIndex, build_index,
-                         extract_features, idf_norm, idf_raw,
-                         read_corpus_jsonl, tokenize, STOPWORDS)
+                         extract_features, read_corpus_jsonl, tokenize,
+                         STOPWORDS)
 
 from oracles import (ReferenceCorpus, frix, reference_extract_features,
                      reference_frix, reference_tokenize)
+
+
+def df_of(index, token):
+    """A token's document frequency: the length of its postings."""
+    return len(index.postings(token)[0])
+
+
+def idf_of(index, token):
+    """A token's normalized idf, as the one feature extractor gives it."""
+    return extract_features(index, [token]).idf[0]
 
 
 def dense_tf(features):
@@ -92,7 +102,7 @@ class TestBuildIndex:
     def test_single_document_counts(self):
         index = build_index([Document("d1", "apple banana banana")])
         assert index.total_docs == 1
-        assert index.document_frequency("banana") == 1
+        assert df_of(index, "banana") == 1
         assert index.term_frequency(0, "banana") == 2
 
     def test_document_frequency_across_docs(self):
@@ -100,7 +110,7 @@ class TestBuildIndex:
             "fuzzy sets", "crisp sets", "fuzzy rules", "plain text"])]
         index = build_index(docs)
         assert index.total_docs == 4
-        assert index.document_frequency("fuzzy") == 2
+        assert df_of(index, "fuzzy") == 2
 
     def test_build_is_deterministic(self, data_dir):
         first = build_index(read_corpus_jsonl(data_dir / "corpus5.jsonl"))
@@ -136,7 +146,7 @@ class TestBuildIndex:
         for token in index5.terms:
             ordinals = index5.postings(token)[0].tolist()
             assert ordinals == sorted(set(ordinals))
-            n, postings = index5.document_frequency(token), index5.postings(token)
+            n, postings = df_of(index5, token), index5.postings(token)
             assert n == len(postings[0]) == len(postings[1])
 
 
@@ -191,22 +201,22 @@ class TestNormalizedFeatures:
             ["shared apple", "shared", "other", "another"])]
         index = build_index(docs)
         # n=2 of N=4: ln(2)/ln(4) is exactly one half
-        assert idf_norm(index, "shared") == 0.5
+        assert idf_of(index, "shared") == 0.5
 
     def test_idf_everywhere_is_zero(self):
         docs = [Document(f"d{i}", "common word") for i in range(3)]
         index = build_index(docs)
-        assert idf_norm(index, "common") == 0.0
+        assert idf_of(index, "common") == 0.0
 
     def test_idf_unique_is_one(self, index5):
-        assert idf_norm(index5, "fig") == 1.0
+        assert idf_of(index5, "fig") == 1.0
 
     def test_idf_unknown_token_is_zero(self, index5):
-        assert idf_norm(index5, "zzz") == 0.0
+        assert idf_of(index5, "zzz") == 0.0
 
     def test_idf_single_doc_corpus_is_zero(self):
         index = build_index([Document("only", "apple banana")])
-        assert idf_norm(index, "apple") == 0.0
+        assert idf_of(index, "apple") == 0.0
 
     def test_idf_monotone_in_document_frequency(self):
         for total in (2, 5, 20):
@@ -216,14 +226,14 @@ class TestNormalizedFeatures:
                 for i in range(total)
             ]
             index = build_index(docs)
-            values = [idf_norm(index, f"t{j}") for j in range(total)]
+            values = [idf_of(index, f"t{j}") for j in range(total)]
             assert values == sorted(values, reverse=True)
 
     def test_idf_empty_corpus_is_zero(self):
         """A zero-document index loads; its idf never takes ln(0)."""
         index = InvertedIndex(b"FRIX1\x01" + bytes(8))
         assert index.total_docs == 0
-        assert idf_norm(index, "apple") == 0.0
+        assert idf_of(index, "apple") == 0.0
 
     def test_tf_norm_by_max_frequency(self):
         index = build_index([Document("d", "aa aa aa bb")])
@@ -234,7 +244,7 @@ class TestNormalizedFeatures:
     def test_tf_norm_absent_token(self, index5):
         """d1 holds apple but not fig, so its fig tf is 0."""
         features = extract_features(index5, ["apple", "fig"])
-        column = features.candidates.tolist().index(index5.ordinal_of("d1"))
+        column = features.candidates.tolist().index(index5.doc_ids.index("d1"))
         assert dense_tf(features)[:, column].tolist() == [0.5, 0.0]
 
     def test_every_nonempty_doc_has_a_unit_tf(self, index20):
@@ -287,14 +297,14 @@ class TestExtractFeatures:
 
     def test_full_overlap(self, index5):
         features = extract_features(index5, ["apple", "cherry"])
-        column = features.candidates.tolist().index(index5.ordinal_of("d3"))
+        column = features.candidates.tolist().index(index5.doc_ids.index("d3"))
         assert features.overlap[column] == 1.0
 
     def test_duplicate_query_tokens_collapse(self, index5):
         features = extract_features(index5, ["apple", "apple", "cherry"])
         assert len(features.terms) == 2
         assert dense_tf(features).shape == (2, 4)
-        column = features.candidates.tolist().index(index5.ordinal_of("d3"))
+        column = features.candidates.tolist().index(index5.doc_ids.index("d3"))
         assert features.overlap[column] == 1.0
 
     def test_empty_query_rejected(self, index5):
@@ -336,21 +346,28 @@ class TestExtractFeatures:
     ["river", "flood"],
 ], ids=["duplicate-tokens", "absent-token", "only-absent",
         "absent-among-three", "leading-duplicate", "two-terms"])
-def test_extract_features_equals_the_per_token_loop(index20, query):
+def test_extract_features_equals_the_per_token_loop(index20, data_dir,
+                                                   query):
     """The one postings gather finds the candidates, the per-posting tf
     and the overlap column the per-token reference loop does, bit for bit:
-    the postings are the nonzero cells of the reference's tf matrix."""
+    the postings are the nonzero cells of the reference's tf matrix.  The
+    dfs and both idfs are the reference corpus's, recounted from the text."""
     candidates, tf, overlap = reference_extract_features(index20, query)
+    reference = ReferenceCorpus([
+        (d.doc_id, d.text)
+        for d in read_corpus_jsonl(data_dir / "corpus20.jsonl")])
     features = extract_features(index20, query)
     distinct = list(dict.fromkeys(query))
     assert features.terms == tuple(distinct)
-    assert features.idf == tuple(idf_norm(index20, t) for t in distinct)
-    assert features.idf_raw == tuple(idf_raw(index20, t) for t in distinct)
+    assert features.idf == tuple(reference.idf_norm(t) for t in distinct)
+    assert features.idf_raw == tuple(
+        reference.idf_raw(t) if reference.doc_freq(t) else 0.0
+        for t in distinct)
     assert features.candidates.tolist() == candidates
     # the postings, term by term, are the nonzero cells of the tf rows
     assert dense_tf(features).tolist() == tf
     assert features.overlap.tolist() == overlap
-    assert features.dfs == [index20.document_frequency(t) for t in distinct]
+    assert features.dfs == [reference.doc_freq(t) for t in distinct]
     assert features.candidates[features.columns].tolist() == \
         features.ordinals.tolist()
 
@@ -359,7 +376,7 @@ class TestInvariants:
     def test_document_frequency_identity(self, index20, data_dir):
         """Sum of n over terms equals sum of distinct-token counts over docs,
         recomputed here from the raw text."""
-        total_n = sum(index20.document_frequency(t) for t in index20.terms)
+        total_n = sum(df_of(index20, t) for t in index20.terms)
         distinct_total = 0
         for document in read_corpus_jsonl(data_dir / "corpus20.jsonl"):
             distinct_total += len(set(tokenize(document.text)))
@@ -370,7 +387,7 @@ class TestInvariants:
         docs = list(read_corpus_jsonl(data_dir / "corpus20.jsonl"))
         for document in docs[::3]:  # spot-check a sample
             counts = Counter(tokenize(document.text))
-            ordinal = index20.ordinal_of(document.doc_id)
+            ordinal = index20.doc_ids.index(document.doc_id)
             assert index20.max_term_frequencies[ordinal] == (
                 max(counts.values()) if counts else 0)
 
@@ -383,11 +400,10 @@ class TestInvariants:
         assert original.total_docs == rebuilt.total_docs
         assert original.terms == rebuilt.terms
         for token in original.terms:
-            assert (original.document_frequency(token)
-                    == rebuilt.document_frequency(token))
+            assert df_of(original, token) == df_of(rebuilt, token)
         for document in docs:
-            a = original.ordinal_of(document.doc_id)
-            b = rebuilt.ordinal_of(document.doc_id)
+            a = original.doc_ids.index(document.doc_id)
+            b = rebuilt.doc_ids.index(document.doc_id)
             for token in set(tokenize(document.text)):
                 assert (original.term_frequency(a, token)
                         == rebuilt.term_frequency(b, token))
@@ -397,9 +413,11 @@ class TestInvariants:
                 for d in read_corpus_jsonl(data_dir / "corpus20.jsonl")]
         reference = ReferenceCorpus(docs)
         for token in index20.terms:
-            assert index20.document_frequency(token) == reference.doc_freq(token)
-            assert idf_raw(index20, token) == pytest.approx(reference.idf_raw(token))
-            assert idf_norm(index20, token) == reference.idf_norm(token)
+            features = extract_features(index20, [token])
+            assert df_of(index20, token) == reference.doc_freq(token)
+            assert features.idf_raw[0] == pytest.approx(
+                reference.idf_raw(token))
+            assert features.idf[0] == reference.idf_norm(token)
 
 
 class TestSerialization:

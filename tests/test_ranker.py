@@ -20,8 +20,7 @@ from frank.fis import (AGGREGATIONS, AND_METHODS, DEFUZZIFICATIONS,
                        IMPLICATIONS, FisConfig, LinguisticVariable, aggregate,
                        defuzzify, evaluate, fire_rule, fuzzify, imply)
 from frank.index import (Document, InvertedIndex, build_index,
-                         extract_features, idf_raw, read_corpus_jsonl,
-                         tokenize)
+                         extract_features, read_corpus_jsonl, tokenize)
 from frank.membership import MembershipFunction
 from frank.ranker import (FisTemplate, RankedEntries, RankedEntry,
                           RankedList, default_template, instantiate_fis, score_baseline,
@@ -329,8 +328,10 @@ def baseline_by_document(index, query_text):
     """The per-document loop the column-wise baseline replaced: the
     reference its scores must equal bit for bit."""
     terms = list(dict.fromkeys(tokenize(query_text)))
-    in_corpus = [t for t in terms if index.document_frequency(t) > 0]
-    norm_sq = sum(v * v for v in (idf_raw(index, t) for t in in_corpus))
+    dfs = {t: len(index.postings(t)[0]) for t in terms}
+    in_corpus = [t for t in terms if dfs[t] > 0]
+    idf_raw = {t: math.log(index.total_docs / dfs[t]) for t in in_corpus}
+    norm_sq = sum(v * v for v in (idf_raw[t] for t in in_corpus))
     query_norm = 1.0 / math.sqrt(norm_sq) if norm_sq > 0 else 1.0
     candidates = sorted({ordinal for t in terms
                          for ordinal in index.postings(t)[0].tolist()})
@@ -345,7 +346,7 @@ def baseline_by_document(index, query_text):
                 continue
             matched += 1
             tf_value = tf / int(index.max_term_frequencies[ordinal])
-            total += tf_value * idf_raw(index, term) * length_norm
+            total += tf_value * idf_raw[term] * length_norm
         scores[index.doc_ids[ordinal]] = total * (matched / len(terms)) * query_norm
     return scores
 
@@ -446,7 +447,7 @@ def candidate_inputs(index, reference, doc_id):
     """The instantiated system's inputs for one candidate: its column of
     the query's ``reference_dense_fis_inputs``."""
     candidates, inputs = reference
-    column = candidates.tolist().index(index.ordinal_of(doc_id))
+    column = candidates.tolist().index(index.doc_ids.index(doc_id))
     return {name: float(value[column]) if np.ndim(value) else value
             for name, value in inputs.items()}
 

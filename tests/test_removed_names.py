@@ -18,6 +18,8 @@ from frank.ranker import FisTemplate, RankedEntries, default_template
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
+_INDEX = frank.build_index([frank.Document("d", "aa")])
+
 # name as the README writes it -> the objects it was once read from
 REMOVED = {
     "AggregateSet": (frank, frank.fis),
@@ -30,10 +32,14 @@ REMOVED = {
     "MetricsDiff": (frank, frank.evaluation),
     "RankedEntries.ranks": (RankedEntries, RankedEntries((), np.array([]))),
     "rule_strengths": (frank, frank.fis),
-    "QueryFeatures.tf": (frank.index.QueryFeatures, frank.extract_features(
-        frank.build_index([frank.Document("d", "aa")]), ["aa"])),
+    "QueryFeatures.tf": (frank.index.QueryFeatures,
+                         frank.extract_features(_INDEX, ["aa"])),
     "RuleToken": (frank, frank.rules),
     "KEYWORDS": (frank, frank.rules),
+    "idf_raw": (frank, frank.index),
+    "idf_norm": (frank, frank.index),
+    "InvertedIndex.document_frequency": (frank.InvertedIndex, _INDEX),
+    "InvertedIndex.ordinal_of": (frank.InvertedIndex, _INDEX),
 }
 
 # function -> the parameters it no longer takes

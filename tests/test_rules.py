@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from frank.errors import ConfigError
 from frank.rules import (ParseError, RuleAst, RuleClause, parse_rule,
                          parse_rules_block, print_rule)
 
@@ -120,6 +121,23 @@ class TestParseBlock:
         block = "if broken\nif (a is b) -> (y is z)\n"
         with pytest.raises(ParseError):
             parse_rules_block(block)
+
+
+class TestRuleAst:
+    """A rule has at least one antecedent clause, however it is built: the
+    parser never builds one without, and code may not either."""
+
+    def test_empty_antecedent_rejected_with_its_line(self):
+        with pytest.raises(ConfigError) as excinfo:
+            RuleAst((), RuleClause("y", "high"), line=7)
+        assert str(excinfo.value) == "line 7: rule has no antecedent clause"
+        assert excinfo.value.line == 7
+
+    def test_empty_antecedent_rejected_without_a_line(self):
+        with pytest.raises(ConfigError) as excinfo:
+            RuleAst((), RuleClause("y", "high"), 0.5)
+        assert str(excinfo.value) == "rule has no antecedent clause"
+        assert excinfo.value.line is None
 
 
 class TestPrint:
