@@ -13,8 +13,8 @@ high = MembershipFunction.triangular(0.0, 1.0, 1.0)
 not_high = MembershipFunction.triangular(0.0, 0.0, 1.0)
 
 print("degrees of membership for a normalized term frequency of 0.7:")
-print(f"  high     -> {high.evaluate(0.7):.3f}")
-print(f"  not_high -> {not_high.evaluate(0.7):.3f}")
+print(f"  high     -> {high.sample(0.7):.3f}")
+print(f"  not_high -> {not_high.sample(0.7):.3f}")
 print()
 
 # The other supported families, evaluated over a coarse grid.
@@ -28,8 +28,9 @@ curves = {
 grid = np.linspace(0.0, 1.0, 11)
 header = "x      " + "  ".join(f"{name:>28}" for name in curves)
 print(header)
-for x in grid:
-    row = "  ".join(f"{mf.evaluate(float(x)):>28.4f}" for mf in curves.values())
+columns = [mf.sample(grid) for mf in curves.values()]  # a whole grid at once
+for i, x in enumerate(grid):
+    row = "  ".join(f"{column[i]:>28.4f}" for column in columns)
     print(f"{x:<5.2f}  {row}")
 
 print()

@@ -3,7 +3,7 @@
 Run:  python3 demos/03_rule_language.py
 """
 
-from frank import ParseError, parse_rule, parse_rules_block, print_rule
+from frank import ParseError, parse_rule, print_rule
 
 # Rules read the way you would say them.  The arrow may be "->" or the
 # typographic "→"; "not" negates a set reference; "weight" is optional.
@@ -23,7 +23,8 @@ for source in sources:
           f"weight {ast.weight})")
 print()
 
-# A whole block at once; comments and blank lines are skipped.
+# A block, one rule per line, as a config file's [rules] section holds it;
+# comments and blank lines are skipped, and each rule keeps its line.
 block = """
 # reward matching terms
 if (tf is high) and (idf is high) -> (relevance is high)
@@ -31,8 +32,11 @@ if (tf is high) and (idf is high) -> (relevance is high)
 # penalize missing ones
 if (tf is not high) and (idf is not high) -> (relevance is not high)
 """
-rules = parse_rules_block(block)
-print(f"block parse: {len(rules)} rules")
+rules = [parse_rule(line, line=number)
+         for number, line in enumerate(block.split("\n"), start=1)
+         if line.strip() and not line.lstrip().startswith("#")]
+print(f"block parse: {len(rules)} rules, on lines "
+      f"{', '.join(str(rule.line) for rule in rules)}")
 print()
 
 # Errors carry a position and what was expected there.

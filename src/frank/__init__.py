@@ -21,7 +21,6 @@ from .index import (Document, InvertedIndex, QueryFeatures, build_index,
 from .membership import MembershipFunction
 from .ranker import (FisTemplate, RankedEntry, RankedList, default_template,
                      instantiate_fis, score_baseline, score_fis)
-from .rules import (ParseError, RuleAst, RuleClause, parse_rule,
-                    parse_rules_block, print_rule)
+from .rules import ParseError, RuleAst, RuleClause, parse_rule, print_rule
 
 __version__ = "0.1.0"

@@ -83,6 +83,8 @@ def cmd_search(args) -> int:
     for flag, value in (("--topic", args.topic), ("--tag", args.tag)):
         if not one_word(value):
             raise UsageError(f"{flag} must be one word, got {value!r}")
+        if any("\ud800" <= char <= "\udfff" for char in value):  # from bytes
+            raise UsageError(f"{flag} must be UTF-8 text, got {value!r}")
     if args.ranker == "fis" and args.template is None:
         raise UsageError("--template is required with --ranker fis")
     if args.query is not None:

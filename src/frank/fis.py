@@ -47,7 +47,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .membership import MembershipFunction
+from .membership import MembershipFunction, _float
 from .rules import RuleAst
 
 # operator family, also its config-file key -> (FisConfig field, methods)
@@ -58,8 +58,6 @@ OPERATORS = {
     "defuzzification": ("defuzzification",
                         ("centroid", "bisector", "mom", "lom", "som")),
 }
-AND_METHODS, IMPLICATIONS, AGGREGATIONS, DEFUZZIFICATIONS = (
-    methods for _, methods in OPERATORS.values())
 
 DEFAULT_RESOLUTION = 1001
 # Upper bound on ``resolution``: each consequent set is sampled on a grid of
@@ -90,7 +88,7 @@ def _checked_universe(universe: tuple[float, float], owner: str = ""
                       ) -> tuple[float, float]:
     """``universe`` as floats, if lo < hi and hi - lo is finite (so lo and
     hi are too); ``owner`` prefixes the error."""
-    lo, hi = map(float, universe)
+    lo, hi = (_float(bound, f"{owner}universe bound") for bound in universe)
     if not (lo < hi and np.isfinite(hi - lo)):
         raise ConfigError(f"{owner}universe requires lo < hi and a finite "
                           f"hi - lo, got {(lo, hi)}")
@@ -136,7 +134,10 @@ def default_variable(name: str) -> LinguisticVariable:
 
 
 def _check_resolution(resolution: int) -> None:
-    """Reject a grid of fewer than 2 or more than MAX_RESOLUTION points."""
+    """Reject a grid size that is not an int from 2 to MAX_RESOLUTION."""
+    if isinstance(resolution, bool) or not isinstance(resolution,
+                                                      (int, np.integer)):
+        raise ConfigError(f"resolution must be an int, got {resolution!r}")
     if resolution < 2:
         raise ConfigError(f"resolution must be >= 2, got {resolution}")
     if resolution > MAX_RESOLUTION:
@@ -188,7 +189,7 @@ class FisConfig:
             if consequent.label not in output.sets:
                 raise ConfigError(f"output variable has no set "
                                   f"{consequent.label!r}", line=rule.line)
-            if not 0.0 < rule.weight <= 1.0:
+            if not 0.0 < _float(rule.weight, "rule weight", rule.line) <= 1.0:
                 raise ConfigError(f"rule weight {rule.weight} outside (0, 1]",
                                   line=rule.line)
         # the aggregate is at most len(rules), so this bounds both sums of
@@ -334,10 +335,13 @@ def imply(consequent_samples: np.ndarray, strength: float | np.ndarray,
     _check_method("implication", implication)
     _check_samples("consequent samples", consequent_samples)
     _check_samples("firing strengths", strength)
-    if implication == "min":
-        return np.minimum(consequent_samples, strength)
-    with np.errstate(over="ignore"):
-        implied = consequent_samples * strength
+    try:
+        if implication == "min":
+            return np.minimum(consequent_samples, strength)
+        with np.errstate(over="ignore"):
+            implied = consequent_samples * strength
+    except ValueError:  # shapes that do not broadcast
+        raise ConfigError("samples and strengths differ in shape") from None
     if not np.isfinite(implied).all():
         raise ConfigError("implied samples overflow")
     return implied
@@ -359,6 +363,8 @@ def aggregate(implied_sets: Sequence[np.ndarray], aggregation: str = "sum"
         raise ConfigError("nothing to aggregate: no implied sets")
     for samples in implied_sets:
         _check_samples("implied samples", samples)
+        if np.shape(samples) != np.shape(implied_sets[0]):
+            raise ConfigError("implied sets differ in shape")
         if aggregation == "probor" and np.greater(samples, 1.0).any():
             raise ConfigError("implied samples must be at most 1 under "
                               "probor aggregation")

@@ -38,15 +38,27 @@ _ORDER = {"triangular": "a <= b <= c", "trapezoidal": "a <= b <= c <= d"}
 _EXP_CLAMP = 700.0
 
 
+def _float(value: object, what: str, line: int | None = None) -> float:
+    """``value``, a Python or numpy int or float but not a bool, as a float."""
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        raise ConfigError(f"{what} must be an int or float number, got "
+                          f"{value!r}", line=line)
+    return float(value)
+
+
 @dataclass(frozen=True)
 class MembershipFunction:
     kind: str
     params: tuple[float, ...]
 
     def __post_init__(self):
-        if self.kind not in _PARAM_COUNT:
+        if not isinstance(self.kind, str) or self.kind not in _PARAM_COUNT:
             raise ConfigError(f"unknown membership function kind {self.kind!r}")
-        params = tuple(float(p) for p in self.params)
+        params = self.params
+        if not isinstance(params, (tuple, list, np.ndarray)):
+            params = (params,)  # one value: a number fails the count below
+        params = tuple(_float(p, f"{self.kind} parameter") for p in params)
         object.__setattr__(self, "params", params)
         if len(params) != _PARAM_COUNT[self.kind]:
             raise ConfigError(
@@ -98,12 +110,10 @@ class MembershipFunction:
     def sigmoid(cls, slope: float, inflection: float) -> MembershipFunction:
         return cls("sigmoid", (slope, inflection))
 
-    def evaluate(self, x: float) -> float:
-        """Degree of membership of a single point; always in [0, 1]."""
-        return float(self.sample(np.array([x], dtype=np.float64))[0])
-
-    def sample(self, xs: np.ndarray) -> np.ndarray:
-        """Degrees of membership of an array of points."""
+    def sample(self, xs: float | np.ndarray) -> float | np.ndarray:
+        """Degrees of membership of a point or an array of points."""
+        if np.asarray(xs).dtype.kind not in "iuf":
+            raise ConfigError(f"sample points must be numbers, got {xs!r}")
         xs = np.asarray(xs, dtype=np.float64)
         # x - a and the like may overflow to +-inf, which is the right
         # limit: a clipped ramp, a degree 0 far from a Gaussian, a saturated
@@ -122,7 +132,7 @@ class MembershipFunction:
                 return np.fmax(y, 0.0)  # 0, not NaN, at a NaN point
             slope, inflection = self.params
             if not slope:  # flat at 1/2, even where x - inflection is inf
-                return np.where(np.isnan(xs), 0.0, 0.5)
+                return np.where(np.isnan(xs), 0.0, 0.5)[()]  # a float for a point
             offset = xs - inflection
             # where a finite x is so far from the inflection that x -
             # inflection overflows, the two have opposite signs, so slope *

@@ -53,6 +53,7 @@ from .fis import (FisConfig, LinguisticVariable, _combine, default_variable,
                   evaluate, fire_rule)  # noqa: F401
 from .index import (InvertedIndex, QueryFeatures, extract_features,
                     one_word, tokenize)
+from .membership import _float
 from .rules import RuleAst, RuleClause, parse_rule
 
 DEFAULT_OVERLAP_WEIGHT_RATIO = 1.0 / 6.0
@@ -75,7 +76,7 @@ def _check_placeholder_names(names: Iterable[str]) -> None:
 
 
 def _check_ratio(overlap_weight_ratio: float) -> None:
-    if not overlap_weight_ratio > 0:
+    if not _float(overlap_weight_ratio, "overlap_weight_ratio") > 0:
         raise ConfigError("overlap_weight_ratio must be positive")
 
 

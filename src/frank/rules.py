@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import ConfigError, FrankError, split_lines
+from .errors import ConfigError, FrankError
 
 _KEYWORDS = frozenset({"if", "and", "is", "not", "weight"})
 
@@ -155,21 +155,6 @@ def parse_rule(source: str, line: int | None = None) -> RuleAst:
     return _Parser(source, line).rule()
 
 
-def parse_rules_block(source: str) -> list[RuleAst]:
-    """Parse a multi-line block, one rule per non-empty, non-comment line.
-
-    All-or-nothing: the first error aborts, carrying its real line number.
-    Lines end at ``\\n``, ``\\r\\n`` or ``\\r``.
-    """
-    rules = []
-    for number, raw in enumerate(split_lines(source), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        rules.append(parse_rule(raw, line=number))
-    return rules
-
-
 def _format_clause(clause: RuleClause) -> str:
     negation = "not " if clause.negated else ""
     return f"({clause.variable} is {negation}{clause.label})"
@@ -177,13 +162,6 @@ def _format_clause(clause: RuleClause) -> str:
 
 def print_rule(ast: RuleAst) -> str:
     """Canonical one-line form; ``parse_rule(print_rule(ast)) == ast``."""
-    parts = ["if", _format_clause(ast.antecedent[0])]
-    for clause in ast.antecedent[1:]:
-        parts.append("and")
-        parts.append(_format_clause(clause))
-    parts.append("->")
-    parts.append(_format_clause(ast.consequent))
-    if ast.weight != 1.0:
-        parts.append("weight")
-        parts.append(repr(ast.weight))
-    return " ".join(parts)
+    antecedent = " and ".join(map(_format_clause, ast.antecedent))
+    weight = f" weight {ast.weight!r}" if ast.weight != 1.0 else ""
+    return f"if {antecedent} -> {_format_clause(ast.consequent)}{weight}"

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from frank.fis import (AGGREGATIONS, AND_METHODS, DEFUZZIFICATIONS,
-                       IMPLICATIONS, FisConfig, LinguisticVariable)
+from frank.fis import OPERATORS, FisConfig, LinguisticVariable
 from frank.membership import MembershipFunction
 from frank.rules import RuleAst, RuleClause
 
@@ -62,10 +61,8 @@ def random_config(rng: np.random.Generator) -> FisConfig:
         inputs=inputs,
         output=output,
         rules=tuple(rules),
-        and_method=AND_METHODS[rng.integers(len(AND_METHODS))],
-        implication=IMPLICATIONS[rng.integers(len(IMPLICATIONS))],
-        aggregation=AGGREGATIONS[rng.integers(len(AGGREGATIONS))],
-        defuzzification=DEFUZZIFICATIONS[rng.integers(len(DEFUZZIFICATIONS))],
+        **{field: methods[rng.integers(len(methods))]
+           for field, methods in OPERATORS.values()},
         resolution=int(rng.integers(33, 257)),
     )
 

@@ -3,7 +3,10 @@
 import contextlib
 import io
 import json
+import os
 import struct
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -19,7 +22,6 @@ from frank.evaluation import (evaluate_run, format_report, load_qrels,
 from frank.fis import MAX_RESOLUTION
 from frank.fisfile import parse_fis_config, parse_template
 from frank.index import Document, InvertedIndex, build_index, read_corpus_jsonl
-from frank.rules import parse_rules_block
 
 from oracles import frix
 
@@ -376,6 +378,20 @@ class TestSearch:
             runs.append(out)
         assert runs[0] == runs[1] != ""
 
+    def test_blank_batch_lines_are_skipped(self, capsys, index_path,
+                                           tmp_path, data_dir):
+        lines = (data_dir / "queries5.tsv").read_text().splitlines()
+        runs = []
+        for separator in ("\n", "\n\n \t\n\n"):
+            batch = tmp_path / "queries.tsv"
+            batch.write_text(separator.join(lines) + "\n")
+            rc, out, err = run_cli(capsys, [
+                "search", "--index", str(index_path), "--ranker", "baseline",
+                "--queries", str(batch)])
+            assert (rc, err) == (0, "")
+            runs.append(out)
+        assert runs[0] == runs[1] != ""
+
     def test_topic_with_whitespace_exits_2(self, capsys, index_path, tmp_path):
         batch = tmp_path / "queries.tsv"
         batch.write_text("101\triver\n1 02\tflood\n")
@@ -434,6 +450,19 @@ class TestSearch:
         assert rc == 1
         assert out == ""
         assert err == f"frank: error: {flag} must be one word, got {value!r}\n"
+
+    @pytest.mark.parametrize("flag", ["--topic", "--tag"])
+    def test_topic_or_tag_not_utf8_exits_1(self, capsys, index_path, flag):
+        """An argument byte that does not decode reaches argv as a lone
+        surrogate, which a run file cannot hold."""
+        value = os.fsdecode(b"t\xff")
+        rc, out, err = run_cli(capsys, [
+            "search", "--index", str(index_path), "--ranker", "baseline",
+            "--query", "river", flag, value])
+        assert rc == 1
+        assert out == ""
+        assert err == (f"frank: error: {flag} must be UTF-8 text, "
+                       f"got {value!r}\n")
 
     def test_resolution_override_changes_scores(self, capsys, index_path,
                                                 data_dir, tmp_path):
@@ -885,7 +914,7 @@ class TestTextInputs:
          "line 2: relevance must be an integer, got 'x'"),
         (parse_run, "1 Q0 a 1 0.5 t", "1 Q0 b 2 0.4 u",
          "line 2: conflicting run tags 't' and 'u'"),
-        (parse_rules_block, "if (x is a) -> (y is b)", "if (x is) -> (y is b)",
+        (parse_fis_config, "[rules]", "if (x is) -> (y is b)",
          "line 2, column 9: found ')', expected identifier"),
         (parse_fis_config, "[variable x]", "[bogus]",
          "line 2: unknown section '[bogus]'"),
@@ -1099,3 +1128,35 @@ class TestUsage:
         with pytest.raises(SystemExit) as excinfo:
             main(["index", "--corpus", "x.jsonl"])
         assert excinfo.value.code == 1
+
+
+class TestModuleEntry:
+    """``python -m frank.cli`` exits with the code ``main`` returns."""
+
+    def run(self, *argv):
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        return subprocess.run([sys.executable, "-m", "frank.cli", *argv],
+                              env=env, capture_output=True, timeout=120)
+
+    def test_exit_codes_and_one_error_line(self, index_path, tmp_path):
+        search = ["search", "--ranker", "baseline", "--query", "river"]
+        result = self.run(*search, "--index", str(index_path))
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout.startswith(b"1 Q0 ")
+        for code, argv in [
+                (1, [*search, "--index", str(index_path), "--k", "0"]),
+                (1, ["frobnicate"]),
+                (2, [*search, "--index", str(tmp_path / "missing.idx")])]:
+            result = self.run(*argv)
+            assert (result.returncode, result.stdout) == (code, b"")
+            lines = result.stderr.decode().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("frank: error: ")
+
+    def test_tag_bytes_that_do_not_decode_exit_1(self, index_path):
+        result = self.run("search", "--ranker", "baseline", "--query",
+                          "river", "--index", str(index_path),
+                          b"--tag", b"t\xff")
+        assert (result.returncode, result.stdout) == (1, b"")
+        assert result.stderr.startswith(b"frank: error: --tag must be UTF-8")
+        assert result.stderr.count(b"\n") == 1

@@ -17,8 +17,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from frank.errors import ConfigError
-from frank.fis import (AGGREGATIONS, DEFUZZIFICATIONS, IMPLICATIONS,
-                       OPERATORS, FisConfig, LinguisticVariable, aggregate,
+from frank.fis import (OPERATORS, FisConfig, LinguisticVariable, aggregate,
                        default_variable, defuzzify, evaluate, fire_rule,
                        fuzzify, imply)
 from frank.fis import _combine, _sorted_rows
@@ -200,6 +199,13 @@ class TestImply:
             np.testing.assert_allclose(once, twice, rtol=1e-14, atol=0)
 
 
+    @pytest.mark.parametrize("method", OPERATORS["implication"][1])
+    def test_shapes_that_do_not_broadcast(self, method):
+        with pytest.raises(ConfigError) as excinfo:
+            imply(np.ones((2, 1, 5)), np.ones((3, 4, 1)), method)
+        assert str(excinfo.value) == "samples and strengths differ in shape"
+
+
 class TestAggregate:
     def setup_method(self):
         self.grid = np.linspace(0.0, 1.0, 101)
@@ -233,14 +239,23 @@ class TestAggregate:
         np.testing.assert_allclose(result, expected, rtol=0, atol=0)
         assert result.max() <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("method", OPERATORS["aggregation"][1])
+    @pytest.mark.parametrize("implied_sets", [
+        [np.ones(3), np.ones(4)], [np.ones(3), np.ones(1)],
+        [np.ones((2, 3)), np.ones(3)]], ids=["3-4", "3-1", "block-row"])
+    def test_sets_of_different_shapes(self, implied_sets, method):
+        with pytest.raises(ConfigError) as excinfo:
+            aggregate([0.5 * s for s in implied_sets], method)
+        assert str(excinfo.value) == "implied sets differ in shape"
+
     def test_empty_list_rejected(self):
         with pytest.raises(ConfigError):
             aggregate([], "sum")
         with pytest.raises(ConfigError):
             aggregate(np.empty((0, 3, 101)), "sum")
 
-    @pytest.mark.parametrize("aggregation", AGGREGATIONS)
-    @pytest.mark.parametrize("implication", IMPLICATIONS)
+    @pytest.mark.parametrize("aggregation", OPERATORS["aggregation"][1])
+    @pytest.mark.parametrize("implication", OPERATORS["implication"][1])
     def test_block_equals_each_row(self, implication, aggregation):
         """(sets x 1 x grid) consequents implied by (sets x rows x 1)
         strengths aggregate, row by row, to the bits of 1-D calls."""
@@ -341,7 +356,7 @@ class TestStageChecks:
          "consequent samples must be nonneg"),
     ], ids=["nan-strength", "inf-strength", "negative-strength",
             "negative-in-block", "nan-sample", "negative-sample"])
-    @pytest.mark.parametrize("method", IMPLICATIONS)
+    @pytest.mark.parametrize("method", OPERATORS["implication"][1])
     def test_imply_rejects_nan_inf_and_negative_input(self, call, problem,
                                                       method):
         """Samples and strengths are finite and not negative, as for
@@ -360,7 +375,7 @@ class TestStageChecks:
         ([RISING, RISING - 0.5], "must be nonnegative"),
         (np.array([[[0.2, 0.1]], [[0.5, -0.5]]]), "must be nonnegative"),
     ], ids=["nan", "nan-in-second", "inf", "negative", "negative-in-block"])
-    @pytest.mark.parametrize("method", AGGREGATIONS)
+    @pytest.mark.parametrize("method", OPERATORS["aggregation"][1])
     def test_aggregate_rejects_nan_inf_and_negative_input(self, implied_sets,
                                                           problem, method):
         with warnings.catch_warnings():
@@ -485,13 +500,49 @@ RELEVANCE_HIGH = "if (tf is high) -> (relevance is high)"
     (lambda: evaluate(two_input_config(),
                       {"tf": np.zeros((2, 2)), "idf": 0.5}),
      "inputs must be numbers or 1-D columns"),
+    (lambda: two_input_config(resolution=11.5),
+     "resolution must be an int, got 11.5"),
+    (lambda: two_input_config(resolution=11.0),
+     "resolution must be an int, got 11.0"),
+    (lambda: two_input_config(resolution="11"),
+     "resolution must be an int, got '11'"),
+    (lambda: two_input_config(resolution=True),
+     "resolution must be an int, got True"),
+    (lambda: two_input_config(rules=(dataclasses.replace(
+        parse_rule(RELEVANCE_HIGH, line=7), weight="0.5"),)),
+     "line 7: rule weight must be an int or float number, got '0.5'"),
+    (lambda: two_input_config(rules=(dataclasses.replace(
+        parse_rule(RELEVANCE_HIGH), weight=True),)),
+     "rule weight must be an int or float number, got True"),
+    (lambda: LinguisticVariable("x", ("0", "1_0"),
+                                default_variable("x").sets),
+     "variable 'x': universe bound must be an int or float number, got '0'"),
+    (lambda: LinguisticVariable("x", (False, True),
+                                default_variable("x").sets),
+     "variable 'x': universe bound must be an int or float number, got "
+     "False"),
 ], ids=["empty name", "no sets", "resolution 1", "duplicate inputs",
         "output clash", "no rules", "unknown variable", "weight 1.5",
-        "weight 0", "2-D input"])
+        "weight 0", "2-D input", "resolution 11.5", "resolution 11.0",
+        "resolution text", "resolution bool", "weight text", "weight bool",
+        "universe text", "universe bools"])
 def test_config_rejections(build, message):
     with pytest.raises(ConfigError) as excinfo:
         build()
     assert str(excinfo.value) == message
+
+
+def test_numpy_numbers_accepted_by_the_constructors():
+    def config(resolution, weight):
+        rule = dataclasses.replace(parse_rule(RELEVANCE_HIGH), weight=weight)
+        return two_input_config(resolution=resolution, rules=(rule,))
+
+    inputs = {"tf": 1.0, "idf": 0.0}
+    assert evaluate(config(np.int64(11), np.float32(0.5)), inputs) == \
+        evaluate(config(11, 0.5), inputs)
+    universe = (np.int32(0), np.float16(1))
+    assert LinguisticVariable("x", universe, default_variable("x").sets
+                              ).universe == (0.0, 1.0)
 
 
 def row_defuzzify(universe, samples, method):
@@ -549,7 +600,7 @@ class TestDefuzzify:
             assert defuzzify(np.zeros(101), (0.2, 0.8),
                              "centroid") == pytest.approx(0.5)
 
-    @pytest.mark.parametrize("method", DEFUZZIFICATIONS)
+    @pytest.mark.parametrize("method", OPERATORS["defuzzification"][1])
     def test_block_equals_each_row(self, method):
         """A (rows x grid) aggregate gives each row's 1-D bits, and the
         reference formula's, all-zero rows included: the midpoint, with one
@@ -594,9 +645,9 @@ class TestDefuzzify:
             defuzzify(samples, (0.0, 1.0), "centroid")
 
     @pytest.mark.parametrize("samples, universe, methods, problem", [
-        ([0.0, math.nan, 1.0], (0.0, 1.0), DEFUZZIFICATIONS,
+        ([0.0, math.nan, 1.0], (0.0, 1.0), OPERATORS["defuzzification"][1],
          "samples must be finite"),
-        ([1.0, math.inf, 1.0], (0.0, 1.0), DEFUZZIFICATIONS,
+        ([1.0, math.inf, 1.0], (0.0, 1.0), OPERATORS["defuzzification"][1],
          "samples must be finite"),
         ([1.0, 1e308, 1.0], (0.0, 10.0), ("centroid",),
          "centroid sums overflow"),
@@ -695,7 +746,7 @@ class TestEvaluate:
             fine = evaluate(default_rfis_config(2, 2 * resolution), inputs)
             assert abs(coarse - fine) < 1.0 / resolution
 
-    @pytest.mark.parametrize("implication", IMPLICATIONS)
+    @pytest.mark.parametrize("implication", OPERATORS["implication"][1])
     def test_universe_whose_centroid_sums_overflow_rejected(self, implication):
         """resolution x rules x max(|lo|, |hi|) bounds the centroid's sums;
         it must be finite."""

@@ -17,70 +17,70 @@ from oracles import reference_sample
 class TestTriangular:
     def test_rising_edge(self):
         mf = MembershipFunction.triangular(0.0, 1.0, 1.0)
-        assert mf.evaluate(0.7) == 0.7
+        assert mf.sample(0.7) == 0.7
 
     def test_peak_is_exactly_one(self):
         mf = MembershipFunction.triangular(0.1, 0.4, 0.9)
-        assert mf.evaluate(0.4) == 1.0
+        assert mf.sample(0.4) == 1.0
 
     def test_zero_outside_feet(self):
         mf = MembershipFunction.triangular(0.2, 0.5, 0.8)
-        assert mf.evaluate(0.2) == 0.0
-        assert mf.evaluate(0.8) == 0.0
-        assert mf.evaluate(-1.0) == 0.0
-        assert mf.evaluate(2.0) == 0.0
+        assert mf.sample(0.2) == 0.0
+        assert mf.sample(0.8) == 0.0
+        assert mf.sample(-1.0) == 0.0
+        assert mf.sample(2.0) == 0.0
 
     def test_degenerate_right_edge(self):
         # collapsed falling edge: 1 at the peak, 0 nowhere on the right
         mf = MembershipFunction.triangular(0.0, 1.0, 1.0)
-        assert mf.evaluate(1.0) == 1.0
-        assert mf.evaluate(0.0) == 0.0
+        assert mf.sample(1.0) == 1.0
+        assert mf.sample(0.0) == 0.0
 
     def test_degenerate_left_edge(self):
         mf = MembershipFunction.triangular(0.0, 0.0, 1.0)
-        assert mf.evaluate(0.0) == 1.0
-        assert mf.evaluate(0.3) == 0.7
-        assert mf.evaluate(1.0) == 0.0
+        assert mf.sample(0.0) == 1.0
+        assert mf.sample(0.3) == 0.7
+        assert mf.sample(1.0) == 0.0
 
     def test_point_triangle(self):
         mf = MembershipFunction.triangular(0.5, 0.5, 0.5)
-        assert mf.evaluate(0.5) == 1.0
-        assert mf.evaluate(0.4999) == 0.0
+        assert mf.sample(0.5) == 1.0
+        assert mf.sample(0.4999) == 0.0
 
 
 class TestTrapezoidal:
     def test_rising_edge_interpolation(self):
         mf = MembershipFunction.trapezoidal(0.0, 0.2, 0.8, 1.0)
-        assert mf.evaluate(0.1) == 0.5
+        assert mf.sample(0.1) == 0.5
 
     def test_plateau(self):
         mf = MembershipFunction.trapezoidal(0.0, 0.2, 0.8, 1.0)
-        assert mf.evaluate(0.2) == 1.0
-        assert mf.evaluate(0.5) == 1.0
-        assert mf.evaluate(0.8) == 1.0
+        assert mf.sample(0.2) == 1.0
+        assert mf.sample(0.5) == 1.0
+        assert mf.sample(0.8) == 1.0
 
     def test_falling_edge(self):
         mf = MembershipFunction.trapezoidal(0.0, 0.2, 0.8, 1.0)
-        assert mf.evaluate(0.9) == pytest.approx(0.5)
+        assert mf.sample(0.9) == pytest.approx(0.5)
 
 
 class TestSmoothKinds:
     def test_gaussian_peak_at_mean(self):
         mf = MembershipFunction.gaussian(0.3, 0.6)
-        assert mf.evaluate(0.6) == 1.0
+        assert mf.sample(0.6) == 1.0
 
     def test_gaussian_width(self):
         mf = MembershipFunction.gaussian(sigma=2.0, mean=0.0)
-        assert mf.evaluate(2.0) == pytest.approx(math.exp(-0.5))
+        assert mf.sample(2.0) == pytest.approx(math.exp(-0.5))
 
     def test_sigmoid_midpoint(self):
         mf = MembershipFunction.sigmoid(slope=4.0, inflection=0.25)
-        assert mf.evaluate(0.25) == 0.5
+        assert mf.sample(0.25) == 0.5
 
     def test_sigmoid_saturates_without_overflow(self):
         mf = MembershipFunction.sigmoid(slope=1000.0, inflection=0.0)
-        assert mf.evaluate(1e6) == 1.0
-        assert 0.0 <= mf.evaluate(-1e6) < 1e-300
+        assert mf.sample(1e6) == 1.0
+        assert 0.0 <= mf.sample(-1e6) < 1e-300
 
     def test_small_slope_sigmoid_where_the_offset_overflows(self):
         # x - inflection is -inf here, but slope * x - slope * inflection
@@ -88,9 +88,9 @@ class TestSmoothKinds:
         mf = MembershipFunction.sigmoid(1e-308, 1e308)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert mf.evaluate(-1e308) == pytest.approx(
+            assert mf.sample(-1e308) == pytest.approx(
                 1.0 / (1.0 + math.exp(2.0)), rel=1e-12)
-            assert MembershipFunction.sigmoid(-1e-308, -1e308).evaluate(
+            assert MembershipFunction.sigmoid(-1e-308, -1e308).sample(
                 1e308) == pytest.approx(1.0 / (1.0 + math.exp(2.0)),
                                         rel=1e-12)
 
@@ -123,13 +123,13 @@ class TestValidation:
         # sample divides by 2 sigma^2, which underflows to 0 here
         with pytest.raises(ConfigError, match="2 sigma\\^2 > 0"):
             MembershipFunction.gaussian(1e-320, 0.5)
-        assert MembershipFunction.gaussian(1e-150, 0.5).evaluate(0.5) == 1.0
+        assert MembershipFunction.gaussian(1e-150, 0.5).sample(0.5) == 1.0
 
     def test_gaussian_two_sigma_squared_finite(self):
         # 2 sigma^2 overflows to inf here, and inf / inf is nan
         with pytest.raises(ConfigError, match="finite 2 sigma\\^2"):
             MembershipFunction.gaussian(1e200, 1e300)
-        assert MembershipFunction.gaussian(1e150, 0.0).evaluate(1e150) == \
+        assert MembershipFunction.gaussian(1e150, 0.0).sample(1e150) == \
             pytest.approx(math.exp(-0.5))
 
     @pytest.mark.parametrize("kind, params", [
@@ -146,16 +146,16 @@ class TestValidation:
 
     def test_widest_finite_edges_accepted(self):
         assert MembershipFunction.triangular(
-            -1e307, 1e307, 1e307).evaluate(0.5) == 0.5
+            -1e307, 1e307, 1e307).sample(0.5) == 0.5
         assert MembershipFunction.triangular(
-            -1e308, 0.0, 1e308).evaluate(5e307) == 0.5
+            -1e308, 0.0, 1e308).sample(5e307) == 0.5
         assert MembershipFunction.trapezoidal(
-            -1e308, 0.0, 0.0, 1e308).evaluate(-5e307) == 0.5
+            -1e308, 0.0, 0.0, 1e308).sample(-5e307) == 0.5
 
     def test_flat_sigmoid_is_one_half(self):
         # 0 * (x - c) was nan where x - c overflows
         mf = MembershipFunction.sigmoid(0.0, 1e308)
-        assert mf.evaluate(-1e308) == 0.5
+        assert mf.sample(-1e308) == 0.5
         assert mf.sample(np.array([-1e308, 0.0, 1e308])).tolist() == [0.5] * 3
 
     def test_wrong_parameter_count(self):
@@ -170,6 +170,48 @@ class TestValidation:
         with pytest.raises(ConfigError):
             MembershipFunction.triangular(0.0, math.nan, 1.0)
 
+    @pytest.mark.parametrize("kind, params, message", [
+        ("triangular", ("0", "1_0", "１０"),
+         "triangular parameter must be an int or float number, got '0'"),
+        ("triangular", (False, True, True),
+         "triangular parameter must be an int or float number, got False"),
+        ("triangular", (0.0, None, 1.0),
+         "triangular parameter must be an int or float number, got None"),
+        ("gaussian", (1.0, b"0"),
+         "gaussian parameter must be an int or float number, got b'0'"),
+        ("gaussian", 5, "gaussian takes 2 parameters, got 1"),
+        (["triangular"], (0.0, 0.5, 1.0),
+         "unknown membership function kind ['triangular']"),
+    ], ids=["text", "bool", "none", "bytes", "not-a-sequence", "list-kind"])
+    def test_parameters_and_kind_of_the_wrong_type(self, kind, params,
+                                                   message):
+        """Text is not parsed here, nor a bool taken for 0 or 1."""
+        with pytest.raises(ConfigError) as excinfo:
+            MembershipFunction(kind, params)
+        assert str(excinfo.value) == message
+
+    def test_numpy_numbers_accepted(self):
+        mf = MembershipFunction("triangular", (np.int64(0), np.float32(0.5),
+                                               np.uint8(1)))
+        assert mf.params == (0.0, 0.5, 1.0)
+        assert MembershipFunction(
+            "gaussian", np.array([1.0, 0.0])).params == (1.0, 0.0)
+
+    @pytest.mark.parametrize("points", [
+        ["0.5"], "0.5", [True], True, np.array([b"1"]),
+        np.array([0.5], dtype=object)],
+        ids=["text-list", "text", "bool-list", "bool", "bytes", "object"])
+    def test_sample_points_of_the_wrong_type(self, points):
+        with pytest.raises(ConfigError, match="sample points must be numbers"):
+            MembershipFunction.triangular(0.0, 1.0, 2.0).sample(points)
+
+    def test_sample_takes_int_unsigned_and_float_points(self):
+        mf = MembershipFunction.triangular(0.0, 1.0, 2.0)
+        assert mf.sample([0, 1, 2]).tolist() == [0.0, 1.0, 0.0]
+        assert mf.sample(np.array([1], dtype=np.uint8)).tolist() == [1.0]
+        assert mf.sample(np.float32(0.5)) == 0.5
+        assert mf.sample(math.nan) == 0.0
+
 
 def test_degree_always_in_unit_interval():
     """Random parameters of every kind stay inside [0, 1] at random points."""
@@ -177,7 +219,7 @@ def test_degree_always_in_unit_interval():
     for _ in range(500):
         mf = random_mf(rng, -3.0, 3.0)
         for x in rng.uniform(-10.0, 10.0, size=20):
-            degree = mf.evaluate(float(x))
+            degree = mf.sample(float(x))
             assert 0.0 <= degree <= 1.0
 
 
@@ -202,7 +244,7 @@ def test_every_curve_that_constructs_stays_in_unit_interval(kind, values,
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         degrees = mf.sample(np.array(points))
-        assert [mf.evaluate(x) for x in points] == degrees.tolist()
+        assert [mf.sample(x) for x in points] == degrees.tolist()
     assert np.all((degrees >= 0.0) & (degrees <= 1.0)), (mf, points, degrees)
 
 
@@ -214,7 +256,7 @@ def test_sample_matches_scalar_evaluation():
     for _ in range(100):
         mf = random_mf(rng, -3.0, 3.0)
         sampled = mf.sample(xs)
-        scalar = np.array([mf.evaluate(float(x)) for x in xs])
+        scalar = np.array([mf.sample(float(x)) for x in xs])
         if mf.kind in ("triangular", "trapezoidal"):
             assert np.array_equal(sampled, scalar)
         else:
@@ -249,7 +291,7 @@ def test_smooth_curve_at_special_points(mf, at_inf, at_minus_inf):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sampled = mf.sample(np.array(_SPECIAL_POINTS))
-        one_by_one = [mf.evaluate(x) for x in _SPECIAL_POINTS]
+        one_by_one = [mf.sample(x) for x in _SPECIAL_POINTS]
     np.testing.assert_allclose(one_by_one, sampled, rtol=1e-14, atol=0)
     nan, inf, minus_inf = sampled[2:5]  # as _SPECIAL_POINTS lists them
     assert nan == 0.0
@@ -281,7 +323,7 @@ def test_piecewise_linear_sample_is_the_masked_reference(trapezoid, values,
         # a whole column and one point at a time, as numpy's vector loops
         # and their scalar tails may treat signed zeros apart
         assert _bits(mf.sample(xs)) == want
-        assert _bits([mf.evaluate(x) for x in xs]) == want
+        assert _bits([mf.sample(x) for x in xs]) == want
 
 
 @pytest.mark.parametrize("corners", [
@@ -305,7 +347,7 @@ def test_piecewise_linear_sample_matches_reference_at_edge_cases(corners):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sampled = mf.sample(xs)
-        one_by_one = [mf.evaluate(x) for x in xs]
+        one_by_one = [mf.sample(x) for x in xs]
     assert _bits(sampled) == _bits(reference_sample(*corners, xs))
     assert _bits(one_by_one) == _bits(sampled)
     # no signed zero leaks, which "%f" would print as -0.000000

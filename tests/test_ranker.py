@@ -14,10 +14,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import frank.ranker
-from frank.errors import QueryError, RunFormatError
+from frank.errors import ConfigError, QueryError, RunFormatError
 from frank.evaluation import RunFile, format_run, parse_run, run_from_ranked
-from frank.fis import (AGGREGATIONS, AND_METHODS, DEFUZZIFICATIONS,
-                       IMPLICATIONS, FisConfig, LinguisticVariable, aggregate,
+from frank.fis import (OPERATORS, FisConfig, LinguisticVariable, aggregate,
                        defuzzify, evaluate, fire_rule, fuzzify, imply)
 from frank.index import (Document, InvertedIndex, build_index,
                          extract_features, read_corpus_jsonl, tokenize)
@@ -95,6 +94,18 @@ class TestInstantiate:
         config = instantiate_fis(template, 2)
         weights = sorted(r.weight for r in config.rules)
         assert weights == [0.5 * 0.5 * (1 / 6), 0.25, 0.25]
+
+    @pytest.mark.parametrize("ratio", ["0.5", True, None])
+    def test_ratio_of_the_wrong_type_rejected(self, ratio):
+        with pytest.raises(ConfigError) as excinfo:
+            FisTemplate(default_template().config, ratio)
+        assert str(excinfo.value) == ("overlap_weight_ratio must be an int or "
+                                      f"float number, got {ratio!r}")
+
+    def test_numpy_ratio_accepted(self):
+        config = default_template().config
+        assert FisTemplate(config, np.float32(0.25)).query_rules(2) == \
+            FisTemplate(config, 0.25).query_rules(2)
 
 
 class TestScoreFis:
@@ -437,8 +448,8 @@ TEMPLATES = {
 GRID_OPERATORS = [
     dict(zip(("and_method", "implication", "aggregation", "defuzzification"),
              combo))
-    for combo in itertools.product(AND_METHODS, IMPLICATIONS, AGGREGATIONS,
-                                   DEFUZZIFICATIONS)
+    for combo in itertools.product(
+        *(methods for _, methods in OPERATORS.values()))
     if combo[1:] != ("prod", "sum", "centroid")
 ]
 

@@ -40,6 +40,14 @@ REMOVED = {
     "idf_norm": (frank, frank.index),
     "InvertedIndex.document_frequency": (frank.InvertedIndex, _INDEX),
     "InvertedIndex.ordinal_of": (frank.InvertedIndex, _INDEX),
+    "parse_rules_block": (frank, frank.rules),
+    # not frank: frank.evaluate is the inference entry point, and it stays
+    "MembershipFunction.evaluate": (frank.MembershipFunction,
+                                    frank.MembershipFunction.gaussian(1, 0)),
+    "AND_METHODS": (frank, frank.fis),
+    "IMPLICATIONS": (frank, frank.fis),
+    "AGGREGATIONS": (frank, frank.fis),
+    "DEFUZZIFICATIONS": (frank, frank.fis),
 }
 
 # function -> the parameters it no longer takes

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frank.errors import ConfigError
+from frank.fisfile import parse_fis_config
 from frank.rules import (ParseError, RuleAst, RuleClause, parse_rule,
-                         parse_rules_block, print_rule)
+                         print_rule)
 
 from generators import random_rule_ast
 
@@ -89,6 +90,19 @@ class TestParse:
 
 
 class TestParseBlock:
+    """A config's ``[rules]`` section reads a block of rule lines."""
+
+    # the variables the rules below name, then the section header
+    HEAD = "".join(
+        f"[{section} {name}]\nuniverse 0 1\nset high trimf 0 1 1\n"
+        for section, name in (("variable", "overlap"), ("variable", "tf"),
+                              ("variable", "idf"), ("output", "relevance"))
+    ) + "[rules]\n"
+    OFFSET = HEAD.count("\n")  # file lines before the block's first
+
+    def parse(self, block):
+        return parse_fis_config(self.HEAD + block).rules
+
     def test_three_line_block(self):
         block = (
             "if (overlap is high) -> (relevance is high)\n"
@@ -96,15 +110,15 @@ class TestParseBlock:
             "if (tf is not high) and (idf is not high) "
             "-> (relevance is not high)\n"
         )
-        rules = parse_rules_block(block)
+        rules = self.parse(block)
         assert len(rules) == 3
         assert rules[0].antecedent[0].variable == "overlap"
 
-    def test_empty_input(self):
-        assert parse_rules_block("") == []
-
     def test_comments_and_blanks_skipped(self):
-        assert parse_rules_block("# nothing\n\n   \n# here\n") == []
+        rules = self.parse("# nothing\n\n   \n"
+                           "if (tf is high) -> (relevance is high)\n"
+                           "# here\n")
+        assert [rule.line for rule in rules] == [self.OFFSET + 4]
 
     def test_error_carries_real_line_number(self):
         block = (
@@ -113,14 +127,14 @@ class TestParseBlock:
             "if broken -> (y is z)\n"
         )
         with pytest.raises(ParseError) as excinfo:
-            parse_rules_block(block)
-        assert excinfo.value.position[0] == 3
-        assert excinfo.value.line == 3
+            self.parse(block)
+        assert excinfo.value.position[0] == self.OFFSET + 3
+        assert excinfo.value.line == self.OFFSET + 3
 
     def test_all_or_nothing(self):
         block = "if broken\nif (a is b) -> (y is z)\n"
         with pytest.raises(ParseError):
-            parse_rules_block(block)
+            self.parse(block)
 
 
 class TestRuleAst:

@@ -14,8 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from frank.errors import FrankError
-from frank.fis import (AGGREGATIONS, AND_METHODS, DEFUZZIFICATIONS,
-                       IMPLICATIONS, FisConfig, LinguisticVariable, aggregate,
+from frank.fis import (OPERATORS, FisConfig, LinguisticVariable, aggregate,
                        default_variable, defuzzify, evaluate, fire_rule,
                        fuzzify, imply)
 from frank.membership import MembershipFunction
@@ -70,7 +69,7 @@ def test_membership_functions(kind, params, ordered, points):
     degrees = outcome(lambda: mf.sample(np.array(points)))
     assert within(degrees, 0.0, 1.0), (mf, points, degrees)
     for x, degree in zip(points, degrees.tolist()):
-        assert within(outcome(lambda: mf.evaluate(x)), 0.0, 1.0)
+        assert within(outcome(lambda: mf.sample(x)), 0.0, 1.0)
         if math.isnan(x):
             assert degree == 0.0
 
@@ -110,7 +109,7 @@ def test_fuzzify(universe, tf, column):
 @SETTINGS
 @given(a=DEGREES, b=DEGREES, c=DEGREES, weight=DEGREES.filter(bool),
        negated=st.lists(st.booleans(), min_size=3, max_size=3),
-       and_method=st.sampled_from(AND_METHODS))
+       and_method=st.sampled_from(OPERATORS["and"][1]))
 def test_fire_rule(a, b, c, weight, negated, and_method):
     """Degrees in [0, 1] and a weight in (0, 1] give a strength in [0,
     weight], as floats or as columns."""
@@ -128,7 +127,7 @@ def test_fire_rule(a, b, c, weight, negated, and_method):
 
 @SETTINGS
 @given(samples=st.lists(FLOATS, min_size=1, max_size=6), strength=FLOATS,
-       implication=st.sampled_from(IMPLICATIONS))
+       implication=st.sampled_from(OPERATORS["implication"][1]))
 @example(samples=[1e200, 0.5], strength=1e200, implication="prod")
 def test_imply(samples, strength, implication):
     """Finite, nonnegative samples and strength give finite, nonnegative
@@ -145,7 +144,7 @@ def test_imply(samples, strength, implication):
 @SETTINGS
 @given(sets=st.lists(st.lists(FLOATS, min_size=3, max_size=3), min_size=1,
                      max_size=4),
-       aggregation=st.sampled_from(AGGREGATIONS))
+       aggregation=st.sampled_from(OPERATORS["aggregation"][1]))
 @example(sets=[[3.0, 0.5, 0.0]] * 2, aggregation="probor")
 @example(sets=[[1e308, 0.5, 0.0]] * 2, aggregation="sum")
 def test_aggregate(sets, aggregation):
@@ -163,7 +162,7 @@ def test_aggregate(sets, aggregation):
 @SETTINGS
 @given(samples=st.lists(FLOATS, min_size=2, max_size=6),
        universe=st.tuples(FLOATS, FLOATS),
-       method=st.sampled_from(DEFUZZIFICATIONS))
+       method=st.sampled_from(OPERATORS["defuzzification"][1]))
 @example(samples=[5e-324, 0.0], universe=(0.5, 1.0), method="centroid")
 @example(samples=[0.0, 0.0, 3.0], universe=(0.0, 0.1), method="centroid")
 @example(samples=[0.0] * 4, universe=(0.0, _MAX), method="centroid")
