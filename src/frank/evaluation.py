@@ -23,7 +23,7 @@ import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 from .errors import (EvalError, RunFormatError, read_number, read_text,
@@ -131,6 +131,11 @@ def load_qrels(path: str | Path) -> Qrels:
 
 
 def parse_run(text: str) -> RunFile:
+    # ranks and scores are plain ASCII: one test of the whole text spares
+    # the check per field where no field can be anything else
+    plain = text.isascii() and "_" not in text
+    to_int, to_float = (int, float) if plain else (
+        partial(read_number, kind=int), partial(read_number, kind=float))
     tag: str | None = None
     topics: dict[str, tuple[list[str], list[float]]] = {}
     # Doc ids of the current topic's lines, for the duplicate check.  Run
@@ -152,8 +157,8 @@ def parse_run(text: str) -> RunFile:
             )
         topic, _, doc_id, rank_text, score_text, line_tag = fields
         try:
-            rank = int(rank_text)
-            score = float(score_text)
+            rank = to_int(rank_text)
+            score = to_float(score_text)
             if not math.isfinite(score):  # nan would pass the order check
                 raise ValueError
         except ValueError:

@@ -549,14 +549,15 @@ def _centroid_by_moments(config: FisConfig, keys: Sequence[tuple[str, bool]],
 
 def _midpoint_where_empty(crisp: np.ndarray, empty: np.ndarray,
                           universe: tuple[float, float]) -> np.ndarray:
-    """``crisp`` with the universe midpoint in each ``empty`` (all-zero
-    aggregate) row, warning once if there is one, at the nearest caller
-    outside this package, however many of its frames lie between."""
-    if empty.any():
-        frame, level = sys._getframe(), 1
-        while frame.f_globals.get("__package__") == "frank":
-            frame, level = frame.f_back, level + 1
-        warnings.warn("all-zero aggregate set; defuzzifying to the universe "
-                      "midpoint", RuntimeWarning, stacklevel=level)
+    """``crisp`` itself if no row is ``empty`` (an all-zero aggregate), else
+    with the universe midpoint in each such row, warning once, at the nearest
+    caller outside this package, however many of its frames lie between."""
+    if not empty.any():
+        return crisp
+    frame, level = sys._getframe(), 1
+    while frame.f_globals.get("__package__") == "frank":
+        frame, level = frame.f_back, level + 1
+    warnings.warn("all-zero aggregate set; defuzzifying to the universe "
+                  "midpoint", RuntimeWarning, stacklevel=level)
     lo, hi = universe
     return np.where(empty, (lo + hi) / 2.0, crisp)

@@ -23,11 +23,12 @@ sorting every (token, document) occurrence at once, not by growing a list
 per token.  The one constructor checks the bytes once (see
 :class:`InvertedIndex`): one sequential pass per table over the length
 prefixes finds and decodes every doc id and token, which are then checked
-in bulk, into a token -> (df, offset) table, the doc ids and per-document
-arrays gathered from the bytes in one step.  The first fault in byte order
-is reported, a posting's ordinal before its tf, and each document's
-recorded totals are checked last.  A token's postings are read-only
-``np.frombuffer`` views of the bytes, never copies.
+in bulk, into a token -> postings offset table (the df is the uint32
+before it), the doc ids and per-document arrays gathered from the bytes in
+one step, the postings a cache-sized block of whole tokens at a time.  The
+first fault in byte order is reported, a posting's ordinal before its tf,
+and each document's recorded totals are checked last.  A token's postings
+are read-only ``np.frombuffer`` views of the bytes, never copies.
 """
 
 from __future__ import annotations
@@ -82,6 +83,8 @@ _UINT = struct.Struct("<I")
 _PAIR = struct.Struct("<II")
 _NO_POSTINGS = np.frombuffer(b"", _U32).reshape(0, 2)
 _TRUNCATED = "truncated index file"
+#: Postings per block of the load's check (512 KiB), to stay in L2 cache.
+_BLOCK_POSTINGS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -160,31 +163,30 @@ def _scan(data: bytes, offset: int, records: int, postings: bool
     size = len(data)
     trailer = 4 if postings else 8
     strings: list[str] = []
-    starts = array("q")
+    starts: list[int] = []
+    add_string, add_start = strings.append, starts.append
     fault: str | None = _TRUNCATED
-    for _ in range(records):
-        start = offset + 4
-        if start > size:
-            break
-        stop = start + unpack(data, offset)[0]
-        offset = stop + trailer
-        if offset > size:
-            break
-        try:
-            strings.append(data[start:stop].decode("utf-8"))
-        except UnicodeDecodeError:
-            what = "token" if postings else "doc id"
-            fault = (f"corrupt index: {what} at byte {start} is not valid "
-                     "UTF-8")
-            break
-        starts.append(start)
-        if postings:
-            offset += 8 * unpack(data, offset - 4)[0]
+    try:  # a length prefix past the end raises struct.error
+        for _ in range(records):
+            start = offset + 4
+            stop = start + unpack(data, offset)[0]
+            offset = stop + trailer
             if offset > size:
                 break
-    else:
-        fault = None
-    begin = np.frombuffer(starts, np.int64)
+            add_string(data[start:stop].decode())
+            add_start(start)
+            if postings:
+                offset += 8 * unpack(data, stop)[0]
+                if offset > size:
+                    break
+        else:
+            fault = None
+    except struct.error:
+        pass
+    except UnicodeDecodeError:
+        what = "token" if postings else "doc id"
+        fault = f"corrupt index: {what} at byte {start} is not valid UTF-8"
+    begin = np.array(starts, np.int64)
     return (strings, begin, begin + _gather(data, begin - 4, 4)[:, 0],
             offset, fault)
 
@@ -226,6 +228,8 @@ class InvertedIndex:
     Where the bytes break several of these, the first break in byte order
     is the one reported, a posting's ordinal before its tf, but each
     document's totals are checked last, against postings that passed.
+    Postings are checked a block of whole tokens at a time, so the check's
+    extra memory does not grow with their number.
     """
 
     def __init__(self, data: bytes):
@@ -273,25 +277,39 @@ class InvertedIndex:
         past = stops + 4 + 8 * dfs.astype(np.int64)
         checked = min(first, np.searchsorted(past, len(data), "right"))
         at = (stops + 4).tolist()
-        ordinal, tf = np.frombuffer(b"".join(
-            data[a:b] for a, b in zip(at, past[:checked].tolist())),
-            _U32).reshape(-1, 2).T
+        until = past[:checked].tolist()
         ends = np.cumsum(dfs[:checked], dtype=np.intp)
-        out_of_range = ordinal >= n_docs
-        out_of_order = np.zeros(len(ordinal), bool)
-        np.less_equal(ordinal[1:], ordinal[:-1], out=out_of_order[1:])
-        out_of_order[ends[:-1]] = False  # a token's first posting is free
-        bad = np.flatnonzero(out_of_range | out_of_order | (tf == 0))
-        if bad.size:  # the first faulty posting, its ordinal before its tf
-            where = bad[0]
-            problem = (f"has a posting for doc ordinal {ordinal[where]} of "
-                       f"an index of {n_docs} documents"
-                       if out_of_range[where]
-                       else "has postings out of doc ordinal order"
-                       if out_of_order[where]
-                       else "has a posting with term frequency 0")
-            token = tokens[np.searchsorted(ends, where, "right")]
-            raise IndexFormatError(f"corrupt index: token {token!r} {problem}")
+        # blocks of whole tokens in byte order, each from the token holding
+        # a multiple of _BLOCK_POSTINGS postings, so each stays in cache
+        cuts = sorted({checked, *ends.searchsorted(np.arange(
+            0, ends[-1] if checked else 0, _BLOCK_POSTINGS), "right").tolist()})
+        # each document's max tf and tf sum, over the postings that passed
+        observed = np.zeros(n_docs, _U32)
+        counted = np.zeros(n_docs, np.uint64)
+        for low, high in zip(cuts, cuts[1:]):
+            ordinal, tf = np.frombuffer(b"".join(
+                data[a:b] for a, b in zip(at[low:high], until[low:high])),
+                _U32).reshape(-1, 2).T
+            block_ends = np.cumsum(dfs[low:high], dtype=np.intp)
+            out_of_range = ordinal >= n_docs
+            out_of_order = np.zeros(len(ordinal), bool)
+            np.less_equal(ordinal[1:], ordinal[:-1], out=out_of_order[1:])
+            out_of_order[block_ends[:-1]] = False  # free at a token's start
+            bad = np.flatnonzero(out_of_range | out_of_order | (tf == 0))
+            if bad.size:  # the first faulty posting, its ordinal before tf
+                where = bad[0]
+                problem = (f"has a posting for doc ordinal {ordinal[where]} "
+                           f"of an index of {n_docs} documents"
+                           if out_of_range[where]
+                           else "has postings out of doc ordinal order"
+                           if out_of_order[where]
+                           else "has a posting with term frequency 0")
+                token = tokens[low + block_ends.searchsorted(where, "right")]
+                raise IndexFormatError(
+                    f"corrupt index: token {token!r} {problem}")
+            np.maximum.at(observed, ordinal, tf)
+            # uint64 sums are exact; np.add.at's fast path needs one dtype
+            np.add.at(counted, ordinal, tf.astype(np.uint64))
         if first < len(tokens):
             token = tokens[first]
             problem = ("has no postings" if first != unordered
@@ -303,11 +321,6 @@ class InvertedIndex:
         if offset != len(data):
             raise IndexFormatError("trailing bytes after index data")
         # every posting passed its checks: the documents' totals come last
-        observed = np.zeros(n_docs, _U32)
-        np.maximum.at(observed, ordinal, tf)
-        # uint64 sums are exact; np.add.at's fast path needs matching dtypes
-        counted = np.zeros(n_docs, np.uint64)
-        np.add.at(counted, ordinal, tf.astype(np.uint64))
         miscounted = counted != per_doc[:, 0]
         bad = np.flatnonzero(miscounted | (observed != per_doc[:, 1]))
         if bad.size:  # the token count comes first in a document's record
@@ -320,8 +333,8 @@ class InvertedIndex:
 
         per_doc.flags.writeable = False
         self._data = data
-        self._terms: dict[str, tuple[int, int]] = dict(zip(
-            tokens, zip(dfs.tolist(), at)))
+        #: each token's postings offset; its df is the uint32 before it
+        self._terms: dict[str, int] = dict(zip(tokens, at))
         self.doc_ids: tuple[str, ...] = tuple(doc_ids)
         #: Each document's token count and max term frequency, by ordinal.
         self.token_counts = per_doc[:, 0]
@@ -362,10 +375,10 @@ class InvertedIndex:
     def _pairs(self, token: str) -> np.ndarray:
         """A token's postings as (ordinal, tf) rows of one read-only df x 2
         uint32 view of the index bytes; no rows if unknown."""
-        entry = self._terms.get(token)
-        if entry is None:
+        offset = self._terms.get(token)
+        if offset is None:
             return _NO_POSTINGS
-        df, offset = entry
+        df = _UINT.unpack_from(self._data, offset - 4)[0]
         return np.frombuffer(self._data, _U32, 2 * df, offset).reshape(df, 2)
 
     def term_frequency(self, doc_ordinal: int, token: str) -> int:
@@ -461,7 +474,8 @@ def _invert(corpus: Iterable[Document]) -> bytes:
     ids, ordinals = ids[kept], ordinals[kept]
     del words, kept
     token_counts = np.bincount(ordinals, minlength=n_docs)
-    names = list(vocabulary)
+    names = list(vocabulary)  # keeps the keys; the rest is loop-only
+    del vocabulary, seen
     order = sorted(range(len(_DROPPED), len(names)), key=names.__getitem__)
     n_terms = len(order)
     key_type = np.uint32 if n_terms * n_docs <= 1 << 32 else np.uint64

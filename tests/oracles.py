@@ -349,8 +349,9 @@ def reference_parse_run(text: str) -> tuple[str, dict[str, list]]:
 
     Lines are ``topic Q0 doc rank score tag``; ranks run 1, 2, ... per
     topic, scores do not rise, a topic names a doc once and every line
-    carries the same tag.  Scores are taken as ``float`` reads them, so
-    non-finite ones are not rejected here.
+    carries the same tag.  Ranks and scores are plain ASCII without
+    ``_``, taken as ``int`` and ``float`` read them, so non-finite scores
+    are not rejected here.
     """
     tag: str | None = None
     topics: dict[str, list[tuple[str, int, float]]] = {}
@@ -369,6 +370,9 @@ def reference_parse_run(text: str) -> tuple[str, dict[str, list]]:
             )
         topic, _, doc_id, rank_text, score_text, line_tag = fields
         try:
+            if not (rank_text + score_text).isascii() or "_" in (
+                    rank_text + score_text):
+                raise ValueError("not a plain ASCII number")
             rank = int(rank_text)
             score = float(score_text)
         except ValueError:

@@ -269,10 +269,11 @@ def run_texts(draw):
                                      "topic", "tag")))
         if kind == "rank":
             fields[3] = draw(st.sampled_from(("0", "1", "2", "3", "5", "-1",
-                                              "x", "2.0")))
+                                              "x", "2.0", "0_1", "１")))
         elif kind == "score":
             fields[4] = draw(st.sampled_from(("9", "9", "0.500000", "-0",
-                                              "1e-3", "-2.5", "x")))
+                                              "1e-3", "-2.5", "x", "0.4_0",
+                                              "٠.5")))
         elif kind == "doc":
             fields[2] = draw(st.sampled_from(_DOCS))
         elif kind == "topic":

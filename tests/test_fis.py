@@ -20,7 +20,7 @@ from frank.errors import ConfigError
 from frank.fis import (OPERATORS, FisConfig, LinguisticVariable, aggregate,
                        default_variable, defuzzify, evaluate, fire_rule,
                        fuzzify, imply)
-from frank.fis import _combine, _sorted_rows
+from frank.fis import _combine, _midpoint_where_empty, _sorted_rows
 from frank.membership import MembershipFunction
 from frank.rules import parse_rule
 
@@ -599,6 +599,23 @@ class TestDefuzzify:
         with pytest.warns(RuntimeWarning):
             assert defuzzify(np.zeros(101), (0.2, 0.8),
                              "centroid") == pytest.approx(0.5)
+
+    def test_midpoint_fallback_only_where_a_row_is_empty(self):
+        """With no empty row the crisp column comes back as it is, with no
+        warning; with one, a copy holds the midpoint there, after exactly
+        one warning."""
+        crisp = np.array([0.25, -0.0, 0.75])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _midpoint_where_empty(crisp, np.zeros(3, bool),
+                                         (0.0, 1.0)) is crisp
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            filled = _midpoint_where_empty(
+                crisp, np.array([False, True, False]), (0.0, 1.0))
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert filled.tolist() == [0.25, 0.5, 0.75]
+        assert crisp.tolist() == [0.25, -0.0, 0.75]
 
     @pytest.mark.parametrize("method", OPERATORS["defuzzification"][1])
     def test_block_equals_each_row(self, method):

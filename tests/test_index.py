@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from frank import index as index_module
 from frank.errors import CorpusError, IndexFormatError, QueryError
 from frank.index import (Document, InvertedIndex, build_index,
                          extract_features, read_corpus_jsonl, tokenize,
@@ -528,6 +529,17 @@ FAULT_ORDER = {
     "token_record_before_its_postings": (
         frix(TWO_DOCS, [(b"bb", [(0, 2)]), (b"aa", [(0, 0)])]),
         "token 'aa' is out of order"),
+    # the third token's posting lies in a later block when blocks hold one
+    # or two postings (see test_block_edges_change_no_fault)
+    "later_tf_zero_before_token_out_of_order": (
+        frix(TWO_DOCS, [(b"aa", [(0, 1)]), (b"bb", [(0, 2)]),
+                        (b"cc", [(1, 0)]), (b"ab", [(1, 1)])]),
+        "token 'cc' has a posting with term frequency 0"),
+    "later_ordinal_out_of_range_before_wrong_document_totals": (
+        frix([(b"d1", 7, 7), (b"d2", 1, 1)],
+             [(b"aa", [(0, 1)]), (b"bb", [(0, 2)]), (b"cc", [(9, 1)])]),
+        "token 'cc' has a posting for doc ordinal 9 of an index of 2 "
+        "documents"),
 }
 
 
@@ -582,6 +594,79 @@ class TestMutatedBytes:
         data = bytearray(FIXTURE_BYTES)
         data[position] ^= mask
         assert_loads_or_rejects(bytes(data))
+
+
+def load_fault(data: bytes) -> str | None:
+    """The message of the IndexFormatError loading ``data`` raises, or None
+    if it loads."""
+    try:
+        InvertedIndex.from_bytes(data)
+    except IndexFormatError as error:
+        return str(error)
+    return None
+
+
+def flipped(data: bytes, position: int, mask: int) -> bytes:
+    changed = bytearray(data)
+    changed[position] ^= mask
+    return bytes(changed)
+
+
+# the fault-order cases, the first-fault case on the fixture, and the
+# fixture whole, cut at every length and with each byte flipped three ways
+BLOCK_EDGE_CASES = [
+    *(data for data, _ in FAULT_ORDER.values()),
+    FIXTURE_BYTES[:14] + b"d\xff" + FIXTURE_BYTES[16:-4],
+    FIXTURE_BYTES,
+    *(FIXTURE_BYTES[:length] for length in range(len(FIXTURE_BYTES))),
+    *(flipped(FIXTURE_BYTES, position, mask)
+      for position in range(len(FIXTURE_BYTES)) for mask in (1, 0x80, 0xff)),
+]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_block_edges_change_no_fault(monkeypatch, block):
+    """The postings check runs a block of whole tokens at a time: blocks of
+    one, two or three postings name the same fault as the default size, or
+    load the same bytes, in every case above."""
+    want = [load_fault(data) for data in BLOCK_EDGE_CASES]
+    assert want.count(None) > 1
+    monkeypatch.setattr(index_module, "_BLOCK_POSTINGS", block)
+    assert [load_fault(data) for data in BLOCK_EDGE_CASES] == want
+    for case in ("later_tf_zero_before_token_out_of_order",
+                 "later_ordinal_out_of_range_before_wrong_document_totals"):
+        data, problem = FAULT_ORDER[case]
+        assert load_fault(data) == f"corrupt index: {problem}"
+
+
+def _striped_index_bytes(stride: int) -> bytes:
+    """2000 documents over 2000 tokens, token j in each document i with
+    i = j mod ``stride``: 2000 / ``stride`` postings per token."""
+    return build_index(
+        Document(f"d{i}", " ".join(f"t{j:04d}"
+                                   for j in range(i % stride, 2000, stride)))
+        for i in range(2000)).to_bytes()
+
+
+class TestLoadMemory:
+    def test_working_memory_does_not_grow_with_the_postings(self):
+        """The load checks postings a block at a time, so what it allocates
+        beyond the index it keeps is the same for 50k and 400k postings
+        over the same documents and tokens (one buffer of all postings,
+        with its masks and uint64 copy, takes about 21 B a posting)."""
+        working = []
+        for stride in (80, 10):
+            data = _striped_index_bytes(stride)
+            tracemalloc.start()
+            try:
+                index = InvertedIndex(data)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(index.terms) == index.total_docs == 2000
+            assert index.total_tokens == 4_000_000 // stride
+            working.append(peak - kept)
+        assert abs(working[1] - working[0]) < 1 << 20
 
 
 class TestCorpusReading:

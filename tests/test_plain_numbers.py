@@ -1,5 +1,5 @@
-"""A number in a config, a template, a qrels file or a command-line flag is
-plain ASCII.
+"""A number in a config, a template, a qrels file, a run file or a
+command-line flag is plain ASCII.
 
 Python's ``int`` and ``float`` also read ``_`` digit separators and
 non-ASCII digits (``int("1_0") == 10``, ``int("١") == 1``).  Every reader
@@ -11,7 +11,7 @@ import pytest
 
 from frank.cli import main
 from frank.errors import ConfigError, RunFormatError
-from frank.evaluation import parse_qrels
+from frank.evaluation import parse_qrels, parse_run
 from frank.fisfile import parse_fis_config, parse_template
 
 CONFIG = """\
@@ -75,6 +75,40 @@ def test_qrels_relevance_not_plain_ascii_names_its_line(relevance):
 def test_qrels_plain_spellings_still_parse():
     assert parse_qrels("1 0 d1 +1\n1 0 d2 0\n1 0 d3 007\n").judgments == {
         ("1", "d1"): 1, ("1", "d2"): 0, ("1", "d3"): 7}
+
+
+# ranks 1 to 10 with scores 1.00 down to 0.10: rank 7 scores 0.40
+RUN = "".join(f"t1 Q0 d{rank} {rank} {(11 - rank) / 10:.2f} tag\n"
+              for rank in range(1, 11))
+RUN_NOT_PLAIN = {
+    "rank-separator": (" 10 0.10 ", " 1_0 0.10 ", 10),
+    "score-separator": (" 7 0.40 ", " 7 0.4_0 ", 7),
+    "rank-fullwidth": (" 1 1.00 ", " １ 1.00 ", 1),
+    "rank-arabic-indic": (" 2 0.90 ", " ٢ 0.90 ", 2),
+}
+
+
+@pytest.mark.parametrize("old, new, line", RUN_NOT_PLAIN.values(),
+                         ids=RUN_NOT_PLAIN)
+def test_run_number_not_plain_ascii_names_its_line(old, new, line):
+    text = RUN.replace(old, new)
+    assert text != RUN
+    with pytest.raises(RunFormatError) as excinfo:
+        parse_run(text)
+    assert excinfo.value.line == line
+    assert str(excinfo.value) == (f"line {line}: bad rank or score in "
+                                  f"{text.splitlines()[line - 1]!r}")
+
+
+def test_run_plain_spellings_still_parse():
+    """Plain numbers parse whether or not other fields hold ``_`` or
+    non-ASCII text, which sends the parse down the per-field check."""
+    plain = "t1 Q0 d1 +1 .5 tag\nt1 Q0 d2 002 1e-3 tag\n"
+    for text in (plain, plain.replace("d2", "d_2"),
+                 plain.replace("d2", "dé")):
+        entries = parse_run(text).topics["t1"]
+        assert list(entries.scores) == [0.5, 1e-3]
+        assert entries.doc_ids[0] == "d1"
 
 
 def test_eval_with_a_separator_in_the_qrels_exits_2(capsys, tmp_path,
