@@ -5,7 +5,8 @@ byte-identical output.  Errors print one greppable ``frank: error:`` line
 to stderr; usage errors exit 1, data/format errors exit 2.  A warning prints
 one ``frank: warning:`` line to stderr when the command ends, however often
 it was raised, and leaves stdout and the exit code alone; a command that
-fails prints its error line only.
+fails prints its error line only.  ``search`` checks its inputs, then writes
+each topic once ranked: a failed write leaves the topics before it on stdout.
 """
 
 from __future__ import annotations
@@ -18,14 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (FrankError, RunFormatError, UsageError, read_number,
-                     read_text, split_lines)
-from .evaluation import (evaluate_run, format_diff, format_report, format_run,
-                         load_qrels, load_run, report_jsonl, run_from_ranked)
+from .errors import (FrankError, RunFormatError, UsageError, one_word,
+                     read_number, read_text, split_lines)
+from .evaluation import (RunFile, evaluate_run, format_diff, format_report,
+                         format_run, load_qrels, load_run, report_jsonl)
 from .fis import MAX_RESOLUTION, evaluate, fire_rule, fuzzify
 from .fisfile import load_fis_config, load_template
-from .index import (InvertedIndex, build_index, one_word, read_corpus_jsonl,
-                    tokenize)
+from .index import InvertedIndex, build_index, read_corpus_jsonl, tokenize
 from .ranker import DEFAULT_CUTOFF, score_baseline, score_fis
 from .rules import print_rule
 
@@ -66,7 +66,7 @@ def _read_queries_tsv(path: str) -> list[tuple[str, str]]:
             raise RunFormatError(f"whitespace in topic {topic!r}", line=number)
         if topic in queries:  # a run holds one ranked list per topic
             raise RunFormatError(f"duplicate topic {topic}", line=number)
-        if not tokenize(text):  # the scorers reject it, after earlier topics
+        if not tokenize(text):  # the scorers reject it, after earlier writes
             raise RunFormatError(f"topic {topic}: query is empty after "
                                  "tokenization", line=number)
         queries[topic] = text.strip()
@@ -87,19 +87,17 @@ def cmd_search(args) -> int:
             raise UsageError(f"{flag} must be UTF-8 text, got {value!r}")
     if args.ranker == "fis" and args.template is None:
         raise UsageError("--template is required with --ranker fis")
-    if args.query is not None:
-        queries = [(args.topic, args.query)]
-    else:
-        queries = _read_queries_tsv(args.queries)
+    queries = ([(args.topic, args.query)] if args.query is not None
+               else _read_queries_tsv(args.queries))
     # the queries and the template are checked before the index is loaded
     template = load_template(args.template) if args.ranker == "fis" else None
     index = InvertedIndex.load(args.index)
-    run = run_from_ranked([
-        score_baseline(index, text, k=args.k, query_id=topic)
-        if template is None
-        else score_fis(index, template, text, k=args.k, query_id=topic)
-        for topic, text in queries], args.tag)
-    sys.stdout.write(format_run(run))
+    # topics ascend, as format_run orders them, so each is written once ranked
+    for topic, text in sorted(queries):
+        ranked = (score_baseline(index, text, k=args.k, query_id=topic)
+                  if template is None else
+                  score_fis(index, template, text, k=args.k, query_id=topic))
+        sys.stdout.write(format_run(RunFile(args.tag, {topic: ranked.entries})))
     return 0
 
 

@@ -1,5 +1,5 @@
-"""Exception taxonomy shared across the package, and the one reader of
-text input files and of the numbers in them and in flags.
+"""Exception taxonomy shared across the package, the one reader of text
+files and of the numbers in them and in flags, and the run's one-word rule.
 
 ``UsageError`` (and its subclasses) marks bad invocations: the CLI maps it
 to exit code 1.  Every other ``FrankError`` is a data or format problem and
@@ -8,6 +8,7 @@ maps to exit code 2.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 
@@ -95,3 +96,14 @@ def read_number(text: str, kind: type[int] | type[float]) -> int | float:
     if not text.isascii() or "_" in text:
         raise ValueError(f"{text!r} is not a plain ASCII number")
     return kind(text)
+
+
+#: whitespace as ``str.isspace`` has it, which a run field may not contain
+_SPACE = re.compile(r"\s")
+
+
+def one_word(text: str) -> bool:
+    """Whether ``text`` is non-empty and free of whitespace: what a run
+    file's doc id, topic or tag must be, as ``parse_run`` splits its lines
+    on whitespace."""
+    return bool(text) and not _SPACE.search(text)

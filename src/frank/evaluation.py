@@ -14,22 +14,28 @@ the qrels but absent from a run score 0 and stay in the averages.
 
 Percentages in the plain-text report are rounded to 2 decimals with the
 round-half-even behavior of Python float formatting.
+
+The run types live here: the scorers return a :class:`RankedList` of
+:class:`RankedEntries` columns, and a :class:`RunFile` maps topics to them.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import count
 from pathlib import Path
+from typing import Iterable, NamedTuple
 
-from .errors import (EvalError, RunFormatError, read_number, read_text,
-                     split_lines)
-from .index import one_word
-from .ranker import RankedEntries, RankedList
+import numpy as np
+
+from .errors import (EvalError, RunFormatError, one_word, read_number,
+                     read_text, split_lines)
 
 
 @dataclass(frozen=True)
@@ -53,25 +59,141 @@ class Qrels:
         return relevant
 
 
+class RankedEntry(NamedTuple):
+    doc_id: str
+    score: float
+    rank: int
+
+
+class RankedEntries(Sequence):
+    """A ranked list's entries as columns: ``doc_ids`` (a tuple of str) and
+    ``scores`` (a read-only float64 array); an entry's rank is its position
+    from 1.
+
+    Indexing builds one :class:`RankedEntry`, a slice a tuple of them, and
+    the list equals (and hashes as) the tuple of its entries.  It holds no
+    object per entry, so the garbage collector has nothing to walk.  It
+    keeps its own copies of the columns, so the caller's stay as they were.
+    Scores that are not one column of int, unsigned or float numbers (a
+    bool, text or object column is not), a score that is not finite, and
+    columns of different lengths raise :class:`RunFormatError`; doc ids are
+    not checked.  The scores may come from any iterable.
+    """
+
+    __slots__ = ("doc_ids", "scores")
+
+    def __init__(self, doc_ids: Iterable[str], scores: Iterable[float]):
+        doc_ids = tuple(doc_ids)
+        try:  # numpy reads an iterator as one object, so it is listed
+            column = np.array(scores if isinstance(
+                scores, (np.ndarray, Sequence)) else list(scores))
+        except (TypeError, ValueError):  # not iterable, or ragged
+            column = np.array(None)
+        if column.ndim != 1 or column.dtype.kind not in "iuf":
+            raise RunFormatError("ranked scores must be one column of numbers")
+        column = column.astype(np.float64, copy=False)
+        if np.count_nonzero(finite := np.isfinite(column)) < len(column):
+            at = int(finite.argmin())
+            raise RunFormatError(
+                f"score {column[at]} at rank {at + 1} is not finite")
+        if len(doc_ids) != len(column):
+            raise RunFormatError(
+                f"ranked columns differ in length: {len(doc_ids)} doc ids, "
+                f"{len(column)} scores")
+        column.flags.writeable = False
+        self.doc_ids = doc_ids
+        self.scores = column
+
+    def __len__(self) -> int:
+        return len(self.doc_ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        return RankedEntry(self.doc_ids[i], float(self.scores[i]),
+                           range(1, len(self) + 1)[i])
+
+    def __iter__(self):
+        return map(RankedEntry, self.doc_ids, self.scores.tolist(), count(1))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+@dataclass(frozen=True)
+class RankedList:
+    """Ranked retrieval output for one query.
+
+    Scores are non-increasing; ties are broken by ascending doc_id; ranks
+    run contiguously from 1.  ``entries`` given as any other iterable of
+    ``(doc_id, score, rank)`` triples is checked and stored as their
+    :class:`RankedEntries` columns, whose score checks come first (here a
+    bool among numeric scores is refused too); ranks must be the ints 1..n
+    in entry order and doc ids one word of text each, or
+    :class:`RunFormatError` names the topic.  Score order and distinct doc
+    ids are ``parse_run``'s checks, not this one's.
+    """
+
+    query_id: str
+    entries: Sequence[RankedEntry]
+
+    def __post_init__(self):
+        if isinstance(self.entries, RankedEntries):
+            return
+        topic = f"topic {self.query_id}: "
+        try:
+            doc_ids, scores, ranks = tuple(zip(*[
+                (d, s, r) for d, s, r in self.entries])) or ((), (), ())
+        except (TypeError, ValueError):  # not iterable, or not triples
+            raise RunFormatError(f"{topic}entries are not triples") from None
+        try:
+            # numpy reads a bool among numbers as 0 or 1, so look at each
+            if any(isinstance(score, (bool, np.bool_)) for score in scores):
+                raise RunFormatError(
+                    "ranked scores must be one column of numbers")
+            entries = RankedEntries(doc_ids, scores)
+        except RunFormatError as error:
+            raise RunFormatError(f"{topic}{error}") from None
+        for position, (doc_id, rank) in enumerate(zip(doc_ids, ranks),
+                                                  start=1):
+            if type(rank) is bool or not isinstance(rank, (int, np.integer)):
+                raise RunFormatError(f"{topic}rank {rank!r} is not an integer")
+            if rank != position:
+                raise RunFormatError(f"{topic}rank {rank} out of order "
+                                     f"(expected {position})")
+            _check_word(f"{topic}doc id", doc_id)
+        object.__setattr__(self, "entries", entries)
+
+
+def _check_word(what: str, value: object) -> None:
+    """Raise :class:`RunFormatError` unless ``value`` is one word of text."""
+    if not isinstance(value, str):
+        raise RunFormatError(f"{what} {value!r} is not text")
+    if not one_word(value):
+        raise RunFormatError(
+            f"{what} {value!r} is empty or contains whitespace")
+
+
 @dataclass(frozen=True)
 class RunFile:
-    """One system's ranked output: topic -> its ranked entries.
-
-    The tag and every topic are one word each (see
-    :func:`frank.index.one_word`), or :class:`RunFormatError` is raised.
-    """
+    """One system's ranked output: topic -> its ranked entries; the tag and
+    every topic are one word of text, or :class:`RunFormatError` is raised."""
 
     tag: str
     topics: dict[str, RankedEntries]
 
     def __post_init__(self):
-        if not one_word(self.tag):
-            raise RunFormatError(
-                f"run tag {self.tag!r} is empty or contains whitespace")
+        _check_word("run tag", self.tag)
         for topic in self.topics:
-            if not one_word(topic):
-                raise RunFormatError(
-                    f"topic {topic!r} is empty or contains whitespace")
+            _check_word("topic", topic)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,6 @@ import io
 import json
 import math
 import operator
-import re
 import struct
 from array import array
 from collections import defaultdict
@@ -49,7 +48,8 @@ from typing import Iterable, Iterator
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import CorpusError, IndexFormatError, QueryError
+from .errors import (_SPACE, CorpusError, IndexFormatError, QueryError,
+                     one_word)
 
 #: The fixed stopword list (30 words).
 STOPWORDS = frozenset((
@@ -65,16 +65,6 @@ _TABLE = bytes(c if c in _WORD_BYTES else 32 for c in range(256))
 #: word ("a" is both)
 _DROPPED = frozenset([*(word.encode() for word in STOPWORDS),
                       *(bytes((c,)) for c in _WORD_BYTES)])
-#: whitespace as ``str.isspace`` has it, which a doc id may not contain
-_SPACE = re.compile(r"\s")
-
-
-def one_word(text: str) -> bool:
-    """Whether ``text`` is non-empty and free of whitespace: what a run
-    file's doc id, topic or tag must be, as ``parse_run`` splits its lines
-    on whitespace."""
-    return bool(text) and not _SPACE.search(text)
-
 
 _MAGIC = b"FRIX1"
 _VERSION = 1
@@ -521,7 +511,7 @@ def _invert(corpus: Iterable[Document]) -> bytes:
 
 def _unique(ordinals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(ordinals, return_inverse=True)``: the distinct values,
-    ascending, and each value's position among them, at half its cost."""
+    ascending, and each value's position among them; about 10% faster."""
     ordered = np.sort(ordinals)
     first = np.empty(len(ordered), bool)
     first[:1] = True

@@ -24,35 +24,26 @@ works on the postings alone: one weighted ``np.bincount`` adds each
 posting's (tf * idf_raw) * length_norm to its candidate from +0.0, in
 query-term order; a term a candidate lacks would add +0.0, so skipping
 it changes no bit of the sum.  Both rank in one order: descending score,
-ties broken by ascending doc_id.
-
-A :class:`RankedList`'s ``entries`` is a :class:`RankedEntries`: a
-sequence backed by two columns (doc ids and a read-only float64 score
-array) whose :class:`RankedEntry` items are built on access, each with its
-position from 1 as its rank.  Indexing, slicing and iterating it read as a
-tuple of entries would, and comparing it with one holds; a scorer builds
-no object per entry.
+ties broken by ascending doc_id, into a ``frank.evaluation.RankedList``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import count
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, QueryError, RunFormatError
+from .errors import ConfigError, QueryError
+# ``RankedEntry`` is unused here; perfbench/tests/test_gate.py imports it
+from .evaluation import RankedEntries, RankedEntry, RankedList  # noqa: F401
 # ``evaluate`` is unused here; perfbench's traced run patches it by this name
 from .fis import (FisConfig, LinguisticVariable, _combine, default_variable,
                   evaluate, fire_rule)  # noqa: F401
-from .index import (InvertedIndex, QueryFeatures, extract_features,
-                    one_word, tokenize)
+from .index import InvertedIndex, QueryFeatures, extract_features, tokenize
 from .membership import _float
 from .rules import RuleAst, RuleClause, parse_rule
 
@@ -202,115 +193,6 @@ def instantiate_fis(template: FisTemplate, t: int) -> FisConfig:
                 for i in range(1, t + 1) for rule in per_term]
     return dataclasses.replace(template.config, inputs=tuple(inputs),
                                rules=tuple(expanded) + global_rules)
-
-
-class RankedEntry(NamedTuple):
-    doc_id: str
-    score: float
-    rank: int
-
-
-class RankedEntries(Sequence):
-    """A ranked list's entries as columns: ``doc_ids`` (a tuple of str) and
-    ``scores`` (a read-only float64 array); an entry's rank is its position
-    from 1.
-
-    Indexing builds one :class:`RankedEntry`, a slice a tuple of them, and
-    the list equals (and hashes as) the tuple of its entries.  It holds no
-    object per entry, so the garbage collector has nothing to walk.  It
-    keeps its own copies of the columns, so the caller's stay as they were.
-    Scores that are not one column of int, unsigned or float numbers (a
-    bool, text or object column is not), a score that is not finite, and
-    columns of different lengths raise :class:`RunFormatError`; doc ids are
-    not checked.
-    """
-
-    __slots__ = ("doc_ids", "scores")
-
-    def __init__(self, doc_ids: Iterable[str], scores: Iterable[float]):
-        doc_ids = tuple(doc_ids)
-        try:
-            column = np.array(scores)
-        except (TypeError, ValueError):  # a ragged column
-            column = np.array(None)
-        if column.ndim != 1 or column.dtype.kind not in "iuf":
-            raise RunFormatError("ranked scores must be one column of numbers")
-        column = column.astype(np.float64, copy=False)
-        if np.count_nonzero(finite := np.isfinite(column)) < len(column):
-            at = int(finite.argmin())
-            raise RunFormatError(
-                f"score {column[at]} at rank {at + 1} is not finite")
-        if len(doc_ids) != len(column):
-            raise RunFormatError(
-                f"ranked columns differ in length: {len(doc_ids)} doc ids, "
-                f"{len(column)} scores")
-        column.flags.writeable = False
-        self.doc_ids = doc_ids
-        self.scores = column
-
-    def __len__(self) -> int:
-        return len(self.doc_ids)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(len(self))[i]))
-        return RankedEntry(self.doc_ids[i], float(self.scores[i]),
-                           range(1, len(self) + 1)[i])
-
-    def __iter__(self):
-        return map(RankedEntry, self.doc_ids, self.scores.tolist(), count(1))
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
-
-@dataclass(frozen=True)
-class RankedList:
-    """Ranked retrieval output for one query.
-
-    Scores are non-increasing; ties are broken by ascending doc_id; ranks
-    run contiguously from 1.  ``entries`` given as any other sequence of
-    ``(doc_id, score, rank)`` entries is checked and stored as their
-    :class:`RankedEntries` columns, whose score checks come first (here a
-    bool among numeric scores is refused too); ranks
-    must be 1..n in entry order and doc ids one word each, or
-    :class:`RunFormatError` names the topic.  Score order and distinct doc
-    ids are ``parse_run``'s checks, not this one's.
-    """
-
-    query_id: str
-    entries: Sequence[RankedEntry]
-
-    def __post_init__(self):
-        if isinstance(self.entries, RankedEntries):
-            return
-        doc_ids, scores, ranks = tuple(zip(*self.entries)) or ((), (), ())
-        topic = f"topic {self.query_id}: "
-        try:
-            # numpy reads a bool among numbers as 0 or 1, so look at each
-            if any(isinstance(score, (bool, np.bool_)) for score in scores):
-                raise RunFormatError(
-                    "ranked scores must be one column of numbers")
-            entries = RankedEntries(doc_ids, scores)
-        except RunFormatError as error:
-            raise RunFormatError(f"{topic}{error}") from None
-        for position, (doc_id, rank) in enumerate(zip(doc_ids, ranks),
-                                                  start=1):
-            if rank != position:
-                raise RunFormatError(f"{topic}rank {rank} out of order "
-                                     f"(expected {position})")
-            if not one_word(doc_id):
-                raise RunFormatError(f"{topic}doc id {doc_id!r} is empty or "
-                                     "contains whitespace")
-        object.__setattr__(self, "entries", entries)
 
 
 def _query_tokens(query_text: str, k: int) -> list[str]:

@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -541,6 +542,40 @@ class TestSearch:
         assert out == ""
         assert err == ("frank: error: line 29: overlap rule weight 1.0 * "
                        "overlap_weight_ratio outside (0, 1]\n")
+
+
+class _Sink:
+    """A stdout that keeps nothing, unlike ``capsys``."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+class TestBatchMemory:
+    def test_peak_does_not_grow_with_topics(self, tmp_path, monkeypatch):
+        """``search --queries`` holds one topic's ranked list at a time: the
+        traced peak of 2000 topics is within 2 MiB of 200 topics'."""
+        index = tmp_path / "batch.idx"
+        build_index(Document(f"d{i:03d}", f"w{i % 7} w{i % 11} common")
+                    for i in range(100)).save(index)
+        monkeypatch.setattr(sys, "stdout", _Sink())
+        peaks = []
+        for topics in (200, 2000):
+            batch = tmp_path / f"q{topics}.tsv"
+            # every topic ranks all 100 documents
+            batch.write_text("".join(f"t{i:04d}\tcommon w{i % 7} w{i % 11}\n"
+                                     for i in range(topics)))
+            tracemalloc.start()
+            try:
+                assert main(["search", "--index", str(index), "--ranker",
+                             "baseline", "--queries", str(batch)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 2 << 20, peaks
 
 
 class TestEvalAndDiff:

@@ -20,12 +20,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frank.errors import EvalError, RunFormatError
-from frank.evaluation import (MetricsReport, Qrels, RunFile,
+from frank.evaluation import (MetricsReport, Qrels, RankedEntries,
+                              RankedEntry, RankedList, RunFile,
                               average_precision, evaluate_run, format_diff,
                               format_report, format_run, parse_qrels,
                               parse_run, precision_at_10, report_jsonl,
                               run_from_ranked)
-from frank.ranker import RankedEntries, RankedEntry, RankedList
 
 from oracles import (ReferenceRunError, reference_format_run,
                      reference_parse_run)
@@ -188,6 +188,16 @@ class TestDiff:
         # t1: 1.0 -> 0.5, t2: 0.5 -> 1.0; MAP unchanged
         assert delta_row(format_diff(report_a, report_b, "a", "b")) == (
             "b", [0.0, 0.0, 0.0])
+
+    def test_every_delta_column_nonzero(self):
+        qrels = Qrels({("t1", "r1"): 1, ("t2", "r2"): 1})
+        report_a = evaluate_run(make_run("a", {"t1": ["r1"], "t2": ["x"]}),
+                                qrels)
+        report_b = evaluate_run(make_run("b", {"t1": ["r1"], "t2": ["r2"]}),
+                                qrels)
+        # MAP 0.5 -> 1.0, P10 0.05 -> 0.1, %no 50% -> 0%
+        assert format_diff(report_a, report_b, "a", "b").splitlines()[
+            -1].split() == ["b", "all", "+0.5000", "+0.0500", "-50.00%"]
 
     def test_antisymmetry(self):
         qrels = Qrels({("t1", "r1"): 1, ("t2", "r2"): 1})
@@ -441,6 +451,21 @@ class TestRunFileParsing:
          "topic '' is empty or contains whitespace"),
         ("x", "1 2", [],
          "topic '1 2' is empty or contains whitespace"),
+        # never a bare TypeError or ValueError
+        ("x", "t", [("a", 1.0)], "topic t: entries are not triples"),
+        ("x", "t", [("a", 1.0, 1, "x")], "topic t: entries are not triples"),
+        ("x", "t", [("a", 1.0, 1), ("b", 0.5)],
+         "topic t: entries are not triples"),
+        ("x", "t", 5, "topic t: entries are not triples"),
+        ("x", "t", [5], "topic t: entries are not triples"),
+        ("x", "t", [(1, 1.0, 1)], "topic t: doc id 1 is not text"),
+        ("x", "t", [(b"a", 1.0, 1)], "topic t: doc id b'a' is not text"),
+        ("x", "t", [("a", 1.0, True)], "topic t: rank True is not an integer"),
+        ("x", "t", [("a", 1.0, 1.0)], "topic t: rank 1.0 is not an integer"),
+        ("x", "t", [("a", 1.0, 1), ("b", 0.5, 2.0)],
+         "topic t: rank 2.0 is not an integer"),
+        (1, "t", [("a", 1.0, 1)], "run tag 1 is not text"),
+        ("x", 7, [("a", 1.0, 1)], "topic 7 is not text"),
     ])
     def test_construction_rejects_what_a_run_line_cannot_hold(
             self, tag, topic, entries, message):
@@ -448,6 +473,19 @@ class TestRunFileParsing:
             run_from_ranked([RankedList(topic, entries)], tag)
         assert str(caught.value) == message
         assert caught.value.line is None
+
+    def test_integer_ranks_of_any_int_type_accepted(self):
+        ranked = RankedList("t", [("a", 1.0, 1), ("b", 0.5, np.int64(2)),
+                                  ("c", 0.25, np.uint8(3))])
+        assert [entry.rank for entry in ranked.entries] == [1, 2, 3]
+
+    def test_hand_made_entries_doc_ids_are_not_checked(self):
+        """A RunFile takes its entries as they are: a hand-made doc id with
+        whitespace formats a line of 7 fields, which parse_run refuses."""
+        text = format_run(RunFile("t", {"q": RankedEntries(("a b",), [1.0])}))
+        assert text == "q Q0 a b 1 1.000000 t\n"
+        with pytest.raises(RunFormatError, match="got 7 fields"):
+            parse_run(text)
 
     def test_topics_sorted_in_output(self):
         run = run_from_ranked([

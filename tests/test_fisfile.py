@@ -10,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from frank.errors import ConfigError
 from frank.fis import (MAX_RESOLUTION, OPERATORS, FisConfig,
-                       LinguisticVariable, default_variable)
-from frank.fisfile import (format_fis_config, format_template, load_template,
-                           parse_fis_config, parse_template)
+                       LinguisticVariable, default_variable, evaluate)
+from frank.fisfile import (format_fis_config, format_template,
+                           load_fis_config, load_template, parse_fis_config,
+                           parse_template)
 from frank.membership import MembershipFunction
+from frank.ranker import score_fis
 from frank.rules import ParseError, parse_rule
 
 BASIC = """\
@@ -124,6 +126,24 @@ if (x is bell) -> (y is high)
         with pytest.raises(ConfigError, match=f"<= {MAX_RESOLUTION}"):
             parse_fis_config(BASIC.replace(
                 "resolution 1001", f"resolution {MAX_RESOLUTION + 1}"))
+
+    def test_smallest_grid_loads_and_evaluates(self, tmp_path, data_dir,
+                                               index20):
+        """Resolution 2 is legal: a config file at it evaluates to the
+        two-point centroid, and a template file at it ranks."""
+        path = tmp_path / "two.cfg"
+        path.write_text(BASIC.replace("resolution 1001", "resolution 2")
+                        + "if (tf is not high) -> (relevance is not high)\n")
+        config = load_fis_config(path)
+        assert config.resolution == 2
+        # strengths 0.7 and 0.3 on the grid {0, 1}: centroid 0.7
+        assert evaluate(config, {"tf": 0.7}) == pytest.approx(0.7, abs=1e-12)
+        path.write_text((data_dir / "template_default.cfg").read_text()
+                        .replace("resolution 1001", "resolution 2"))
+        template = load_template(path)
+        assert template.config.resolution == 2
+        scores = score_fis(index20, template, "river flood").entries.scores
+        assert len(scores) > 0 and ((0 <= scores) & (scores <= 1)).all()
 
     def test_missing_output_section(self):
         with pytest.raises(ConfigError, match="output"):

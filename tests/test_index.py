@@ -476,6 +476,13 @@ class TestSerialization:
         with pytest.raises(IndexFormatError, match="version"):
             InvertedIndex.from_bytes(bytes(data))
 
+    def test_version_error_names_the_version_byte(self, index5):
+        data = bytearray(index5.to_bytes())
+        data[5] = 2  # the byte after it, the document count's first, is 5
+        with pytest.raises(IndexFormatError) as caught:
+            InvertedIndex.from_bytes(bytes(data))
+        assert str(caught.value) == "unsupported index version 2"
+
     def test_truncated_rejected(self, index5):
         data = index5.to_bytes()
         with pytest.raises(IndexFormatError, match="truncated"):

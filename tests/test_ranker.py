@@ -15,15 +15,15 @@ from hypothesis import example, given, settings, strategies as st
 
 import frank.ranker
 from frank.errors import ConfigError, QueryError, RunFormatError
-from frank.evaluation import RunFile, format_run, parse_run, run_from_ranked
+from frank.evaluation import (RankedEntries, RankedEntry, RankedList, RunFile,
+                              format_run, parse_run, run_from_ranked)
 from frank.fis import (OPERATORS, FisConfig, LinguisticVariable, aggregate,
                        defuzzify, evaluate, fire_rule, fuzzify, imply)
 from frank.index import (Document, InvertedIndex, build_index,
                          extract_features, read_corpus_jsonl, tokenize)
 from frank.membership import MembershipFunction
-from frank.ranker import (FisTemplate, RankedEntries, RankedEntry,
-                          RankedList, default_template, instantiate_fis, score_baseline,
-                          score_fis)
+from frank.ranker import (FisTemplate, default_template, instantiate_fis,
+                          score_baseline, score_fis)
 from frank.rules import parse_rule
 
 from oracles import (ReferenceCorpus, reference_dense_baseline,
@@ -940,6 +940,24 @@ class TestColumnarEntries:
             assert scores.flags.writeable
             scores[0] = 9
             assert entries.scores[0] != 9
+
+    @pytest.mark.parametrize("scores", [
+        (score for score in [0.5, 0.25]), iter([0.5, 0.25]),
+        map(float, ["0.5", "0.25"]), {0.5: "a", 0.25: "b"}.keys()],
+        ids=["generator", "iterator", "map", "dict-keys"])
+    def test_scores_from_any_iterable(self, scores):
+        entries = RankedEntries(("a", "b"), scores)
+        assert entries.scores.tolist() == [0.5, 0.25]
+
+    def test_array_scores_are_not_iterated(self):
+        """An array is copied by numpy as a whole, never listed first."""
+        class Unlisted(np.ndarray):
+            def __iter__(self):
+                raise AssertionError("iterated")
+
+        scores = np.array([0.5, 0.25]).view(Unlisted)
+        assert RankedEntries(("a", "b"), scores).scores.tolist() == [
+            0.5, 0.25]
 
     @pytest.mark.parametrize("scores", [
         ["high"], [object()], [[0.5]], np.array([[0.5]]), 0.5, None,
